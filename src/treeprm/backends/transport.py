@@ -43,10 +43,16 @@ class FileResponseCache:
         return None
 
     def put(self, key: str, data: bytes) -> None:
+        """Publish atomically: each writer (process and thread) fills its own
+        temp file, so concurrent writers never tear an entry."""
         path = self._path(key)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        tmp = path.with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def get_or_fetch(self, key: str, fetch: Callable[[], bytes]) -> bytes:
         """Return the cached response, fetching it at most once per key even

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -44,7 +44,7 @@ from .domain import (
     parse_verdict_marker,
 )
 from .mcts import RolloutOutcome, SearchConfig, run_search
-from .rewards import aggregate, trajectory_labels
+from .rewards import labelled_steps
 
 SCHEMA_VERSION = 1
 
@@ -154,23 +154,19 @@ def assemble_candidate(
             problem, rollout, steps_text, None, rationales, False, all_verifiable, ()
         )
 
-    hybrid = trajectory_labels(verification_labels, rollout.final_flag, beta, gamma)
+    hybrid_steps = labelled_steps(verification_labels, rollout.final_flag, beta, gamma)
     if mode in ("hybrid", "no_rationale"):
-        labels = list(hybrid)
+        labels = [h for h, _ in hybrid_steps] + [rollout.final_flag]
     elif mode == "step_only":
         labels = verification_labels + [rollout.final_flag]
     else:
         labels = [rollout.final_flag] * len(rollout.steps)
 
-    flips = []
-    for j, (v, h) in enumerate(zip(verification_labels, hybrid), start=1):
-        if v != h:
-            u = aggregate(
-                verification_labels[j:], rollout.final_flag, beta, gamma, j, len(rollout.steps)
-            ).u_value
-            flips.append(
-                FlipEvent(problem.id, rollout.round_index, j, v, h, u + v)
-            )
+    flips = [
+        FlipEvent(problem.id, rollout.round_index, j, v, h, u_plus_v)
+        for j, (v, (h, u_plus_v)) in enumerate(zip(verification_labels, hybrid_steps), start=1)
+        if v != h
+    ]
 
     rationales = tuple(res.rationale for res in rollout.verifications) + (
         final_answer_rationale(rollout.final_flag, rollout.final_answer, problem.gold_answer),
@@ -224,6 +220,7 @@ def serialize_instance(instance: TrainingInstance) -> str:
         _check_encodable(f"steps[{i}]", step)
     for i, rationale in enumerate(instance.rationales):
         _check_encodable(f"rationales[{i}]", rationale)
+    provenance = instance.provenance
     record = {
         "schema_version": SCHEMA_VERSION,
         "problem": instance.problem,
@@ -232,7 +229,15 @@ def serialize_instance(instance: TrainingInstance) -> str:
         "rationales": list(instance.rationales),
         "final_answer": instance.final_answer,
         "outcome": instance.outcome_flag,
-        "provenance": asdict(instance.provenance),
+        "provenance": {
+            "problem_id": provenance.problem_id,
+            "tree_id": provenance.tree_id,
+            "rollout_index": provenance.rollout_index,
+            "rng_seed": provenance.rng_seed,
+            "config_hash": provenance.config_hash,
+            "pipeline_version": provenance.pipeline_version,
+            "normalization_version": provenance.normalization_version,
+        },
     }
     return json.dumps(record, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
 
@@ -297,7 +302,17 @@ class BuildReport:
             "rollouts_total": self.rollouts_total,
             "kept": self.kept,
             "dropped": dict(sorted(self.dropped.items())),
-            "flip_events": [asdict(e) for e in self.flip_events],
+            "flip_events": [
+                {
+                    "problem_id": e.problem_id,
+                    "rollout_index": e.rollout_index,
+                    "step_index": e.step_index,
+                    "verification_label": e.verification_label,
+                    "hybrid_label": e.hybrid_label,
+                    "u_plus_v": e.u_plus_v,
+                }
+                for e in self.flip_events
+            ],
             "problem_errors": self.problem_errors,
             "pipeline_version": PIPELINE_VERSION,
         }

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .backends.base import StepGenerator, StepScorer
 from .domain import Problem, ReasoningStep, Trajectory, answers_equal, extract_final_answer
+from .mcts import best_index
 
 
 class DecodeError(RuntimeError):
@@ -76,10 +77,7 @@ def greedy_step(
         scores = [scorer.score(problem, state, candidate) for candidate in candidates]
     except Exception as err:
         raise DecodeError(f"scorer failed on problem {problem.id}: {err}") from err
-    best = 0
-    for i in range(1, len(scores)):
-        if scores[i] > scores[best]:
-            best = i
+    best = best_index(scores)
     decision = StepDecision(
         step_index=len(state) + 1,
         candidates=tuple(c.action for c in candidates),
@@ -170,7 +168,13 @@ def write_decode_log(path: str | Path, results: Sequence[DecodeResult]) -> None:
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         for result in results:
             for decision in result.decisions:
-                record = {"problem_id": result.problem_id, **asdict(decision)}
+                record = {
+                    "problem_id": result.problem_id,
+                    "step_index": decision.step_index,
+                    "candidates": decision.candidates,
+                    "scores": decision.scores,
+                    "chosen_index": decision.chosen_index,
+                }
                 handle.write(
                     json.dumps(record, sort_keys=True, ensure_ascii=True,
                                separators=(",", ":")) + "\n"

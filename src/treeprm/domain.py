@@ -23,6 +23,7 @@ _DOLLAR_RE = re.compile(r"\$(.+)\$", re.DOTALL)
 _WS_RE = re.compile(r"\s+")
 _VERDICT_RE = re.compile(r"\\boxed\{+\s*([+\-\u2212])\s*\}+")
 _FINAL_ANSWER_RE = re.compile(r"final answer\s*[:=]\s*(.+?)\s*$", re.IGNORECASE | re.MULTILINE)
+_CANONICAL_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,16 @@ def normalize_answer(raw: str) -> str:
 
 
 def answers_equal(a: str, b: str) -> bool:
-    """True iff the two answers normalize to the same canonical form."""
+    """True iff the two answers normalize to the same canonical form.
+
+    Equal strings are equal answers. Two different canonical integers, the
+    usual case since gold answers are canonical, are never equal; both
+    shortcuts return what the full comparison below would.
+    """
+    if a == b:
+        return True
+    if _CANONICAL_INT_RE.fullmatch(a) and _CANONICAL_INT_RE.fullmatch(b):
+        return False
     left, right = normalize_answer(a), normalize_answer(b)
     if left == right:
         return True

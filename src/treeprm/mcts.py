@@ -181,7 +181,8 @@ def uct_score(q: float, parent_visits: int, child_visits: int, c: float) -> floa
     return q + c * sqrt(log(parent_visits) / child_visits)
 
 
-def _best_index(scores: Sequence[float]) -> int:
+def best_index(scores: Sequence[float]) -> int:
+    """Index of the largest score; ties go to the lowest index."""
     best = 0
     for i in range(1, len(scores)):
         if scores[i] > scores[best]:
@@ -201,7 +202,7 @@ def select_leaf(root: TreeNode, cfg: SearchConfig) -> list[TreeNode]:
             uct_score(child.q_value, node.visit_count, child.visit_count, cfg.exploration_c)
             for child in node.children
         ]
-        node = node.children[_best_index(scores)]
+        node = node.children[best_index(scores)]
         path.append(node)
     return path
 
@@ -254,7 +255,7 @@ def choose_simulation_child(children: Sequence[TreeNode]) -> TreeNode:
         if child.step_verification is None:
             raise ValueError("all children must be verified before simulation")
         labels.append(child.step_verification.label)
-    return children[_best_index(labels)]
+    return children[best_index(labels)]
 
 
 def simulate(
@@ -424,7 +425,7 @@ def most_visited_path(root: TreeNode) -> list[TreeNode]:
     path = [root]
     node = root
     while node.children:
-        node = node.children[_best_index([child.visit_count for child in node.children])]
+        node = node.children[best_index([child.visit_count for child in node.children])]
         path.append(node)
     return path
 

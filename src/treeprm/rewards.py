@@ -14,6 +14,11 @@ Per-step training labels re-aggregate at each index j over its own suffix:
 label_j = sign(u_j + v_j), with sign(0) = -1 (conservative). The final step
 has no tool verification; its label is F itself, consistent with the formula
 since an empty window gives sign((1 + beta) * F) = F.
+
+`labelled_steps` computes every step's label and u_j + v_j in one pass over a
+completed trajectory. It evaluates `aggregate`'s expression, summed in the
+same order, so each value equals the one `step_label` would compute bit for
+bit; `aggregate` and `step_label` remain the per-index reference.
 """
 
 from __future__ import annotations
@@ -29,6 +34,13 @@ class UnlabeledStepError(ValueError):
 def _check_sign(name: str, value: int) -> None:
     if value not in (-1, 1):
         raise ValueError(f"{name} must be -1 or +1, got {value!r}")
+
+
+def _check_weights(beta: float, gamma: float) -> None:
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError("gamma must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -53,10 +65,7 @@ def aggregate(
     length: int,
 ) -> AggregatedReward:
     """Fuse the verification window j = i+1..length-1 with the outcome flag."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must be in (0, 1]")
+    _check_weights(beta, gamma)
     _check_sign("final_flag", final_flag)
     window = max(length - 1 - expansion_index, 0)
     if len(step_labels) != window:
@@ -117,6 +126,43 @@ def step_label(
     return 1 if u + own > 0 else -1
 
 
+def labelled_steps(
+    labels: Sequence[int | None],
+    final_flag: int,
+    beta: float,
+    gamma: float,
+) -> list[tuple[int, float]]:
+    """(label_j, u_j + v_j) for the verified steps j = 1..T-1 of a completed
+    trajectory; the final step T is labeled F and has no v_T.
+
+    Inputs are validated once, with `step_label`'s exception types (v_1 is
+    sign-checked too, which `step_label` skips). Each u_j is
+    `aggregate`'s expression over the suffix v_{j+1..T-1}, summed front to
+    back, so every value equals `aggregate(...).u_value + v_j` exactly.
+    """
+    for index, label in enumerate(labels, start=1):
+        if label is None:
+            raise UnlabeledStepError(f"unlabeled step at index {index}")
+    _check_sign("final_flag", final_flag)
+    if not labels:
+        return []
+    _check_weights(beta, gamma)
+    for label in labels:
+        _check_sign("step label", label)
+    weights = [gamma ** (offset + 1) for offset in range(len(labels) - 1)]
+    outcome = beta * final_flag
+    steps = []
+    for j, own in enumerate(labels, start=1):
+        suffix = labels[j:]
+        window = len(suffix)
+        if window:
+            u = sum(w * v for w, v in zip(weights, suffix)) / window + outcome
+        else:
+            u = outcome
+        steps.append((1 if u + own > 0 else -1, u + own))
+    return steps
+
+
 def trajectory_labels(
     labels: Sequence[int | None],
     final_flag: int,
@@ -124,5 +170,4 @@ def trajectory_labels(
     gamma: float,
 ) -> list[int]:
     """Labels for all T steps of a completed trajectory (final label is F)."""
-    length = len(labels) + 1
-    return [step_label(j, labels, final_flag, beta, gamma) for j in range(1, length + 1)]
+    return [label for label, _ in labelled_steps(labels, final_flag, beta, gamma)] + [final_flag]

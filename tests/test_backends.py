@@ -1,6 +1,7 @@
 """Transport plumbing and the remote HTTP backends against a local fake server."""
 
 import math
+import multiprocessing
 import threading
 import time
 
@@ -85,7 +86,45 @@ class TestParseStepCompletion:
         assert parse_step_completion("Objective: only half", 1) is None
 
 
+_TORN_PAYLOADS = (b"a" * (1 << 18), b"b" * (1 << 19))
+# Each worker does at least this much however late it starts, so a slow
+# worker start-up cannot leave a side with nothing to check.
+_MIN_OPS = 50
+
+
+def _put_until(cache_dir, key, payload, deadline):
+    cache, puts = FileResponseCache(cache_dir), 0
+    while puts < _MIN_OPS or time.time() < deadline:
+        cache.put(key, payload)
+        puts += 1
+    return puts
+
+
+def _read_until(cache_dir, key, deadline):
+    cache, reads, torn = FileResponseCache(cache_dir), 0, 0
+    while reads < _MIN_OPS or time.time() < deadline:
+        data = cache.get(key)
+        if data is not None:
+            reads += 1
+            torn += data not in _TORN_PAYLOADS
+    return reads, torn
+
+
 class TestCache:
+    def test_concurrent_writer_processes_never_publish_a_torn_entry(self, tmp_path):
+        key = cache_key({"shared": True})
+        deadline = time.time() + 2.0
+        with multiprocessing.get_context("spawn").Pool(3) as pool:
+            writers = [pool.apply_async(_put_until, (tmp_path, key, payload, deadline))
+                       for payload in _TORN_PAYLOADS]
+            reader = pool.apply_async(_read_until, (tmp_path, key, deadline))
+            for writer in writers:
+                writer.get(timeout=30)
+            reads, torn = reader.get(timeout=30)
+        assert torn == 0, f"{torn} of {reads} reads returned a torn entry"
+        assert FileResponseCache(tmp_path).get(key) in _TORN_PAYLOADS
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.bin"]
+
     def test_round_trip(self, tmp_path):
         cache = FileResponseCache(tmp_path)
         key = cache_key({"a": 1})
