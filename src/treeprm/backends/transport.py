@@ -10,18 +10,18 @@ one of them hits the network.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
 from pathlib import Path
 from typing import Callable
 
+from ..jsonio import canonical_json
+
 
 def cache_key(payload: dict) -> str:
     """Stable content hash of a request payload."""
-    canonical = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 class FileResponseCache:

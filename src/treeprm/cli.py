@@ -28,7 +28,7 @@ from .backends import (
     builtin_template,
 )
 from .config import ConfigError, RunConfig, backend_config_from, load_config
-from .dataset import BuildConfig, build_dataset, load_problems
+from .dataset import BuildConfig, BuildReport, build_dataset, load_problems
 from .decoding import decode, pass_at_n, sample_rollout, write_decode_log
 from .domain import Problem
 from .evaluation import (
@@ -47,60 +47,21 @@ from .evaluation import (
     write_annotated,
     write_predictions,
 )
+from .jsonio import canonical_json, write_json, write_jsonl
 from .mcts import export_tree, run_search
 from .synthetic import SyntheticTrace, build_corpus, oracle_labels
 
 
-def _json_line(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_json_line(payload) + "\n", encoding="utf-8")
-
-
 def _write_problems(path: Path, problems: list[Problem]) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        for problem in problems:
-            handle.write(
-                _json_line(
-                    {
-                        "id": problem.id,
-                        "statement": problem.statement,
-                        "gold_answer": problem.gold_answer,
-                        "source": problem.source,
-                    }
-                )
-                + "\n"
-            )
-
-
-def _decode_all(problems, generator, scorer, cfg: RunConfig):
-    """Decode every problem, on the config worker pool when sized above 1."""
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(
-                lambda problem: decode(problem, generator, scorer, cfg.decode), problems
-            ))
-    return [decode(problem, generator, scorer, cfg.decode) for problem in problems]
-
-
-def _write_decode_results(out: Path, results) -> None:
-    with (out / "decode_results.jsonl").open("w", encoding="utf-8", newline="\n") as handle:
-        for result in results:
-            handle.write(
-                _json_line(
-                    {
-                        "id": result.problem_id,
-                        "correct": result.correct,
-                        "complete": result.complete,
-                        "final_answer": result.trajectory.final_answer,
-                        "steps": [s.action for s in result.trajectory.steps],
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(path, (
+        {
+            "id": problem.id,
+            "statement": problem.statement,
+            "gold_answer": problem.gold_answer,
+            "source": problem.source,
+        }
+        for problem in problems
+    ))
 
 
 def _resolve_problems(
@@ -186,28 +147,70 @@ def _load_cfg(args) -> RunConfig:
     return cfg.with_overrides(seed=args.seed, mode=args.mode, workers=args.workers)
 
 
-def cmd_generate(args) -> int:
-    cfg = _load_cfg(args)
-    out = _outdir(cfg, args.output)
-    roles = ("generator", "verifier")
-    problems, traces = _resolve_problems(cfg, roles)
-    backends = _build_backends(cfg, traces, roles)
-    generator, verifier = backends["generator"], backends["verifier"]
+def _generate(cfg: RunConfig, problems, generator, verifier, out: Path) -> BuildReport:
+    """The generate stage: search every problem and emit `dataset.jsonl`."""
     build_cfg = BuildConfig(
         mode=cfg.mode,
         rng_seed=cfg.search.rng_seed,
         config_hash=cfg.config_hash,
         workers=cfg.workers,
     )
-    report = build_dataset(
+    return build_dataset(
         problems, generator, verifier, cfg.search, build_cfg, out / "dataset.jsonl"
     )
+
+
+def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
+    """The decode stage: reward-guided decoding of every problem, on the config
+    worker pool when sized above 1, then pass@n sampling.
+
+    Writes `decode_results.jsonl` and `decode_log.jsonl` and returns the
+    guided accuracy and pass@1 / pass@n.
+    """
+    if cfg.workers > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            results = list(pool.map(
+                lambda problem: decode(problem, generator, scorer, cfg.decode), problems
+            ))
+    else:
+        results = [decode(problem, generator, scorer, cfg.decode) for problem in problems]
+    write_jsonl(out / "decode_results.jsonl", (
+        {
+            "id": result.problem_id,
+            "correct": result.correct,
+            "complete": result.complete,
+            "final_answer": result.trajectory.final_answer,
+            "steps": [s.action for s in result.trajectory.steps],
+        }
+        for result in results
+    ))
+    write_decode_log(out / "decode_log.jsonl", results)
+
+    pass_n = cfg.decode.pass_n
+    matrix = [
+        [sample_rollout(problem, generator, cfg.decode, s)[1] for s in range(pass_n)]
+        for problem in problems
+    ]
+    return {
+        "guided_accuracy": sum(r.correct for r in results) / len(results) if results else 0.0,
+        "pass_at_1": pass_at_n(matrix, 1) if matrix else 0.0,
+        f"pass_at_{pass_n}": pass_at_n(matrix, pass_n) if matrix else 0.0,
+    }
+
+
+def cmd_generate(args) -> int:
+    cfg = _load_cfg(args)
+    out = _outdir(cfg, args.output)
+    roles = ("generator", "verifier")
+    problems, traces = _resolve_problems(cfg, roles)
+    backends = _build_backends(cfg, traces, roles)
+    report = _generate(cfg, problems, backends["generator"], backends["verifier"], out)
     if traces is not None:
         _write_problems(out / "problems.jsonl", problems)
     summary = report.summary_dict()
     summary.update({"mode": cfg.mode, "rng_seed": cfg.search.rng_seed,
                     "config_hash": cfg.config_hash})
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     print(f"generate: kept {report.kept} of {report.rollouts_total} rollouts "
           f"({report.dropped_total} dropped) -> {out / 'dataset.jsonl'}")
     return 0
@@ -219,25 +222,10 @@ def cmd_decode(args) -> int:
     roles = ("generator", "scorer")
     problems, traces = _resolve_problems(cfg, roles)
     backends = _build_backends(cfg, traces, roles)
-    generator, scorer = backends["generator"], backends["scorer"]
-
-    results = _decode_all(problems, generator, scorer, cfg)
-    _write_decode_results(out, results)
-    write_decode_log(out / "decode_log.jsonl", results)
-
-    matrix = [
-        [sample_rollout(problem, generator, cfg.decode, s)[1] for s in range(cfg.decode.pass_n)]
-        for problem in problems
-    ]
-    summary = {
-        "problems": len(problems),
-        "guided_accuracy": sum(r.correct for r in results) / len(results) if results else 0.0,
-        "pass_at_1": pass_at_n(matrix, 1) if matrix else 0.0,
-        f"pass_at_{cfg.decode.pass_n}": pass_at_n(matrix, cfg.decode.pass_n) if matrix else 0.0,
-        "rng_seed": cfg.decode.rng_seed,
-        "config_hash": cfg.config_hash,
-    }
-    _write_json(out / "decode_summary.json", summary)
+    summary = _decode(cfg, problems, backends["generator"], backends["scorer"], out)
+    summary.update({"problems": len(problems), "rng_seed": cfg.decode.rng_seed,
+                    "config_hash": cfg.config_hash})
+    write_json(out / "decode_summary.json", summary)
     print(f"decode: guided accuracy {summary['guided_accuracy']:.3f} on "
           f"{len(problems)} problems -> {out}")
     return 0
@@ -270,9 +258,8 @@ def _eval_reference(rows: list[ReferenceRow], out: Path | None) -> int:
     print(text, end="")
     print(f"max |recomputed - reported| = {max_dev:.4f}")
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+        write_json(out / "f1_table.json", payload)
         (out / "f1_table.txt").write_text(text, encoding="utf-8")
-        _write_json(out / "f1_table.json", payload)
     return 0
 
 
@@ -305,8 +292,7 @@ def cmd_eval(args) -> int:
     )
     print(text, end="")
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "eval_report.json", report_to_dict(report))
+        write_json(out / "eval_report.json", report_to_dict(report))
         (out / "eval_report.txt").write_text(text, encoding="utf-8")
     return 0
 
@@ -318,10 +304,7 @@ def cmd_synth(args) -> int:
     out = _outdir(cfg, args.output)
     traces = build_corpus(cfg.synthetic)
     problems = [trace.problem for trace in traces]
-    roles = ("generator", "verifier", "scorer")
-    backends = _build_backends(cfg, traces, roles)
-    generator, verifier, scorer = (backends["generator"], backends["verifier"],
-                                   backends["scorer"])
+    backends = _build_backends(cfg, traces, ("generator", "verifier", "scorer"))
 
     _write_problems(out / "problems.jsonl", problems)
 
@@ -344,7 +327,7 @@ def cmd_synth(args) -> int:
     ]
     write_predictions(out / "predictions.jsonl", predictions)
     eval_report = score_samples(predictions, annotations)
-    _write_json(out / "eval_report.json", report_to_dict(eval_report))
+    write_json(out / "eval_report.json", report_to_dict(eval_report))
     (out / "eval_report.txt").write_text(
         render_score_table(
             [("exact-verifier", "synthetic", eval_report.error_accuracy,
@@ -353,23 +336,12 @@ def cmd_synth(args) -> int:
         encoding="utf-8",
     )
 
-    build_cfg = BuildConfig(
-        mode=cfg.mode, rng_seed=cfg.search.rng_seed,
-        config_hash=cfg.config_hash, workers=cfg.workers,
-    )
-    build_report = build_dataset(
-        problems, generator, verifier, cfg.search, build_cfg, out / "dataset.jsonl"
-    )
-    _write_json(out / "dataset_summary.json", build_report.summary_dict())
+    build_report = _generate(cfg, problems, backends["generator"], backends["verifier"], out)
+    write_json(out / "dataset_summary.json", build_report.summary_dict())
+    decoded = _decode(cfg, problems, backends["generator"], backends["scorer"], out)
 
-    results = _decode_all(problems, generator, scorer, cfg)
-    _write_decode_results(out, results)
-    write_decode_log(out / "decode_log.jsonl", results)
-    matrix = [
-        [sample_rollout(problem, generator, cfg.decode, s)[1] for s in range(cfg.decode.pass_n)]
-        for problem in problems
-    ]
-
+    dropped = dict(sorted(build_report.dropped.items()))
+    pass_n = cfg.decode.pass_n
     report = {
         "config_hash": cfg.config_hash,
         "rng_seed": cfg.search.rng_seed,
@@ -378,25 +350,21 @@ def cmd_synth(args) -> int:
         "dataset": {
             "rollouts": build_report.rollouts_total,
             "kept": build_report.kept,
-            "dropped": dict(sorted(build_report.dropped.items())),
+            "dropped": dropped,
             "flip_events": len(build_report.flip_events),
         },
-        "decode": {
-            "guided_accuracy": sum(r.correct for r in results) / len(results),
-            "pass_at_1": pass_at_n(matrix, 1),
-            f"pass_at_{cfg.decode.pass_n}": pass_at_n(matrix, cfg.decode.pass_n),
-        },
+        "decode": decoded,
         "eval": report_to_dict(eval_report),
     }
-    _write_json(out / "report.json", report)
+    write_json(out / "report.json", report)
     lines = [
         "synthetic end-to-end report",
         f"  problems:        {len(problems)}",
         f"  dataset kept:    {build_report.kept} of {build_report.rollouts_total} rollouts",
-        f"  dataset dropped: {dict(sorted(build_report.dropped.items()))}",
-        f"  guided accuracy: {report['decode']['guided_accuracy']:.3f}",
-        f"  pass@1:          {report['decode']['pass_at_1']:.3f}",
-        f"  pass@{cfg.decode.pass_n}:          {report['decode'][f'pass_at_{cfg.decode.pass_n}']:.3f}",
+        f"  dataset dropped: {dropped}",
+        f"  guided accuracy: {decoded['guided_accuracy']:.3f}",
+        f"  pass@1:          {decoded['pass_at_1']:.3f}",
+        f"  pass@{pass_n}:          {decoded[f'pass_at_{pass_n}']:.3f}",
         f"  eval F1:         {eval_report.f1:.1f}",
     ]
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -487,7 +455,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except Exception as err:  # noqa: BLE001 - CLI boundary emits a machine-readable record
         record = {"error": type(err).__name__, "message": str(err)}
-        print(_json_line(record), file=sys.stderr)
+        print(canonical_json(record), file=sys.stderr)
         return 1
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .backends.base import BackendConfig
 from .decoding import DecodeConfig
+from .jsonio import canonical_json
 from .mcts import SearchConfig
 from .synthetic import SyntheticCorpusConfig
 
@@ -47,49 +48,17 @@ class RunConfig:
     def with_overrides(self, seed: int | None = None, mode: str | None = None,
                        workers: int | None = None) -> "RunConfig":
         """CLI overrides: one run seed replaces every per-stage seed."""
-        search = self.search
-        decode = self.decode
-        synthetic = self.synthetic
+        changes = {}
         if seed is not None:
-            search = SearchConfig(
-                exploration_c=search.exploration_c,
-                branch_K=search.branch_K,
-                decay_gamma=search.decay_gamma,
-                outcome_beta=search.outcome_beta,
-                max_rounds_R=search.max_rounds_R,
-                max_depth=search.max_depth,
-                rng_seed=seed,
-            )
-            decode = DecodeConfig(
-                candidates_N=decode.candidates_N,
-                temperature=decode.temperature,
-                max_steps=decode.max_steps,
-                pass_n=decode.pass_n,
-                rng_seed=seed,
-            )
-            if synthetic is not None:
-                synthetic = SyntheticCorpusConfig(
-                    count=synthetic.count,
-                    num_terms=synthetic.num_terms,
-                    value_range=synthetic.value_range,
-                    seed=seed,
-                    error_rate=synthetic.error_rate,
-                    max_planted_errors=synthetic.max_planted_errors,
-                    planted_deltas=synthetic.planted_deltas,
-                    branch_noise=synthetic.branch_noise,
-                    noise_deltas=synthetic.noise_deltas,
-                )
-        return RunConfig(
-            search=search,
-            decode=decode,
-            paths=self.paths,
-            backends=self.backends,
-            mode=mode if mode is not None else self.mode,
-            workers=workers if workers is not None else self.workers,
-            synthetic=synthetic,
-            config_hash=self.config_hash,
-            raw=self.raw,
-        )
+            changes["search"] = replace(self.search, rng_seed=seed)
+            changes["decode"] = replace(self.decode, rng_seed=seed)
+            if self.synthetic is not None:
+                changes["synthetic"] = replace(self.synthetic, seed=seed)
+        if mode is not None:
+            changes["mode"] = mode
+        if workers is not None:
+            changes["workers"] = workers
+        return replace(self, **changes)
 
 
 def _require(section: dict, key: str, path: str):
@@ -248,8 +217,7 @@ def backend_config_from(spec: dict, role: str, default_cache_dir: str | None) ->
 
 
 def config_hash_of(raw: dict) -> str:
-    canonical = json.dumps(raw, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(canonical_json(raw).encode("utf-8")).hexdigest()[:16]
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -21,8 +21,8 @@ Hybrid steps whose aggregated sign flips away from the verification label are
 therefore dropped, and each such flip is logged with its u+v value in the
 build report.
 
-Instances serialize one per line as versioned JSON with sorted keys and ASCII
-escapes, so identical builds are byte-identical.
+Instances serialize one per line as versioned canonical JSON (sorted keys,
+ASCII escapes), so identical builds are byte-identical.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .domain import (
     normalize_answer,
     parse_verdict_marker,
 )
+from .jsonio import canonical_json, read_jsonl, write_jsonl
 from .mcts import RolloutOutcome, SearchConfig, run_search
 from .rewards import labelled_steps
 
@@ -239,7 +240,7 @@ def serialize_instance(instance: TrainingInstance) -> str:
             "normalization_version": provenance.normalization_version,
         },
     }
-    return json.dumps(record, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+    return canonical_json(record)
 
 
 def parse_instance(line: str) -> TrainingInstance:
@@ -398,11 +399,7 @@ def build_dataset(
     report.kept = len(report.instances)
 
     if output_path is not None:
-        path = Path(output_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8", newline="\n") as handle:
-            for instance in report.instances:
-                handle.write(serialize_instance(instance) + "\n")
+        write_jsonl(output_path, report.instances, serialize_instance)
     return report
 
 
@@ -423,23 +420,18 @@ def load_problems(path: str | Path) -> list[Problem]:
     """
     problems = []
     seen: set[str] = set()
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            try:
-                problem = Problem(
-                    id=str(record["id"]),
-                    statement=record["statement"],
-                    gold_answer=normalize_answer(record["gold_answer"]),
-                    source=record.get("source", "external"),
-                )
-            except KeyError as err:
-                raise ValueError(f"problem record on line {line_no} is missing {err}") from err
-            if problem.id in seen:
-                raise ValueError(f"duplicate problem id on line {line_no}: {problem.id}")
-            seen.add(problem.id)
-            problems.append(problem)
+    for line_no, record in read_jsonl(path):
+        try:
+            problem = Problem(
+                id=str(record["id"]),
+                statement=record["statement"],
+                gold_answer=normalize_answer(record["gold_answer"]),
+                source=record.get("source", "external"),
+            )
+        except KeyError as err:
+            raise ValueError(f"problem record on line {line_no} is missing {err}") from err
+        if problem.id in seen:
+            raise ValueError(f"duplicate problem id on line {line_no}: {problem.id}")
+        seen.add(problem.id)
+        problems.append(problem)
     return problems

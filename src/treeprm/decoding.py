@@ -9,7 +9,6 @@ from the logs alone.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ from typing import Sequence
 
 from .backends.base import StepGenerator, StepScorer
 from .domain import Problem, ReasoningStep, Trajectory, answers_equal, extract_final_answer
+from .jsonio import read_jsonl, write_jsonl
 from .mcts import best_index
 
 
@@ -163,29 +163,18 @@ def pass_at_n(per_sample_correctness: Sequence[Sequence[bool]], n: int) -> float
 
 def write_decode_log(path: str | Path, results: Sequence[DecodeResult]) -> None:
     """Line-delimited audit log: one record per decoded step."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        for result in results:
-            for decision in result.decisions:
-                record = {
-                    "problem_id": result.problem_id,
-                    "step_index": decision.step_index,
-                    "candidates": decision.candidates,
-                    "scores": decision.scores,
-                    "chosen_index": decision.chosen_index,
-                }
-                handle.write(
-                    json.dumps(record, sort_keys=True, ensure_ascii=True,
-                               separators=(",", ":")) + "\n"
-                )
+    write_jsonl(path, (
+        {
+            "problem_id": result.problem_id,
+            "step_index": decision.step_index,
+            "candidates": decision.candidates,
+            "scores": decision.scores,
+            "chosen_index": decision.chosen_index,
+        }
+        for result in results
+        for decision in result.decisions
+    ))
 
 
 def read_decode_log(path: str | Path) -> list[dict]:
-    records = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+    return [record for _, record in read_jsonl(path)]

@@ -20,6 +20,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
+from .jsonio import read_jsonl, write_jsonl
+
 ALL_VALID = "all-valid"
 
 
@@ -130,63 +132,47 @@ def _first_error_from_json(value) -> int | None:
 
 
 def load_annotated(path: str | Path) -> list[AnnotatedSample]:
-    samples = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            samples.append(
-                AnnotatedSample(
-                    sample_id=str(record["id"]),
-                    problem=record.get("problem", ""),
-                    steps=tuple(record["steps"]),
-                    gold_first_error=_first_error_from_json(record["first_error"]),
-                )
-            )
-    return samples
+    return [
+        AnnotatedSample(
+            sample_id=str(record["id"]),
+            problem=record.get("problem", ""),
+            steps=tuple(record["steps"]),
+            gold_first_error=_first_error_from_json(record["first_error"]),
+        )
+        for _, record in read_jsonl(path)
+    ]
 
 
 def load_predictions(path: str | Path) -> list[Prediction]:
-    predictions = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            predictions.append(
-                Prediction(
-                    sample_id=str(record["id"]),
-                    first_error=_first_error_from_json(record["first_error"]),
-                )
-            )
-    return predictions
+    return [
+        Prediction(
+            sample_id=str(record["id"]),
+            first_error=_first_error_from_json(record["first_error"]),
+        )
+        for _, record in read_jsonl(path)
+    ]
 
 
 def write_annotated(path: str | Path, samples: Sequence[AnnotatedSample]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-        for sample in samples:
-            record = {
-                "id": sample.sample_id,
-                "problem": sample.problem,
-                "steps": list(sample.steps),
-                "first_error": _first_error_to_json(sample.gold_first_error),
-            }
-            handle.write(json.dumps(record, sort_keys=True, ensure_ascii=True,
-                                    separators=(",", ":")) + "\n")
+    write_jsonl(path, (
+        {
+            "id": sample.sample_id,
+            "problem": sample.problem,
+            "steps": list(sample.steps),
+            "first_error": _first_error_to_json(sample.gold_first_error),
+        }
+        for sample in samples
+    ))
 
 
 def write_predictions(path: str | Path, predictions: Sequence[Prediction]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-        for prediction in predictions:
-            record = {
-                "id": prediction.sample_id,
-                "first_error": _first_error_to_json(prediction.first_error),
-            }
-            handle.write(json.dumps(record, sort_keys=True, ensure_ascii=True,
-                                    separators=(",", ":")) + "\n")
+    write_jsonl(path, (
+        {
+            "id": prediction.sample_id,
+            "first_error": _first_error_to_json(prediction.first_error),
+        }
+        for prediction in predictions
+    ))
 
 
 def report_to_dict(report: EvalReport) -> dict:

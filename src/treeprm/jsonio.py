@@ -1,0 +1,42 @@
+"""Canonical JSON: the one encoding behind every emitted file and content hash.
+
+Sorted keys, ASCII escapes and compact separators make the text a function of
+the value alone, so identical runs write identical bytes, and the config hash
+and the response-cache key name equal payloads with equal digests.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator
+
+
+def canonical_json(value: Any) -> str:
+    """One line of JSON: sorted keys, ASCII escapes, no whitespace."""
+    return json.dumps(value, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+
+
+def write_jsonl(
+    path: str | Path, records: Iterable, encode: Callable[[Any], str] = canonical_json
+) -> None:
+    """Replace `path` with one encoded record per `\\n`-terminated line."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="\n") as handle:
+        for record in records:
+            handle.write(encode(record) + "\n")
+
+
+def write_json(path: str | Path, value: Any) -> None:
+    """Replace `path` with `value` as a single canonical line."""
+    write_jsonl(path, (value,))
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """(1-based line number, decoded record) for every non-blank line."""
+    with Path(path).open("r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.strip()
+            if line:
+                yield line_no, json.loads(line)

@@ -122,6 +122,7 @@ def step_label(
     suffix = list(labels[index:])
     if any(v is None for v in suffix):
         raise UnlabeledStepError("unlabeled step in aggregation window")
+    _check_sign("step label", own)
     u = aggregate(suffix, final_flag, beta, gamma, index, length).u_value
     return 1 if u + own > 0 else -1
 
@@ -135,8 +136,7 @@ def labelled_steps(
     """(label_j, u_j + v_j) for the verified steps j = 1..T-1 of a completed
     trajectory; the final step T is labeled F and has no v_T.
 
-    Inputs are validated once, with `step_label`'s exception types (v_1 is
-    sign-checked too, which `step_label` skips). Each u_j is
+    Inputs are validated once, with `step_label`'s exception types. Each u_j is
     `aggregate`'s expression over the suffix v_{j+1..T-1}, summed front to
     back, so every value equals `aggregate(...).u_value + v_j` exactly.
     """

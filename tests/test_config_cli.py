@@ -1,6 +1,7 @@
 """Config loading/validation and the CLI surface, run in-process."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -109,10 +110,28 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, bad_role))
 
     def test_seed_override_propagates(self, tmp_path):
-        cfg = load_config(write_config(tmp_path)).with_overrides(seed=99)
+        def off_default(cfg):
+            cfg["synthetic"].update(max_planted_errors=2, planted_deltas=[5, -5])
+            cfg.update(mode={"step_only": True}, workers=2)
+
+        loaded = load_config(write_config(tmp_path, off_default))
+        cfg = loaded.with_overrides(seed=99)
         assert cfg.search.rng_seed == 99
         assert cfg.decode.rng_seed == 99
         assert cfg.synthetic.seed == 99
+        # Only the seeds move; every other field keeps its loaded value.
+        assert asdict(cfg.search) == {**asdict(loaded.search), "rng_seed": 99}
+        assert asdict(cfg.decode) == {**asdict(loaded.decode), "rng_seed": 99}
+        assert asdict(cfg.synthetic) == {**asdict(loaded.synthetic), "seed": 99}
+        for name in ("paths", "backends", "mode", "workers", "config_hash", "raw"):
+            assert getattr(cfg, name) == getattr(loaded, name)
+
+        moved = loaded.with_overrides(mode="no_rationale", workers=3)
+        assert (moved.mode, moved.workers) == ("no_rationale", 3)
+        assert (moved.search, moved.decode, moved.synthetic) == (
+            loaded.search, loaded.decode, loaded.synthetic)
+        assert loaded.with_overrides() == loaded
+        assert loaded.with_overrides(seed=None, mode=None, workers=None) == loaded
 
     def test_config_hash_is_content_stable(self, tmp_path):
         a = load_config(write_config(tmp_path, name="a.json"))

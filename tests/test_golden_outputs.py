@@ -1,6 +1,6 @@
-"""Byte-identical outputs of `synth` on the shipped config.
+"""Byte-identical outputs of `synth`, `generate` and `decode` on the shipped config.
 
-Each digest is the sha256 of one file that `treeprm synth` writes for
+Each digest is the sha256 of one file that the command writes for
 `configs/synth.json`. A change that moves any of them changes an output
 format or a computed value. A deliberate change updates the digests in the
 same commit and says why in CHANGES.md.
@@ -41,14 +41,43 @@ GOLDEN = {
     },
 }
 
+# `decode` writes the same bytes in every mode on synthetic backends.
+_DECODE = {
+    "decode_log.jsonl": _SHARED["decode_log.jsonl"],
+    "decode_results.jsonl": _SHARED["decode_results.jsonl"],
+    "decode_summary.json": "3ef65806d8f7f1b1286ec61e8995e24f1bda5e441234dfd4c100d9090d8581da",
+}
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN))
-def test_synth_outputs_match_golden_digests(tmp_path, mode):
-    out = tmp_path / mode
-    assert main(["synth", "--config", str(SHIPPED_CONFIG), "--mode", mode,
+STAGE_GOLDEN = {
+    ("generate", "hybrid"): {
+        "dataset.jsonl": GOLDEN["hybrid"]["dataset.jsonl"],
+        "problems.jsonl": _SHARED["problems.jsonl"],
+        "summary.json": "3db3f824f963480a3f9721cbc0d79ca47c2732fe8867d5cdc5975ab3fff4b091",
+    },
+    ("generate", "no_rationale"): {
+        "dataset.jsonl": GOLDEN["no_rationale"]["dataset.jsonl"],
+        "problems.jsonl": _SHARED["problems.jsonl"],
+        "summary.json": "0e09ccba22035c74a50126688c06e8fbf693247545b82dcda42cd8943a5ecb40",
+    },
+    ("decode", "hybrid"): _DECODE,
+    ("decode", "no_rationale"): _DECODE,
+}
+
+
+def _run_digests(out: Path, command: str, mode: str) -> dict[str, str]:
+    assert main([command, "--config", str(SHIPPED_CONFIG), "--mode", mode,
                  "--output", str(out)]) == 0
-    digests = {
+    return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
     }
-    assert digests == GOLDEN[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_synth_outputs_match_golden_digests(tmp_path, mode):
+    assert _run_digests(tmp_path / mode, "synth", mode) == GOLDEN[mode]
+
+
+@pytest.mark.parametrize(("command", "mode"), sorted(STAGE_GOLDEN))
+def test_stage_outputs_match_golden_digests(tmp_path, command, mode):
+    assert _run_digests(tmp_path / "run", command, mode) == STAGE_GOLDEN[command, mode]

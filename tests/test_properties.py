@@ -36,7 +36,7 @@ def test_labelled_steps_equal_step_label_and_aggregate_exactly(labels, final_fla
 
 
 @deterministic
-@given(st.lists(st.sampled_from((-1, 1, None)), min_size=1, max_size=11),
+@given(st.lists(st.sampled_from((-1, 0, 1, None)), min_size=1, max_size=11),
        st.sampled_from((-1, 0, 1)),
        st.floats(min_value=-1.0, max_value=2.0), st.floats(min_value=-0.5, max_value=1.5))
 def test_labelled_steps_raise_what_step_label_raises(labels, final_flag, beta, gamma):
