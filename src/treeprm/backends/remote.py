@@ -70,16 +70,14 @@ class _Endpoint:
         self,
         cfg: BackendConfig,
         cache: FileResponseCache | None = None,
-        session: requests.Session | None = None,
-        time_fn: Callable[[], float] = time.monotonic,
         sleep_fn: Callable[[float], None] = time.sleep,
     ):
         self.cfg = cfg
         self.cache = cache
         if cache is None and cfg.cache_dir:
             self.cache = FileResponseCache(cfg.cache_dir)
-        self._session = session or requests.Session()
-        self._limiter = RateLimiter(cfg.rate_limit_rps, time_fn=time_fn, sleep_fn=sleep_fn)
+        self._session = requests.Session()
+        self._limiter = RateLimiter(cfg.rate_limit_rps, sleep_fn=sleep_fn)
         self._sleep = sleep_fn
 
     def _headers(self) -> dict[str, str]:
@@ -131,6 +129,26 @@ class _Endpoint:
             return self.cache.get_or_fetch(key, lambda: self._fetch(method, payload, params))
         return self._fetch(method, payload, params)
 
+    def chat(self, key_payload: dict, template: PromptTemplate, body: str, **extra) -> bytes:
+        """One chat completion: the template's preamble as the system message
+        and `body` as the user message. The cache key adds the template, the
+        temperature and the model to `key_payload`; `extra` joins the POST."""
+        cfg = self.cfg
+        return self.request(
+            {**key_payload, "template": template.body_template,
+             "temperature": cfg.temperature, "model": cfg.model_name},
+            payload={
+                "model": cfg.model_name,
+                "messages": [
+                    {"role": "system", "content": template.role_preamble},
+                    {"role": "user", "content": body},
+                ],
+                "temperature": cfg.temperature,
+                "n": 1,
+                **extra,
+            },
+        )
+
 
 def _chat_content(raw: bytes, endpoint: str) -> str:
     try:
@@ -153,44 +171,26 @@ class ChatCompletionGenerator:
         cfg: BackendConfig,
         template: PromptTemplate,
         cache: FileResponseCache | None = None,
-        session: requests.Session | None = None,
-        time_fn: Callable[[], float] = time.monotonic,
         sleep_fn: Callable[[float], None] = time.sleep,
     ):
-        self._endpoint = _Endpoint(cfg, cache, session, time_fn, sleep_fn)
+        self._endpoint = _Endpoint(cfg, cache, sleep_fn)
         self._template = template
 
     def generate(self, problem: Problem, state: StepSequence, count: int) -> list[ReasoningStep]:
-        cfg = self._endpoint.cfg
         body = self._template.render(
             problem=problem.statement, prior_steps=render_prior_steps(state)
         )
-        messages = [
-            {"role": "system", "content": self._template.role_preamble},
-            {"role": "user", "content": body},
-        ]
+        actions = [s.action for s in state]
         steps = []
         for sample_index in range(count):
-            key_payload = {
-                "kind": "chat-step",
-                "template": self._template.body_template,
-                "problem": problem.id,
-                "state": [s.action for s in state],
-                "sample_index": sample_index,
-                "temperature": cfg.temperature,
-                "model": cfg.model_name,
-            }
-            raw = self._endpoint.request(
-                key_payload,
-                payload={
-                    "model": cfg.model_name,
-                    "messages": messages,
-                    "temperature": cfg.temperature,
-                    "n": 1,
-                },
+            raw = self._endpoint.chat(
+                {"kind": "chat-step", "problem": problem.id, "state": actions,
+                 "sample_index": sample_index},
+                self._template,
+                body,
             )
             step = parse_step_completion(
-                _chat_content(raw, cfg.endpoint_url), len(state) + 1
+                _chat_content(raw, self._endpoint.cfg.endpoint_url), len(state) + 1
             )
             if step is not None:
                 steps.append(step)
@@ -211,12 +211,10 @@ class ToolVerifier:
         judger_cfg: BackendConfig,
         template: PromptTemplate,
         cache: FileResponseCache | None = None,
-        session: requests.Session | None = None,
-        time_fn: Callable[[], float] = time.monotonic,
         sleep_fn: Callable[[float], None] = time.sleep,
     ):
-        self._tool = _Endpoint(tool_cfg, cache, session, time_fn, sleep_fn)
-        self._judger = _Endpoint(judger_cfg, cache, session, time_fn, sleep_fn)
+        self._tool = _Endpoint(tool_cfg, cache, sleep_fn)
+        self._judger = _Endpoint(judger_cfg, cache, sleep_fn)
         self._template = template
 
     @staticmethod
@@ -244,29 +242,14 @@ class ToolVerifier:
             candidate_step=render_candidate(step),
             tool_response=tool_text,
         )
-        judger_cfg = self._judger.cfg
-        raw = self._judger.request(
-            {
-                "kind": "judge-step",
-                "template": self._template.body_template,
-                "problem": problem.id,
-                "state": [s.action for s in context],
-                "candidate": step.action,
-                "tool_response": tool_text,
-                "temperature": judger_cfg.temperature,
-                "model": judger_cfg.model_name,
-            },
-            payload={
-                "model": judger_cfg.model_name,
-                "messages": [
-                    {"role": "system", "content": self._template.role_preamble},
-                    {"role": "user", "content": body},
-                ],
-                "temperature": judger_cfg.temperature,
-                "n": 1,
-            },
+        raw = self._judger.chat(
+            {"kind": "judge-step", "problem": problem.id,
+             "state": [s.action for s in context], "candidate": step.action,
+             "tool_response": tool_text},
+            self._template,
+            body,
         )
-        content = _chat_content(raw, judger_cfg.endpoint_url)
+        content = _chat_content(raw, self._judger.cfg.endpoint_url)
         verdict = parse_verdict_marker(content)
         if verdict is None:
             return VerificationResult(
@@ -299,49 +282,32 @@ class ServedPrmScorer:
         template: PromptTemplate,
         cache: FileResponseCache | None = None,
         mode: str = "label",
-        session: requests.Session | None = None,
-        time_fn: Callable[[], float] = time.monotonic,
         sleep_fn: Callable[[float], None] = time.sleep,
     ):
         if mode not in ("label", "likelihood"):
             raise ValueError(f"unknown scorer mode: {mode!r}")
-        self._endpoint = _Endpoint(cfg, cache, session, time_fn, sleep_fn)
+        self._endpoint = _Endpoint(cfg, cache, sleep_fn)
         self._template = template
         self._mode = mode
 
     def score(self, problem: Problem, state: StepSequence, candidate: ReasoningStep) -> float:
-        cfg = self._endpoint.cfg
         body = self._template.render(
             problem=problem.statement,
             prior_steps=render_prior_steps(state),
             candidate_step=render_candidate(candidate),
         )
         sample_name = f"{problem.id}@{candidate.index}"
-        raw = self._endpoint.request(
-            {
-                "kind": "score-step",
-                "template": self._template.body_template,
-                "problem": problem.id,
-                "state": [s.action for s in state],
-                "candidate": candidate.action,
-                "mode": self._mode,
-                "temperature": cfg.temperature,
-                "model": cfg.model_name,
-            },
-            payload={
-                "model": cfg.model_name,
-                "messages": [
-                    {"role": "system", "content": self._template.role_preamble},
-                    {"role": "user", "content": body},
-                ],
-                "temperature": cfg.temperature,
-                "n": 1,
-                "logprobs": self._mode == "likelihood",
-            },
+        raw = self._endpoint.chat(
+            {"kind": "score-step", "problem": problem.id,
+             "state": [s.action for s in state], "candidate": candidate.action,
+             "mode": self._mode},
+            self._template,
+            body,
+            logprobs=self._mode == "likelihood",
         )
         if self._mode == "likelihood":
             return self._likelihood_score(raw, sample_name)
-        content = _chat_content(raw, cfg.endpoint_url)
+        content = _chat_content(raw, self._endpoint.cfg.endpoint_url)
         verdict = parse_verdict_marker(content)
         if verdict is None:
             raise BackendError(f"unparseable PRM output for sample {sample_name}")

@@ -28,7 +28,7 @@ from .backends import (
     builtin_template,
 )
 from .config import ConfigError, RunConfig, backend_config_from, load_config
-from .dataset import BuildConfig, BuildReport, build_dataset, load_problems
+from .dataset import MODES, BuildConfig, BuildReport, build_dataset, load_problems, pool_map
 from .decoding import decode, pass_at_n, sample_rollout, write_decode_log
 from .domain import Problem
 from .evaluation import (
@@ -161,36 +161,36 @@ def _generate(cfg: RunConfig, problems, generator, verifier, out: Path) -> Build
 
 
 def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
-    """The decode stage: reward-guided decoding of every problem, on the config
-    worker pool when sized above 1, then pass@n sampling.
+    """The decode stage: reward-guided decoding of every problem, then pass@n
+    sampling, both on one pool of `cfg.workers` threads.
 
     Writes `decode_results.jsonl` and `decode_log.jsonl` and returns the
-    guided accuracy and pass@1 / pass@n.
+    guided accuracy and pass@1 / pass@n. A pass@n task holds all of one
+    problem's samples in order, so requests that share a body are never sent
+    concurrently.
     """
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(
-                lambda problem: decode(problem, generator, scorer, cfg.decode), problems
-            ))
-    else:
-        results = [decode(problem, generator, scorer, cfg.decode) for problem in problems]
-    write_jsonl(out / "decode_results.jsonl", (
-        {
-            "id": result.problem_id,
-            "correct": result.correct,
-            "complete": result.complete,
-            "final_answer": result.trajectory.final_answer,
-            "steps": [s.action for s in result.trajectory.steps],
-        }
-        for result in results
-    ))
-    write_decode_log(out / "decode_log.jsonl", results)
-
     pass_n = cfg.decode.pass_n
-    matrix = [
-        [sample_rollout(problem, generator, cfg.decode, s)[1] for s in range(pass_n)]
-        for problem in problems
-    ]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        results = pool_map(
+            pool, lambda problem: decode(problem, generator, scorer, cfg.decode), problems
+        )
+        write_jsonl(out / "decode_results.jsonl", (
+            {
+                "id": result.problem_id,
+                "correct": result.correct,
+                "complete": result.complete,
+                "final_answer": result.trajectory.final_answer,
+                "steps": [s.action for s in result.trajectory.steps],
+            }
+            for result in results
+        ))
+        write_decode_log(out / "decode_log.jsonl", results)
+        matrix = pool_map(
+            pool,
+            lambda problem: [sample_rollout(problem, generator, cfg.decode, s)[1]
+                             for s in range(pass_n)],
+            problems,
+        )
     return {
         "guided_accuracy": sum(r.correct for r in results) / len(results) if results else 0.0,
         "pass_at_1": pass_at_n(matrix, 1) if matrix else 0.0,
@@ -381,8 +381,13 @@ def cmd_inspect(args) -> int:
         if not matches:
             raise ConfigError(f"no problem with id {args.problem_id}")
         problem = matches[0]
-    else:
+    elif 0 <= args.problem_index < len(problems):
         problem = problems[args.problem_index]
+    else:
+        raise ConfigError(
+            f"--problem-index {args.problem_index} is out of range for "
+            f"{len(problems)} problems"
+        )
     backends = _build_backends(cfg, traces, roles)
     result = run_search(problem, backends["generator"], backends["verifier"], cfg.search)
     dump = export_tree(result.root)
@@ -396,13 +401,13 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
-    parser.add_argument("--config", required=config_required, help="path to the JSON run config")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--seed", type=int, default=None, help="override every stage seed")
     parser.add_argument("--workers", type=int, default=None, help="override the worker pool size")
     parser.add_argument(
         "--mode",
-        choices=["hybrid", "step_only", "outcome_only", "no_rationale"],
+        choices=MODES,
         default=None,
         help="override the labeling mode",
     )
@@ -423,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_decode.set_defaults(func=cmd_decode)
 
     p_eval = sub.add_parser("eval", help="first-error localization scoring")
-    _add_common(p_eval, config_required=False)
     p_eval.add_argument("--annotations", default=None, help="annotated samples (JSONL)")
     p_eval.add_argument("--predictions", default=None, help="predicted first errors (JSONL)")
     p_eval.add_argument("--pairs", default=None,

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .backends.base import BackendConfig
+from .dataset import MODES
 from .decoding import DecodeConfig
 from .jsonio import canonical_json
 from .mcts import SearchConfig
 from .synthetic import SyntheticCorpusConfig
 
-MODE_FLAGS = ("step_only", "outcome_only", "no_rationale")
+MODE_FLAGS = tuple(mode for mode in MODES if mode != "hybrid")
 
 
 class ConfigError(ValueError):
@@ -43,7 +44,6 @@ class RunConfig:
     workers: int = 1
     synthetic: SyntheticCorpusConfig | None = None
     config_hash: str = ""
-    raw: dict = field(default_factory=dict)
 
     def with_overrides(self, seed: int | None = None, mode: str | None = None,
                        workers: int | None = None) -> "RunConfig":
@@ -57,6 +57,8 @@ class RunConfig:
         if mode is not None:
             changes["mode"] = mode
         if workers is not None:
+            if workers < 1:
+                raise ConfigError("workers must be an integer >= 1")
             changes["workers"] = workers
         return replace(self, **changes)
 
@@ -244,5 +246,4 @@ def load_config(path: str | Path) -> RunConfig:
         workers=workers,
         synthetic=_synthetic(raw),
         config_hash=config_hash_of(raw),
-        raw=raw,
     )

@@ -33,10 +33,26 @@ def write_json(path: str | Path, value: Any) -> None:
     write_jsonl(path, (value,))
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """(1-based line number, decoded record) for every non-blank line."""
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(1-based line number, decoded object) for every non-blank line.
+
+    A line that is not JSON, or not a JSON object, raises ValueError naming
+    the file and the line.
+    """
     with Path(path).open("r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
-                yield line_no, json.loads(line)
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ValueError(
+                    f"{path} line {line_no}: invalid JSON: {err.msg} (column {err.colno})"
+                ) from err
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"{path} line {line_no}: expected a JSON object, "
+                    f"got {type(record).__name__}"
+                )
+            yield line_no, record

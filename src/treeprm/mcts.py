@@ -10,8 +10,9 @@ RolloutOutcome values, not grafted onto the tree. The tree only ever holds
 expansion-created children, so a node has at most K of them.
 
 Rounds whose selection lands on a terminal node (a fully explored line)
-re-evaluate that node's outcome with an empty verification window and
-backpropagate it again, keeping visit counts meaningful after convergence.
+simulate from that node itself: the rollout is the line as it stands, with an
+empty verification window and its outcome flag, and its reward is
+backpropagated again, keeping visit counts meaningful after convergence.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from math import inf, log, sqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .backends.base import BackendError, StepGenerator, StepVerifier
 from .domain import (
@@ -164,8 +165,7 @@ class SearchResult:
     rounds: list[RoundRecord] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     steps: StepSequence
     extension_results: tuple[VerificationResult, ...]
     complete: bool
@@ -345,42 +345,17 @@ def _run_round(
 ) -> RoundRecord:
     path = select_leaf(result.root, cfg)
     leaf = path[-1]
-
     if leaf.terminal:
-        # Fully explored line: re-evaluate its outcome and keep credit flowing.
-        final_answer = extract_final_answer(leaf.state[-1])
-        flag = 1 if answers_equal(final_answer, problem.gold_answer) else -1
-        agg = aggregate((), flag, cfg.outcome_beta, cfg.decay_gamma, leaf.depth, leaf.depth)
-        reward = node_value(agg.u_value, leaf.step_verification.label)
-        leaf.q_value = reward
-        ancestors = path[:-1]
-        backpropagate(
-            [(node, leaf.depth - node.depth) for node in ancestors], reward, cfg.decay_gamma
-        )
-        result.rollouts.append(
-            RolloutOutcome(
-                problem_id=problem.id,
-                round_index=round_index,
-                expansion_index=leaf.depth,
-                steps=leaf.state,
-                verifications=_tree_part_verifications(path[1:-1]),
-                complete=True,
-                final_answer=final_answer,
-                final_flag=flag,
-                u_value=agg.u_value,
-                node_reward=reward,
-            )
-        )
-        return RoundRecord(round_index, leaf.depth, reward, flag, True,
-                           tuple(_indices_along(path)))
-
-    if leaf.fully_expanded and not leaf.children:
-        raise BackendError("selected a dead-end node with no expandable children")
-
-    children = expand(leaf, problem, generator, verifier, cfg)
-    if not children:
-        raise BackendError("expansion produced no children")
-    sim_node = choose_simulation_child(children)
+        # Fully explored line: simulate from the leaf itself (no step is
+        # sampled) and keep credit flowing to its ancestors.
+        sim_node, path = leaf, path[:-1]
+    else:
+        if leaf.fully_expanded and not leaf.children:
+            raise BackendError("selected a dead-end node with no expandable children")
+        children = expand(leaf, problem, generator, verifier, cfg)
+        if not children:
+            raise BackendError("expansion produced no children")
+        sim_node = choose_simulation_child(children)
     sim = simulate(sim_node, problem, generator, verifier, cfg)
 
     i = sim_node.depth
@@ -394,9 +369,9 @@ def _run_round(
     sim_node.q_value = reward
     backpropagate([(node, i - node.depth) for node in path], reward, cfg.decay_gamma)
 
-    # One verification per non-final step. When the chosen child is itself a
-    # final step its verdict stays tree-internal; the rollout's signal for
-    # that step is the outcome flag.
+    # One verification per non-final step. When the simulated node is itself
+    # a final step (a final child or a revisited line) its verdict stays
+    # tree-internal; the rollout's signal for that step is the outcome flag.
     tree_part = _tree_part_verifications(path[1:])
     if sim_node.terminal:
         verifications = tree_part
@@ -416,7 +391,7 @@ def _run_round(
             node_reward=reward,
         )
     )
-    reward_path = tuple(_indices_along(path) + [leaf.children.index(sim_node)])
+    reward_path = tuple(_indices_along(path + [sim_node]))
     return RoundRecord(round_index, i, reward, sim.final_flag, sim.complete, reward_path)
 
 

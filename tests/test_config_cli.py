@@ -123,7 +123,7 @@ class TestLoadConfig:
         assert asdict(cfg.search) == {**asdict(loaded.search), "rng_seed": 99}
         assert asdict(cfg.decode) == {**asdict(loaded.decode), "rng_seed": 99}
         assert asdict(cfg.synthetic) == {**asdict(loaded.synthetic), "seed": 99}
-        for name in ("paths", "backends", "mode", "workers", "config_hash", "raw"):
+        for name in ("paths", "backends", "mode", "workers", "config_hash"):
             assert getattr(cfg, name) == getattr(loaded, name)
 
         moved = loaded.with_overrides(mode="no_rationale", workers=3)
@@ -239,6 +239,13 @@ class TestCliDecode:
         results = (out / "decode_results.jsonl").read_text(encoding="utf-8").strip()
         assert len(results.split("\n")) == 6
 
+    @pytest.mark.parametrize("command", ["generate", "decode", "synth", "inspect"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, command):
+        config = write_config(tmp_path)
+        assert main([command, "--config", str(config), "--workers", "0"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ConfigError", "message": "workers must be an integer >= 1"}
+
     def test_decode_deterministic_across_runs_and_workers(self, tmp_path):
         config = write_config(tmp_path)
         out_a, out_b = tmp_path / "da", tmp_path / "db"
@@ -289,6 +296,14 @@ class TestCliEval:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("flag", [["--config", "/nonexistent.json"], ["--seed", "5"],
+                                      ["--workers", "9"], ["--mode", "step_only"]])
+    def test_eval_rejects_run_config_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "--reference", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCliInspect:
     def test_tree_dump_written(self, tmp_path):
@@ -299,6 +314,20 @@ class TestCliInspect:
         lines = out_file.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "# tree dump v1"
         assert lines[2].startswith("0\t-")
+
+    @pytest.mark.parametrize("index", ["6", "99", "-1"])
+    def test_problem_index_out_of_range(self, tmp_path, capsys, index):
+        config = write_config(tmp_path)
+        assert main(["inspect", "--config", str(config), "--problem-index", index]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert f"--problem-index {index} " in err["message"]
+        assert "6 problems" in err["message"]
+
+    def test_last_problem_index_in_range(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["inspect", "--config", str(config), "--problem-index", "5"]) == 0
+        assert capsys.readouterr().out.startswith("# tree dump v1\n")
 
     def test_unknown_problem_id(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -19,6 +21,7 @@ from treeprm.dataset import (
     load_instances,
     load_problems,
     parse_instance,
+    pool_map,
     serialize_instance,
 )
 from treeprm.domain import VerificationResult
@@ -235,6 +238,23 @@ class TestBuildDataset:
         _, serial = self._build(tmp_path, "serial.jsonl", workers=1)
         _, pooled = self._build(tmp_path, "pooled.jsonl", workers=4)
         assert serial.read_bytes() == pooled.read_bytes()
+
+    def test_pool_map_keeps_item_order_and_raises_the_first_failure(self):
+        second_done = threading.Event()
+
+        def task(item):
+            if item == 0:
+                assert second_done.wait(timeout=10)
+            if item == 1:
+                second_done.set()
+            if item in (2, 3):
+                raise ValueError(f"item {item}")
+            return item * 10
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert pool_map(pool, task, [0, 1]) == [0, 10]
+            with pytest.raises(ValueError, match="item 2"):
+                pool_map(pool, task, [1, 2, 3])
 
     def test_provenance_fields(self, tmp_path):
         report, _ = self._build(tmp_path)
