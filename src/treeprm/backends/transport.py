@@ -37,10 +37,12 @@ class FileResponseCache:
         return self.cache_dir / f"{key}.bin"
 
     def get(self, key: str) -> bytes | None:
-        path = self._path(key)
-        if path.exists():
-            return path.read_bytes()
-        return None
+        # One read, no exists() probe: every file call releases the
+        # interpreter lock, and worker threads hand it over at each one.
+        try:
+            return self._path(key).read_bytes()
+        except FileNotFoundError:
+            return None
 
     def put(self, key: str, data: bytes) -> None:
         """Publish atomically: each writer (process and thread) fills its own
