@@ -217,14 +217,10 @@ class ToolVerifier:
         self._judger = _Endpoint(judger_cfg, cache, sleep_fn)
         self._template = template
 
-    @staticmethod
-    def build_tool_query(step: ReasoningStep) -> str:
-        return step.action
-
     def verify(
         self, problem: Problem, step: ReasoningStep, context: StepSequence
     ) -> VerificationResult:
-        query = self.build_tool_query(step)
+        query = step.action
         tool_raw = self._tool.request(
             {"kind": "tool", "endpoint": self._tool.cfg.endpoint_url, "query": query},
             method="GET",
@@ -251,19 +247,12 @@ class ToolVerifier:
         )
         content = _chat_content(raw, self._judger.cfg.endpoint_url)
         verdict = parse_verdict_marker(content)
-        if verdict is None:
-            return VerificationResult(
-                label=-1,
-                rationale=content,
-                tool_query=query,
-                raw_response=raw.decode("utf-8", errors="replace"),
-                verifiable=False,
-            )
         return VerificationResult(
-            label=verdict,
+            label=-1 if verdict is None else verdict,
             rationale=content,
             tool_query=query,
             raw_response=raw.decode("utf-8", errors="replace"),
+            verifiable=verdict is not None,
         )
 
 

@@ -6,14 +6,16 @@
   synth     end-to-end demo on the built-in synthetic domain
   inspect   dump the search tree for one problem
 
-Every command is deterministic given (config, seeds, warm cache). Failures
-print a machine-readable JSON error record to stderr and exit nonzero.
+This module only wires stages together. `config` owns the run config,
+backend specs included; `dataset`, `decoding` and `evaluation` own their
+file formats. Every command is deterministic given (config, seeds, warm
+cache). Failures print a machine-readable JSON error record to stderr and
+exit nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -27,15 +29,22 @@ from .backends import (
     ToolVerifier,
     builtin_template,
 )
-from .config import ConfigError, RunConfig, backend_config_from, load_config
-from .dataset import MODES, BuildConfig, BuildReport, build_dataset, load_problems, pool_map
+from .config import ConfigError, RunConfig, load_config
+from .dataset import (
+    MODES,
+    BuildConfig,
+    BuildReport,
+    build_dataset,
+    load_problems,
+    pool_map,
+    write_problems,
+)
 from .decoding import decode, pass_at_n, sample_rollout, write_decode_log
-from .domain import Problem
 from .evaluation import (
     AnnotatedSample,
+    EvalReport,
     Prediction,
     ReferenceRow,
-    f1_from_accuracies,
     load_annotated,
     load_predictions,
     locate_first_error,
@@ -52,87 +61,33 @@ from .mcts import export_tree, run_search
 from .synthetic import SyntheticTrace, build_corpus, oracle_labels
 
 
-def _write_problems(path: Path, problems: list[Problem]) -> None:
-    write_jsonl(path, (
-        {
-            "id": problem.id,
-            "statement": problem.statement,
-            "gold_answer": problem.gold_answer,
-            "source": problem.source,
-        }
-        for problem in problems
-    ))
-
-
-def _resolve_problems(
-    cfg: RunConfig, roles: tuple[str, ...]
-) -> tuple[list[Problem], list[SyntheticTrace] | None]:
-    """Problems for this run: the synthetic corpus, or an external file.
-
-    Only the backend roles the command actually uses decide which source
-    applies; synthetic backends need the corpus, remote ones a problems file.
-    """
-    any_synthetic = any(cfg.backends[role].get("kind") == "synthetic" for role in roles)
-    if any_synthetic:
-        if cfg.paths.problems_file is not None:
-            raise ConfigError(
-                "synthetic backends generate their own problems; remove "
-                "paths.problems_file or switch every backend to http"
-            )
-        if cfg.synthetic is None:
-            raise ConfigError("synthetic backends require a [synthetic] corpus section")
-        traces = build_corpus(cfg.synthetic)
-        return [trace.problem for trace in traces], traces
-    if cfg.paths.problems_file is None:
-        raise ConfigError("paths.problems_file is required when all backends are remote")
-    return load_problems(cfg.paths.problems_file), None
-
-
 def _build_backends(cfg: RunConfig, traces: list[SyntheticTrace] | None,
                     roles: tuple[str, ...]) -> dict:
-    cache_dir = cfg.paths.cache_dir
+    """One backend per role: the http client of its parsed spec, or the
+    synthetic oracle over `traces`."""
     scorer_template = "scorer_label_only" if cfg.mode == "no_rationale" else "scorer"
     built = {}
     for role in roles:
         spec = cfg.backends[role]
-        synthetic = spec["kind"] == "synthetic"
-        if synthetic and traces is None:
-            raise ConfigError(f"backends.{role} is synthetic but no corpus is available")
-        if role == "generator":
-            if synthetic:
-                built[role] = ScriptedGenerator(
-                    traces,
-                    branch_noise=cfg.synthetic.branch_noise,
-                    noise_deltas=cfg.synthetic.noise_deltas,
-                    seed=cfg.search.rng_seed,
-                )
-            else:
-                built[role] = ChatCompletionGenerator(
-                    backend_config_from(spec, "generator", cache_dir),
-                    builtin_template("generator"),
-                )
+        if role == "generator" and spec is None:
+            built[role] = ScriptedGenerator(
+                traces,
+                branch_noise=cfg.synthetic.branch_noise,
+                noise_deltas=cfg.synthetic.noise_deltas,
+                seed=cfg.search.rng_seed,
+            )
+        elif role == "generator":
+            built[role] = ChatCompletionGenerator(spec.endpoint, builtin_template("generator"))
+        elif role == "verifier" and spec is None:
+            built[role] = ExactVerifier(traces)
         elif role == "verifier":
-            if synthetic:
-                built[role] = ExactVerifier(traces)
-            else:
-                if "tool" not in spec or "judger" not in spec:
-                    raise ConfigError(
-                        "backends.verifier needs tool and judger endpoint objects"
-                    )
-                built[role] = ToolVerifier(
-                    backend_config_from(spec["tool"], "verifier.tool", cache_dir),
-                    backend_config_from(spec["judger"], "verifier.judger", cache_dir),
-                    builtin_template("judger"),
-                )
-        elif role == "scorer":
-            if synthetic:
-                built[role] = OracleScorer(traces)
-            else:
-                built[role] = ServedPrmScorer(
-                    backend_config_from(spec, "scorer", cache_dir),
-                    builtin_template(scorer_template),
-                    mode=spec.get("score_mode", "label"),
-                )
+            built[role] = ToolVerifier(spec.endpoint, spec.judger, builtin_template("judger"))
+        elif spec is None:
+            built[role] = OracleScorer(traces)
+        else:
+            built[role] = ServedPrmScorer(
+                spec.endpoint, builtin_template(scorer_template), mode=spec.score_mode
+            )
     return built
 
 
@@ -145,6 +100,34 @@ def _outdir(cfg: RunConfig, override: str | None) -> Path:
 def _load_cfg(args) -> RunConfig:
     cfg = load_config(args.config)
     return cfg.with_overrides(seed=args.seed, mode=args.mode, workers=args.workers)
+
+
+def _stage_inputs(args, roles: tuple[str, ...]):
+    """The set-up of `generate`, `decode` and `inspect`: the config with the
+    CLI overrides, the problems, their synthetic traces and the backends of
+    `roles`.
+
+    Only the roles the command uses decide where the problems come from: a
+    synthetic backend needs the corpus, remote ones a problems file (and the
+    traces are None).
+    """
+    cfg = _load_cfg(args)
+    traces = None
+    if any(cfg.backends[role] is None for role in roles):
+        if cfg.paths.problems_file is not None:
+            raise ConfigError(
+                "synthetic backends generate their own problems; remove "
+                "paths.problems_file or switch every backend to http"
+            )
+        if cfg.synthetic is None:
+            raise ConfigError("synthetic backends require a [synthetic] corpus section")
+        traces = build_corpus(cfg.synthetic)
+        problems = [trace.problem for trace in traces]
+    elif cfg.paths.problems_file is None:
+        raise ConfigError("paths.problems_file is required when all backends are remote")
+    else:
+        problems = load_problems(cfg.paths.problems_file)
+    return cfg, problems, traces, _build_backends(cfg, traces, roles)
 
 
 def _generate(cfg: RunConfig, problems, generator, verifier, out: Path) -> BuildReport:
@@ -199,14 +182,11 @@ def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
 
 
 def cmd_generate(args) -> int:
-    cfg = _load_cfg(args)
+    cfg, problems, traces, backends = _stage_inputs(args, ("generator", "verifier"))
     out = _outdir(cfg, args.output)
-    roles = ("generator", "verifier")
-    problems, traces = _resolve_problems(cfg, roles)
-    backends = _build_backends(cfg, traces, roles)
     report = _generate(cfg, problems, backends["generator"], backends["verifier"], out)
     if traces is not None:
-        _write_problems(out / "problems.jsonl", problems)
+        write_problems(out / "problems.jsonl", problems)
     summary = report.summary_dict()
     summary.update({"mode": cfg.mode, "rng_seed": cfg.search.rng_seed,
                     "config_hash": cfg.config_hash})
@@ -217,11 +197,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    cfg = _load_cfg(args)
+    cfg, problems, _, backends = _stage_inputs(args, ("generator", "scorer"))
     out = _outdir(cfg, args.output)
-    roles = ("generator", "scorer")
-    problems, traces = _resolve_problems(cfg, roles)
-    backends = _build_backends(cfg, traces, roles)
     summary = _decode(cfg, problems, backends["generator"], backends["scorer"], out)
     summary.update({"problems": len(problems), "rng_seed": cfg.decode.rng_seed,
                     "config_hash": cfg.config_hash})
@@ -263,37 +240,32 @@ def _eval_reference(rows: list[ReferenceRow], out: Path | None) -> int:
     return 0
 
 
+def _eval(predictions: list[Prediction], annotations: list[AnnotatedSample],
+          out: Path | None, model: str, benchmark: str) -> tuple[EvalReport, str]:
+    """The eval stage: score first-error predictions against annotations and
+    render the one-row table; with `out`, write `eval_report.json` and
+    `eval_report.txt` there."""
+    report = score_samples(predictions, annotations)
+    text = render_score_table(
+        [(model, benchmark, report.error_accuracy, report.correct_accuracy, report.f1)]
+    )
+    if out is not None:
+        write_json(out / "eval_report.json", report_to_dict(report))
+        (out / "eval_report.txt").write_text(text, encoding="utf-8")
+    return report, text
+
+
 def cmd_eval(args) -> int:
     out = Path(args.output) if args.output else None
-    if args.reference:
-        return _eval_reference(reference_rows(), out)
-    if args.pairs:
-        records = json.loads(Path(args.pairs).read_text(encoding="utf-8"))["rows"]
-        rows = [
-            ReferenceRow(
-                model=r["model"],
-                benchmark=r.get("benchmark", "-"),
-                error_accuracy=r["error"],
-                correct_accuracy=r["correct"],
-                reported_f1=r.get("f1", f1_from_accuracies(r["error"], r["correct"])),
-            )
-            for r in records
-        ]
-        return _eval_reference(rows, out)
+    if args.reference or args.pairs:
+        return _eval_reference(reference_rows(None if args.reference else args.pairs), out)
     if not args.annotations or not args.predictions:
         raise ConfigError(
             "eval needs --annotations and --predictions, or --pairs, or --reference"
         )
     annotations = load_annotated(args.annotations)
-    predictions = load_predictions(args.predictions)
-    report = score_samples(predictions, annotations)
-    text = render_score_table(
-        [("predictions", "-", report.error_accuracy, report.correct_accuracy, report.f1)]
-    )
+    _, text = _eval(load_predictions(args.predictions), annotations, out, "predictions", "-")
     print(text, end="")
-    if out is not None:
-        write_json(out / "eval_report.json", report_to_dict(report))
-        (out / "eval_report.txt").write_text(text, encoding="utf-8")
     return 0
 
 
@@ -306,7 +278,7 @@ def cmd_synth(args) -> int:
     problems = [trace.problem for trace in traces]
     backends = _build_backends(cfg, traces, ("generator", "verifier", "scorer"))
 
-    _write_problems(out / "problems.jsonl", problems)
+    write_problems(out / "problems.jsonl", problems)
 
     annotations = [
         AnnotatedSample(
@@ -326,15 +298,7 @@ def cmd_synth(args) -> int:
         for trace in traces
     ]
     write_predictions(out / "predictions.jsonl", predictions)
-    eval_report = score_samples(predictions, annotations)
-    write_json(out / "eval_report.json", report_to_dict(eval_report))
-    (out / "eval_report.txt").write_text(
-        render_score_table(
-            [("exact-verifier", "synthetic", eval_report.error_accuracy,
-              eval_report.correct_accuracy, eval_report.f1)]
-        ),
-        encoding="utf-8",
-    )
+    eval_report, _ = _eval(predictions, annotations, out, "exact-verifier", "synthetic")
 
     build_report = _generate(cfg, problems, backends["generator"], backends["verifier"], out)
     write_json(out / "dataset_summary.json", build_report.summary_dict())
@@ -373,9 +337,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    cfg = _load_cfg(args)
-    roles = ("generator", "verifier")
-    problems, traces = _resolve_problems(cfg, roles)
+    cfg, problems, _, backends = _stage_inputs(args, ("generator", "verifier"))
     if args.problem_id:
         matches = [p for p in problems if p.id == args.problem_id]
         if not matches:
@@ -388,7 +350,6 @@ def cmd_inspect(args) -> int:
             f"--problem-index {args.problem_index} is out of range for "
             f"{len(problems)} problems"
         )
-    backends = _build_backends(cfg, traces, roles)
     result = run_search(problem, backends["generator"], backends["verifier"], cfg.search)
     dump = export_tree(result.root)
     if args.output:

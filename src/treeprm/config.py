@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -35,11 +36,21 @@ class Paths:
 
 
 @dataclass(frozen=True)
+class HttpBackend:
+    """One http backend role, parsed. The verifier's `endpoint` is its math
+    tool and `judger` its judger model; only the scorer has a `score_mode`."""
+
+    endpoint: BackendConfig
+    judger: BackendConfig | None = None
+    score_mode: str | None = None
+
+
+@dataclass(frozen=True)
 class RunConfig:
     search: SearchConfig
     decode: DecodeConfig
     paths: Paths
-    backends: dict = field(default_factory=dict)
+    backends: dict = field(default_factory=dict)  # role -> HttpBackend, None if synthetic
     mode: str = "hybrid"
     workers: int = 1
     synthetic: SyntheticCorpusConfig | None = None
@@ -82,8 +93,18 @@ def _pair(value, path: str) -> tuple[int, int]:
     return int(value[0]), int(value[1])
 
 
-def _search_config(section: dict) -> SearchConfig:
+@contextmanager
+def _section_errors(section: str):
     try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as err:
+        raise ConfigError(f"{section}: {err}") from err
+
+
+def _search_config(section: dict) -> SearchConfig:
+    with _section_errors("search"):
         return SearchConfig(
             exploration_c=float(_require(section, "exploration_c", "search")),
             branch_K=int(_require(section, "branch_K", "search")),
@@ -93,14 +114,10 @@ def _search_config(section: dict) -> SearchConfig:
             max_depth=int(_require(section, "max_depth", "search")),
             rng_seed=int(_require(section, "rng_seed", "search")),
         )
-    except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"search: {err}") from err
 
 
 def _decode_config(section: dict) -> DecodeConfig:
-    try:
+    with _section_errors("decode"):
         return DecodeConfig(
             candidates_N=int(_require(section, "candidates_N", "decode")),
             temperature=float(_require(section, "temperature", "decode")),
@@ -108,10 +125,6 @@ def _decode_config(section: dict) -> DecodeConfig:
             pass_n=int(_require(section, "pass_n", "decode")),
             rng_seed=int(_require(section, "rng_seed", "decode")),
         )
-    except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"decode: {err}") from err
 
 
 def _paths(section: dict, base_dir: Path) -> Paths:
@@ -152,7 +165,7 @@ def _synthetic(raw: dict) -> SyntheticCorpusConfig | None:
     section = raw.get("synthetic")
     if section is None:
         return None
-    try:
+    with _section_errors("synthetic"):
         return SyntheticCorpusConfig(
             count=int(_require(section, "count", "synthetic")),
             num_terms=_pair(_require(section, "num_terms", "synthetic"), "synthetic.num_terms"),
@@ -166,42 +179,14 @@ def _synthetic(raw: dict) -> SyntheticCorpusConfig | None:
             branch_noise=float(section.get("branch_noise", 0.0)),
             noise_deltas=tuple(int(d) for d in section.get("noise_deltas", (10, -10, 25))),
         )
-    except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"synthetic: {err}") from err
 
-
-_DEFAULT_BACKENDS = {
-    "generator": {"kind": "synthetic"},
-    "verifier": {"kind": "synthetic"},
-    "scorer": {"kind": "synthetic"},
-}
 
 _BACKEND_ROLES = ("generator", "verifier", "scorer")
 
 
-def _backends(raw: dict) -> dict:
-    section = raw.get("backends")
-    if section is None:
-        return dict(_DEFAULT_BACKENDS)
-    if not isinstance(section, dict):
-        raise ConfigError("config.backends must be an object")
-    backends = dict(_DEFAULT_BACKENDS)
-    for role, spec in section.items():
-        if role not in _BACKEND_ROLES:
-            raise ConfigError(f"unknown backend role: {role}")
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ConfigError(f"backends.{role} must be an object with a kind")
-        if spec["kind"] not in ("synthetic", "http"):
-            raise ConfigError(f"backends.{role}.kind must be synthetic or http")
-        backends[role] = spec
-    return backends
-
-
-def backend_config_from(spec: dict, role: str, default_cache_dir: str | None) -> BackendConfig:
+def _endpoint_config(spec: dict, role: str, default_cache_dir: str | None) -> BackendConfig:
     """Build one endpoint config from its raw mapping."""
-    try:
+    with _section_errors(f"backends.{role}"):
         return BackendConfig(
             endpoint_url=_require(spec, "endpoint_url", f"backends.{role}"),
             model_name=spec.get("model_name", ""),
@@ -212,10 +197,37 @@ def backend_config_from(spec: dict, role: str, default_cache_dir: str | None) ->
             rate_limit_rps=float(spec.get("rate_limit_rps", 10.0)),
             cache_dir=spec.get("cache_dir", default_cache_dir),
         )
-    except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"backends.{role}: {err}") from err
+
+
+def _http_backend(role: str, spec: dict, cache_dir: str | None) -> HttpBackend:
+    if role == "verifier":
+        if not all(isinstance(spec.get(key), dict) for key in ("tool", "judger")):
+            raise ConfigError("backends.verifier needs tool and judger endpoint objects")
+        return HttpBackend(
+            _endpoint_config(spec["tool"], "verifier.tool", cache_dir),
+            judger=_endpoint_config(spec["judger"], "verifier.judger", cache_dir),
+        )
+    score_mode = spec.get("score_mode", "label") if role == "scorer" else None
+    return HttpBackend(_endpoint_config(spec, role, cache_dir), score_mode=score_mode)
+
+
+def _backends(raw: dict, cache_dir: str | None) -> dict:
+    backends = dict.fromkeys(_BACKEND_ROLES)
+    section = raw.get("backends")
+    if section is None:
+        return backends
+    if not isinstance(section, dict):
+        raise ConfigError("config.backends must be an object")
+    for role, spec in section.items():
+        if role not in _BACKEND_ROLES:
+            raise ConfigError(f"unknown backend role: {role}")
+        if not isinstance(spec, dict) or "kind" not in spec:
+            raise ConfigError(f"backends.{role} must be an object with a kind")
+        if spec["kind"] not in ("synthetic", "http"):
+            raise ConfigError(f"backends.{role}.kind must be synthetic or http")
+        if spec["kind"] == "http":
+            backends[role] = _http_backend(role, spec, cache_dir)
+    return backends
 
 
 def config_hash_of(raw: dict) -> str:
@@ -240,8 +252,8 @@ def load_config(path: str | Path) -> RunConfig:
     return RunConfig(
         search=_search_config(_section(raw, "search")),
         decode=_decode_config(_section(raw, "decode")),
-        paths=_paths(_section(raw, "paths"), base_dir),
-        backends=_backends(raw),
+        paths=(paths := _paths(_section(raw, "paths"), base_dir)),
+        backends=_backends(raw, paths.cache_dir),
         mode=_mode(raw),
         workers=workers,
         synthetic=_synthetic(raw),

@@ -248,6 +248,12 @@ def parse_instance(line: str) -> TrainingInstance:
         record = json.loads(line)
     except ValueError as err:
         raise SerializationError(f"not a JSON record: {err}") from err
+    return instance_from_record(record)
+
+
+def instance_from_record(record: dict) -> TrainingInstance:
+    """The instance a decoded dataset record holds; the inverse of the
+    record `serialize_instance` encodes."""
     version = record.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(
@@ -412,13 +418,21 @@ def build_dataset(
 
 
 def load_instances(path: str | Path) -> list[TrainingInstance]:
+    """Read a dataset file. A bad line raises the exception type that
+    `parse_instance` raises for it, with the file and the line in the message."""
     instances = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                instances.append(parse_instance(line))
-    return instances
+    records = read_jsonl(path)
+    while True:
+        try:
+            line_no, record = next(records)
+        except StopIteration:
+            return instances
+        except ValueError as err:  # not JSON, or not an object; names the line
+            raise SerializationError(str(err)) from err
+        try:
+            instances.append(instance_from_record(record))
+        except ValueError as err:
+            raise type(err)(f"{path} line {line_no}: {err}") from err
 
 
 def load_problems(path: str | Path) -> list[Problem]:
@@ -443,3 +457,16 @@ def load_problems(path: str | Path) -> list[Problem]:
         seen.add(problem.id)
         problems.append(problem)
     return problems
+
+
+def write_problems(path: str | Path, problems: Sequence[Problem]) -> None:
+    """Write a problem set in the format `load_problems` reads."""
+    write_jsonl(path, (
+        {
+            "id": problem.id,
+            "statement": problem.statement,
+            "gold_answer": problem.gold_answer,
+            "source": problem.source,
+        }
+        for problem in problems
+    ))

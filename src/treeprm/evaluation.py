@@ -195,17 +195,25 @@ class ReferenceRow:
     reported_f1: float
 
 
-def reference_rows() -> list[ReferenceRow]:
-    """The bundled published (error, correct, F1) rows."""
-    ref = resources.files("treeprm").joinpath("assets/processbench_reference.json")
-    records = json.loads(ref.read_text(encoding="utf-8"))["rows"]
+def reference_rows(path: str | Path | None = None) -> list[ReferenceRow]:
+    """Published (error, correct, F1) score rows from a `{"rows": [...]}` file:
+    the bundled table, or the file at `path`.
+
+    Each row names `model`, `error` and `correct`. A row without `benchmark`
+    gets "-", and a row without `f1` gets the F1 of its two accuracies; every
+    bundled row carries both.
+    """
+    source = Path(path) if path is not None else resources.files("treeprm").joinpath(
+        "assets/processbench_reference.json"
+    )
+    records = json.loads(source.read_text(encoding="utf-8"))["rows"]
     return [
         ReferenceRow(
             model=r["model"],
-            benchmark=r["benchmark"],
+            benchmark=r.get("benchmark", "-"),
             error_accuracy=r["error"],
             correct_accuracy=r["correct"],
-            reported_f1=r["f1"],
+            reported_f1=r.get("f1", f1_from_accuracies(r["error"], r["correct"])),
         )
         for r in records
     ]

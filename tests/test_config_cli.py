@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from treeprm.backends import BackendConfig
 from treeprm.cli import main
-from treeprm.config import ConfigError, load_config
+from treeprm.config import ConfigError, HttpBackend, load_config
 from treeprm.dataset import load_instances
 
 
@@ -108,6 +109,45 @@ class TestLoadConfig:
 
         with pytest.raises(ConfigError, match="unknown backend role"):
             load_config(write_config(tmp_path, bad_role))
+
+    def test_http_backends_parsed_at_load(self, tmp_path):
+        def remote(cfg):
+            cfg["paths"]["cache_dir"] = "cache"
+            cfg["backends"] = {
+                "verifier": {"kind": "http", "tool": {"endpoint_url": "http://t"},
+                             "judger": {"endpoint_url": "http://j", "model_name": "m",
+                                        "cache_dir": "/elsewhere"}},
+                "scorer": {"kind": "http", "endpoint_url": "http://s", "temperature": 0.5},
+            }
+
+        backends = load_config(write_config(tmp_path, remote)).backends
+        cache = str(tmp_path / "cache")
+        assert backends == {
+            "generator": None,
+            "verifier": HttpBackend(
+                BackendConfig("http://t", cache_dir=cache),
+                judger=BackendConfig("http://j", model_name="m", cache_dir="/elsewhere"),
+            ),
+            "scorer": HttpBackend(BackendConfig("http://s", temperature=0.5, cache_dir=cache),
+                                  score_mode="label"),
+        }
+
+    @pytest.mark.parametrize("role, spec, message", [
+        ("verifier", {"kind": "http", "tool": {"endpoint_url": "http://t"}},
+         "backends.verifier needs tool and judger endpoint objects"),
+        ("verifier", {"kind": "http", "tool": 5, "judger": {"endpoint_url": "http://j"}},
+         "backends.verifier needs tool and judger endpoint objects"),
+        ("generator", {"kind": "http", "model_name": "m"},
+         "missing required field: backends.generator.endpoint_url"),
+        ("scorer", {"kind": "http", "endpoint_url": "http://s", "timeout_s": 0},
+         "backends.scorer: timeout_s must be > 0"),
+    ])
+    def test_malformed_http_spec_rejected_at_load(self, tmp_path, role, spec, message):
+        def broken(cfg):
+            cfg["backends"] = {role: spec}
+
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, broken))
 
     def test_seed_override_propagates(self, tmp_path):
         def off_default(cfg):
@@ -246,6 +286,17 @@ class TestCliDecode:
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ConfigError", "message": "workers must be an integer >= 1"}
 
+    def test_broken_verifier_spec_fails_decode(self, tmp_path, capsys):
+        # decode never builds the verifier, but the whole config is validated.
+        def broken(cfg):
+            cfg["backends"] = {"verifier": {"kind": "http", "tool": {"endpoint_url": "http://t"}}}
+
+        config = write_config(tmp_path, broken)
+        assert main(["decode", "--config", str(config), "--output", str(tmp_path / "d")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ConfigError",
+                       "message": "backends.verifier needs tool and judger endpoint objects"}
+
     def test_decode_deterministic_across_runs_and_workers(self, tmp_path):
         config = write_config(tmp_path)
         out_a, out_b = tmp_path / "da", tmp_path / "db"
@@ -276,6 +327,19 @@ class TestCliEval:
         ]}), encoding="utf-8")
         assert main(["eval", "--pairs", str(pairs)]) == 0
         assert "50.0" in capsys.readouterr().out
+
+    def test_pairs_file_defaults(self, tmp_path):
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps({"rows": [{"model": "m", "error": 40.0, "correct": 60.0}]}),
+                         encoding="utf-8")
+        out = tmp_path / "eval"
+        assert main(["eval", "--pairs", str(pairs), "--output", str(out)]) == 0
+        table = json.loads((out / "f1_table.json").read_text(encoding="utf-8"))
+        assert table == {
+            "rows": [{"model": "m", "benchmark": "-", "error": 40.0, "correct": 60.0,
+                      "reported_f1": 48.0, "recomputed_f1": 48.0}],
+            "max_abs_deviation": 0.0,
+        }
 
     def test_annotation_prediction_scoring(self, tmp_path, capsys):
         (tmp_path / "ann.jsonl").write_text(

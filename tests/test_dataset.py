@@ -343,3 +343,20 @@ class TestMalformedRecords:
         del record["steps"]
         with pytest.raises(SerializationError, match="malformed instance record"):
             parse_instance(json.dumps(record))
+
+    @pytest.mark.parametrize("line, error, reason", [
+        ('{"a":1}', SchemaVersionError, "schema_version None does not match"),
+        ("not json at all", SerializationError, "invalid JSON"),
+        ("[1]", SerializationError, "expected a JSON object"),
+        (serialize_instance(make_instance()).replace('"labels":[1,-1]', '"labels":[1,0]'),
+         ValueError, r"labels must be -1 or \+1, got 0"),
+        (serialize_instance(make_instance()).replace('"steps":', '"stepz":'),
+         SerializationError, "malformed instance record"),
+    ], ids=["schema-version", "not-json", "not-an-object", "bad-label", "missing-field"])
+    def test_load_instances_names_the_file_and_line(self, tmp_path, line, error, reason):
+        path = tmp_path / "dataset.jsonl"
+        path.write_text(f"{serialize_instance(make_instance())}\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(error, match=reason) as excinfo:
+            load_instances(path)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value).startswith(f"{path} line 3: ")
