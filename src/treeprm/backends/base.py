@@ -15,6 +15,9 @@ from typing import Protocol, runtime_checkable
 from ..domain import Problem, ReasoningStep, StepSequence, VerificationResult
 
 
+SCORE_MODES = ("label", "likelihood")  # what a served PRM's score is read from
+
+
 class BackendError(RuntimeError):
     """A backend call failed after exhausting its retry budget."""
 

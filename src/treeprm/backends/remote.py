@@ -23,7 +23,7 @@ from typing import Callable
 import requests
 
 from ..domain import Problem, ReasoningStep, StepSequence, VerificationResult, parse_verdict_marker
-from .base import BackendConfig, BackendError
+from .base import SCORE_MODES, BackendConfig, BackendError
 from .templates import PromptTemplate
 from .transport import FileResponseCache, RateLimiter, cache_key
 
@@ -273,7 +273,7 @@ class ServedPrmScorer:
         mode: str = "label",
         sleep_fn: Callable[[float], None] = time.sleep,
     ):
-        if mode not in ("label", "likelihood"):
+        if mode not in SCORE_MODES:
             raise ValueError(f"unknown scorer mode: {mode!r}")
         self._endpoint = _Endpoint(cfg, cache, sleep_fn)
         self._template = template

@@ -1,20 +1,24 @@
 """Run configuration: one JSON file shared by every pipeline stage.
 
-The reward and search knobs (beta, gamma, c, K, R, depths, seeds) carry no
-defaults anywhere: a config file must state them, so no experiment silently
-depends on baked-in values. The file's content hash is embedded in dataset
-provenance to keep corpora regenerable.
+Each section is read through the dataclass that declares its settings
+(`SearchConfig`, `DecodeConfig`, `Paths`, `SyntheticCorpusConfig`, and
+`BackendConfig` for each endpoint): a field with no default is required, every
+other field takes the dataclass default, and a key that names no field is a
+ConfigError. The reward and search knobs (beta, gamma, c, K, R, depths, seeds)
+have no defaults, so no experiment silently depends on baked-in values. The
+file's content hash is embedded in dataset provenance to keep corpora
+regenerable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
-from .backends.base import BackendConfig
+from .backends.base import SCORE_MODES, BackendConfig
 from .dataset import MODES
 from .decoding import DecodeConfig
 from .jsonio import canonical_json
@@ -56,6 +60,10 @@ class RunConfig:
     synthetic: SyntheticCorpusConfig | None = None
     config_hash: str = ""
 
+    def __post_init__(self):
+        if type(self.workers) is not int or self.workers < 1:  # a JSON true is a bool
+            raise ConfigError("workers must be an integer >= 1")
+
     def with_overrides(self, seed: int | None = None, mode: str | None = None,
                        workers: int | None = None) -> "RunConfig":
         """CLI overrides: one run seed replaces every per-stage seed."""
@@ -68,23 +76,22 @@ class RunConfig:
         if mode is not None:
             changes["mode"] = mode
         if workers is not None:
-            if workers < 1:
-                raise ConfigError("workers must be an integer >= 1")
             changes["workers"] = workers
         return replace(self, **changes)
 
 
-def _require(section: dict, key: str, path: str):
-    if key not in section:
-        raise ConfigError(f"missing required field: {path}.{key}")
-    return section[key]
-
-
 def _section(raw: dict, name: str) -> dict:
-    value = _require(raw, name, "config")
-    if not isinstance(value, dict):
+    if name not in raw:
+        raise ConfigError(f"missing required field: config.{name}")
+    if not isinstance(raw[name], dict):
         raise ConfigError(f"config.{name} must be an object")
-    return value
+    return raw[name]
+
+
+def _reject_unknown(section: dict, known, path: str) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown key: {path}.{key}")
 
 
 def _pair(value, path: str) -> tuple[int, int]:
@@ -93,43 +100,42 @@ def _pair(value, path: str) -> tuple[int, int]:
     return int(value[0]), int(value[1])
 
 
-@contextmanager
-def _section_errors(section: str):
+def _convert(hint, value, path: str):
+    """A JSON value as its field's type: numbers through int()/float(),
+    pairs and int tuples element-wise, anything else unchanged."""
+    if hint in (int, float):
+        return hint(value)
+    if hint == tuple[int, int]:
+        return _pair(value, path)
+    if hint == tuple[int, ...]:
+        return tuple(int(item) for item in value)
+    return value
+
+
+def _read(cls, section: dict, path: str, skip=()):
+    """Build dataclass `cls` from one config section. The fields are the
+    section's keys (plus the `skip` keys, which the caller reads); a field
+    with no default is required, any other takes the dataclass default."""
+    declared = fields(cls)
+    _reject_unknown(section, {f.name for f in declared} | set(skip), path)
+    hints = get_type_hints(cls)
+    values = {}
     try:
-        yield
+        for f in declared:
+            if f.name in section:
+                values[f.name] = _convert(hints[f.name], section[f.name], f"{path}.{f.name}")
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing required field: {path}.{f.name}")
+        return cls(**values)
     except ConfigError:
         raise
-    except ValueError as err:
-        raise ConfigError(f"{section}: {err}") from err
-
-
-def _search_config(section: dict) -> SearchConfig:
-    with _section_errors("search"):
-        return SearchConfig(
-            exploration_c=float(_require(section, "exploration_c", "search")),
-            branch_K=int(_require(section, "branch_K", "search")),
-            decay_gamma=float(_require(section, "decay_gamma", "search")),
-            outcome_beta=float(_require(section, "outcome_beta", "search")),
-            max_rounds_R=int(_require(section, "max_rounds_R", "search")),
-            max_depth=int(_require(section, "max_depth", "search")),
-            rng_seed=int(_require(section, "rng_seed", "search")),
-        )
-
-
-def _decode_config(section: dict) -> DecodeConfig:
-    with _section_errors("decode"):
-        return DecodeConfig(
-            candidates_N=int(_require(section, "candidates_N", "decode")),
-            temperature=float(_require(section, "temperature", "decode")),
-            max_steps=int(_require(section, "max_steps", "decode")),
-            pass_n=int(_require(section, "pass_n", "decode")),
-            rng_seed=int(_require(section, "rng_seed", "decode")),
-        )
+    except ValueError as err:  # a conversion or the dataclass's own check
+        raise ConfigError(f"{path}: {err}") from err
 
 
 def _paths(section: dict, base_dir: Path) -> Paths:
-    output_dir = _require(section, "output_dir", "paths")
-    if not isinstance(output_dir, str) or not output_dir:
+    paths = _read(Paths, section, "paths")
+    if not isinstance(paths.output_dir, str) or not paths.output_dir:
         raise ConfigError("paths.output_dir must be a non-empty string")
 
     def resolve(value):
@@ -138,14 +144,10 @@ def _paths(section: dict, base_dir: Path) -> Paths:
         path = Path(value)
         return str(path if path.is_absolute() else base_dir / path)
 
-    problems_file = resolve(section.get("problems_file"))
+    problems_file = resolve(paths.problems_file)
     if problems_file is not None and not Path(problems_file).exists():
         raise ConfigError(f"paths.problems_file does not exist: {problems_file}")
-    return Paths(
-        output_dir=resolve(output_dir),
-        problems_file=problems_file,
-        cache_dir=resolve(section.get("cache_dir")),
-    )
+    return Paths(resolve(paths.output_dir), problems_file, resolve(paths.cache_dir))
 
 
 def _mode(raw: dict) -> str:
@@ -155,6 +157,9 @@ def _mode(raw: dict) -> str:
     unknown = set(section) - set(MODE_FLAGS)
     if unknown:
         raise ConfigError(f"unknown mode flags: {', '.join(sorted(unknown))}")
+    for flag, value in section.items():
+        if not isinstance(value, bool):
+            raise ConfigError(f"mode.{flag} must be a boolean")
     active = [flag for flag in MODE_FLAGS if section.get(flag)]
     if len(active) > 1:
         raise ConfigError("modes mutually exclusive")
@@ -162,53 +167,36 @@ def _mode(raw: dict) -> str:
 
 
 def _synthetic(raw: dict) -> SyntheticCorpusConfig | None:
-    section = raw.get("synthetic")
-    if section is None:
+    if raw.get("synthetic") is None:
         return None
-    with _section_errors("synthetic"):
-        return SyntheticCorpusConfig(
-            count=int(_require(section, "count", "synthetic")),
-            num_terms=_pair(_require(section, "num_terms", "synthetic"), "synthetic.num_terms"),
-            value_range=_pair(
-                _require(section, "value_range", "synthetic"), "synthetic.value_range"
-            ),
-            seed=int(_require(section, "seed", "synthetic")),
-            error_rate=float(section.get("error_rate", 0.0)),
-            max_planted_errors=int(section.get("max_planted_errors", 1)),
-            planted_deltas=tuple(int(d) for d in section.get("planted_deltas", (10, -30, 60))),
-            branch_noise=float(section.get("branch_noise", 0.0)),
-            noise_deltas=tuple(int(d) for d in section.get("noise_deltas", (10, -10, 25))),
-        )
+    return _read(SyntheticCorpusConfig, _section(raw, "synthetic"), "synthetic")
 
 
 _BACKEND_ROLES = ("generator", "verifier", "scorer")
 
 
-def _endpoint_config(spec: dict, role: str, default_cache_dir: str | None) -> BackendConfig:
-    """Build one endpoint config from its raw mapping."""
-    with _section_errors(f"backends.{role}"):
-        return BackendConfig(
-            endpoint_url=_require(spec, "endpoint_url", f"backends.{role}"),
-            model_name=spec.get("model_name", ""),
-            auth_token_env_var=spec.get("auth_token_env_var"),
-            temperature=float(spec.get("temperature", 1.0)),
-            timeout_s=float(spec.get("timeout_s", 30.0)),
-            max_retries=int(spec.get("max_retries", 2)),
-            rate_limit_rps=float(spec.get("rate_limit_rps", 10.0)),
-            cache_dir=spec.get("cache_dir", default_cache_dir),
-        )
+def _endpoint(spec: dict, path: str, cache_dir: str | None, skip=()) -> BackendConfig:
+    """One endpoint; `paths.cache_dir` unless the spec names its own."""
+    return _read(BackendConfig, {"cache_dir": cache_dir, **spec}, path, skip)
 
 
 def _http_backend(role: str, spec: dict, cache_dir: str | None) -> HttpBackend:
+    path = f"backends.{role}"
     if role == "verifier":
         if not all(isinstance(spec.get(key), dict) for key in ("tool", "judger")):
             raise ConfigError("backends.verifier needs tool and judger endpoint objects")
+        _reject_unknown(spec, ("kind", "tool", "judger"), path)
         return HttpBackend(
-            _endpoint_config(spec["tool"], "verifier.tool", cache_dir),
-            judger=_endpoint_config(spec["judger"], "verifier.judger", cache_dir),
+            _endpoint(spec["tool"], f"{path}.tool", cache_dir),
+            judger=_endpoint(spec["judger"], f"{path}.judger", cache_dir),
         )
-    score_mode = spec.get("score_mode", "label") if role == "scorer" else None
-    return HttpBackend(_endpoint_config(spec, role, cache_dir), score_mode=score_mode)
+    if role != "scorer":
+        return HttpBackend(_endpoint(spec, path, cache_dir, skip=("kind",)))
+    score_mode = spec.get("score_mode", "label")
+    if score_mode not in SCORE_MODES:
+        raise ConfigError(f"{path}.score_mode must be {' or '.join(SCORE_MODES)}")
+    return HttpBackend(_endpoint(spec, path, cache_dir, skip=("kind", "score_mode")),
+                       score_mode=score_mode)
 
 
 def _backends(raw: dict, cache_dir: str | None) -> dict:
@@ -245,17 +233,14 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    base_dir = path.parent
-    workers = raw.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError("workers must be an integer >= 1")
+    _reject_unknown(raw, {f.name for f in fields(RunConfig)} - {"config_hash"}, "config")
     return RunConfig(
-        search=_search_config(_section(raw, "search")),
-        decode=_decode_config(_section(raw, "decode")),
-        paths=(paths := _paths(_section(raw, "paths"), base_dir)),
+        search=_read(SearchConfig, _section(raw, "search"), "search"),
+        decode=_read(DecodeConfig, _section(raw, "decode"), "decode"),
+        paths=(paths := _paths(_section(raw, "paths"), path.parent)),
         backends=_backends(raw, paths.cache_dir),
         mode=_mode(raw),
-        workers=workers,
+        workers=raw.get("workers", RunConfig.workers),
         synthetic=_synthetic(raw),
         config_hash=config_hash_of(raw),
     )

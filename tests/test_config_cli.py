@@ -1,6 +1,7 @@
 """Config loading/validation and the CLI surface, run in-process."""
 
 import json
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -10,6 +11,9 @@ from treeprm.backends import BackendConfig
 from treeprm.cli import main
 from treeprm.config import ConfigError, HttpBackend, load_config
 from treeprm.dataset import load_instances
+from treeprm.synthetic import SyntheticCorpusConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def base_config(out_dir: Path) -> dict:
@@ -90,6 +94,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="modes mutually exclusive"):
             load_config(write_config(tmp_path, both))
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_mode_flag_must_be_boolean(self, tmp_path, value):
+        def not_bool(cfg):
+            cfg["mode"] = {"step_only": value}
+
+        with pytest.raises(ConfigError, match="mode.step_only must be a boolean"):
+            load_config(write_config(tmp_path, not_bool))
+
+    @pytest.mark.parametrize("value", [0, True, "2", 1.5])
+    def test_workers_must_be_positive_integer(self, tmp_path, value):
+        def workers(cfg):
+            cfg["workers"] = value
+
+        with pytest.raises(ConfigError, match="workers must be an integer >= 1"):
+            load_config(write_config(tmp_path, workers))
+        with pytest.raises(ConfigError, match="workers must be an integer >= 1"):
+            load_config(write_config(tmp_path)).with_overrides(workers=value)
+
     def test_single_mode_flag_ok(self, tmp_path):
         def outcome_only(cfg):
             cfg["mode"] = {"outcome_only": True}
@@ -141,6 +163,8 @@ class TestLoadConfig:
          "missing required field: backends.generator.endpoint_url"),
         ("scorer", {"kind": "http", "endpoint_url": "http://s", "timeout_s": 0},
          "backends.scorer: timeout_s must be > 0"),
+        ("scorer", {"kind": "http", "endpoint_url": "http://s", "score_mode": "bogus"},
+         "backends.scorer.score_mode must be label or likelihood"),
     ])
     def test_malformed_http_spec_rejected_at_load(self, tmp_path, role, spec, message):
         def broken(cfg):
@@ -148,6 +172,48 @@ class TestLoadConfig:
 
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, broken))
+
+    @pytest.mark.parametrize("key, mutate", [
+        ("config.worker", lambda cfg: cfg.update(worker=4)),
+        ("synthetic.branch_nois", lambda cfg: cfg["synthetic"].update(branch_nois=0.9)),
+        ("paths.cachedir", lambda cfg: cfg["paths"].update(cachedir="cache")),
+        ("backends.generator.timeout",
+         lambda cfg: cfg.update(backends={"generator": {
+            "kind": "http", "endpoint_url": "http://g", "timeout": 5}})),
+        ("backends.verifier.endpoint_url",
+         lambda cfg: cfg.update(backends={"verifier": {
+            "kind": "http", "endpoint_url": "http://v", "tool": {"endpoint_url": "http://t"},
+            "judger": {"endpoint_url": "http://j"}}})),
+        ("backends.generator.score_mode",
+         lambda cfg: cfg.update(backends={"generator": {
+            "kind": "http", "endpoint_url": "http://g", "score_mode": "label"}})),
+    ])
+    def test_unknown_key_named(self, tmp_path, key, mutate):
+        with pytest.raises(ConfigError, match=f"^unknown key: {re.escape(key)}$"):
+            load_config(write_config(tmp_path, mutate))
+
+    def test_unset_optional_fields_take_dataclass_defaults(self, tmp_path):
+        def required_only(cfg):
+            cfg["synthetic"] = {"count": 6, "num_terms": [2, 4], "value_range": [10, 99],
+                                "seed": 7}
+            cfg["backends"] = {"generator": {"kind": "http", "endpoint_url": "http://g"}}
+
+        loaded = load_config(write_config(tmp_path, required_only))
+        assert loaded.synthetic == SyntheticCorpusConfig(6, (2, 4), (10, 99), 7)
+        assert loaded.backends["generator"] == HttpBackend(BackendConfig("http://g"))
+
+    def test_readme_examples_load(self, tmp_path):
+        section = README.read_text(encoding="utf-8").split("## Configuration")[1]
+        local, remote = re.findall(r"```jsonc\n(.*?)```", section.split("\n## ")[0], re.S)
+        config = json.loads(local)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert load_config(path).backends == dict.fromkeys(("generator", "verifier", "scorer"))
+        config.update(json.loads("{" + remote + "}"))
+        path.write_text(json.dumps(config), encoding="utf-8")
+        backends = load_config(path).backends
+        assert backends["verifier"].judger.model_name == "my-judger"
+        assert backends["scorer"].score_mode == "label"
 
     def test_seed_override_propagates(self, tmp_path):
         def off_default(cfg):
