@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -94,21 +95,38 @@ def _reject_unknown(section: dict, known, path: str) -> None:
             raise ConfigError(f"unknown key: {path}.{key}")
 
 
-def _pair(value, path: str) -> tuple[int, int]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path} must be a [low, high] pair")
-    return int(value[0]), int(value[1])
+def _integer(value, path: str) -> int:
+    if type(value) is not int:  # a JSON true is a bool, 2.0 a float
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, path: str) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integers(value, path: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be a list of integers")
+    return tuple(_integer(item, path) for item in value)
 
 
 def _convert(hint, value, path: str):
-    """A JSON value as its field's type: numbers through int()/float(),
-    pairs and int tuples element-wise, anything else unchanged."""
-    if hint in (int, float):
-        return hint(value)
+    """A JSON value as its field's type. An int field takes only a JSON
+    integer, a float field only a finite JSON number, and pairs and int
+    tuples take lists of integers; any other field takes the value as is."""
+    if hint is int:
+        return _integer(value, path)
+    if hint is float:
+        return _number(value, path)
     if hint == tuple[int, int]:
-        return _pair(value, path)
+        if not isinstance(value, list) or len(value) != 2:
+            raise ConfigError(f"{path} must be a [low, high] pair")
+        return _integers(value, path)
     if hint == tuple[int, ...]:
-        return tuple(int(item) for item in value)
+        return _integers(value, path)
     return value
 
 

@@ -1,6 +1,9 @@
 """Builds rationale-enhanced training data from multi-round search rollouts.
 
-Every completed rollout (optimal or not) becomes a candidate instance. A
+Every distinct rollout of a problem (optimal or not) becomes one candidate
+instance. Search replays a finished line in many rounds; a rollout whose
+steps and verifications equal an earlier round's is skipped, so each line is
+judged once and `BuildReport.rollouts_total` counts distinct rollouts. A
 candidate is dropped for exactly one reason:
 
   incomplete    -- the rollout never reached a final answer
@@ -345,7 +348,14 @@ def _build_one(
         if record.error:
             errors.append({"problem_id": problem.id, "round": record.round_index,
                            "error": record.error})
+    # A candidate depends on the rollout only through its steps and
+    # verifications, so a rollout that repeats an earlier one's is judged once.
+    seen: set[tuple] = set()
     for rollout in result.rollouts:
+        key = (rollout.steps, rollout.verifications)
+        if key in seen:
+            continue
+        seen.add(key)
         candidate = assemble_candidate(
             problem, rollout, build_cfg.mode, search_cfg.outcome_beta, search_cfg.decay_gamma
         )
@@ -365,7 +375,7 @@ def _build_one(
         instances.append(
             finalize_instance(candidate, provenance, build_cfg.mode == "no_rationale")
         )
-    return instances, drops, flips, errors, len(result.rollouts)
+    return instances, drops, flips, errors, len(seen)
 
 
 def pool_map(pool: Executor, fn: Callable, items: Iterable) -> list:
@@ -386,7 +396,8 @@ def build_dataset(
     build_cfg: BuildConfig,
     output_path: str | Path | None = None,
 ) -> BuildReport:
-    """Search every problem, convert rollouts, filter, and emit instances.
+    """Search every problem, convert its distinct rollouts, filter, and emit
+    instances.
 
     Problems run on a pool of `build_cfg.workers` threads; output order is
     always the given problem order. A failing problem is recorded and

@@ -112,6 +112,35 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="workers must be an integer >= 1"):
             load_config(write_config(tmp_path)).with_overrides(workers=value)
 
+    @pytest.mark.parametrize(("field", "value", "message"), [
+        ("search.branch_K", 2.9, "must be an integer"),
+        ("search.branch_K", True, "must be an integer"),
+        ("search.max_rounds_R", "16", "must be an integer"),
+        ("search.max_depth", 10.0, "must be an integer"),
+        ("search.exploration_c", "nan", "must be a finite number"),
+        ("search.exploration_c", float("nan"), "must be a finite number"),
+        ("search.decay_gamma", True, "must be a finite number"),
+        ("decode.temperature", float("inf"), "must be a finite number"),
+        ("synthetic.num_terms", [2.5, 6], "must be an integer"),
+        ("synthetic.value_range", [10, "99"], "must be an integer"),
+        ("synthetic.noise_deltas", "77", "must be a list of integers"),
+    ])
+    def test_numeric_fields_take_only_json_numbers(self, tmp_path, field, value, message):
+        section, key = field.split(".")
+
+        def set_value(cfg):
+            cfg[section][key] = value
+
+        with pytest.raises(ConfigError, match=re.escape(field) + " " + message):
+            load_config(write_config(tmp_path, set_value))
+
+    def test_integer_accepted_for_float_field(self, tmp_path):
+        def integer_c(cfg):
+            cfg["search"]["exploration_c"] = 1
+
+        c = load_config(write_config(tmp_path, integer_c)).search.exploration_c
+        assert c == 1.0 and type(c) is float
+
     def test_single_mode_flag_ok(self, tmp_path):
         def outcome_only(cfg):
             cfg["mode"] = {"outcome_only": True}
@@ -504,7 +533,7 @@ class TestCliRemoteBackends:
 
         assert main(["generate", "--config", str(config), "--output", str(out_a)]) == 0
         instances = load_instances(out_a / "dataset.jsonl")
-        assert len(instances) == 2  # one expansion round plus one terminal revisit
+        assert len(instances) == 1  # the terminal revisit repeats the expansion round's line
         assert instances[0].labels == (1,)
         assert instances[0].final_answer == "5"
         requests_cold = fake_server.state.request_count

@@ -2,13 +2,20 @@
 
 import json
 import math
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+from treeprm import __version__
+from treeprm.backends import BackendConfig, ChatCompletionGenerator, ToolVerifier
 from treeprm.backends.synthetic import ExactVerifier, ScriptedGenerator
+from treeprm.backends.templates import builtin_template
+from treeprm.config import load_config
 from treeprm.dataset import (
+    MODES,
     BuildConfig,
     Provenance,
     SchemaVersionError,
@@ -23,10 +30,13 @@ from treeprm.dataset import (
     parse_instance,
     pool_map,
     serialize_instance,
+    tree_id_for,
 )
-from treeprm.domain import VerificationResult
+from treeprm.domain import Problem, VerificationResult
 from treeprm.mcts import RolloutOutcome, SearchConfig, run_search
-from treeprm.synthetic import trace_from_values
+from treeprm.synthetic import build_corpus, trace_from_values
+
+SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "synth.json"
 
 BETA, GAMMA = 0.5, 0.9
 
@@ -223,7 +233,7 @@ class TestBuildDataset:
         report, out = self._build(tmp_path)
         assert report.problems_total == 3
         assert report.problem_errors == []
-        assert report.rollouts_total == 3 * 6
+        assert report.rollouts_total == 11  # distinct rollouts of the 3 * 6 rounds
         assert report.kept > 0
         assert report.kept + report.dropped_total == report.rollouts_total
         assert set(report.dropped) <= {"incomplete", "unverifiable", "inconsistent"}
@@ -296,11 +306,134 @@ class TestBuildDataset:
                                search_cfg(max_rounds_R=4, rng_seed=42),
                                BuildConfig(rng_seed=42), tmp_path / "clean.jsonl")
         assert report.dropped == {}
-        assert report.kept == report.rollouts_total == 200 * 4
+        # Without branch noise each problem has one line, found in its first round.
+        assert report.kept == report.rollouts_total == 200
         # Clean chains: every emitted label matches the all-positive ground truth.
         for instance in report.instances:
             assert set(instance.labels) == {1}
             assert instance.outcome_flag == 1
+
+
+def every_rollout_lines(problems, generator, verifier, search, build):
+    """The dataset lines of judging every rollout of every round, repeated
+    lines included: the reference for the distinct-rollout build."""
+    lines = []
+    for problem in problems:
+        for rollout in run_search(problem, generator, verifier, search).rollouts:
+            candidate = assemble_candidate(problem, rollout, build.mode,
+                                           search.outcome_beta, search.decay_gamma)
+            if filter_trace(candidate) is not None:
+                continue
+            provenance = Provenance(
+                problem_id=problem.id, tree_id=tree_id_for(problem.id, build.rng_seed),
+                rollout_index=rollout.round_index, rng_seed=build.rng_seed,
+                config_hash=build.config_hash, pipeline_version=__version__,
+            )
+            instance = finalize_instance(candidate, provenance, build.mode == "no_rationale")
+            lines.append(serialize_instance(instance))
+    return lines
+
+
+def first_occurrences(lines):
+    """The first line of each (problem id, steps), in order."""
+    seen, kept = set(), []
+    for line in lines:
+        record = json.loads(line)
+        key = (record["provenance"]["problem_id"], tuple(record["steps"]))
+        if key not in seen:
+            seen.add(key)
+            kept.append(line)
+    return kept
+
+
+_ADDENDS_RE = re.compile(r"Add the numbers ([\d, ]+) in order\.")
+_TOTAL_RE = re.compile(r"^Step \d+: .* -- total = (-?\d+)", re.MULTILINE)
+
+
+def running_sum_responder():
+    """Chat replies for running-sum problems. The generator's k-th request
+    for a prompt after n steps states a total 5 too high when k + n is a
+    multiple of 3, so expansions branch; the judger checks the step under
+    review, and gives no verdict on a stated total that ends in 3."""
+    requests_seen: dict[str, int] = {}
+    lock = threading.Lock()
+
+    def respond(body):
+        text = body["messages"][1]["content"]
+        addends = [int(a) for a in _ADDENDS_RE.search(text).group(1).split(", ")]
+        totals = [int(t) for t in _TOTAL_RE.findall(text)]
+        if "Tool response:" in text:
+            *prior, stated = totals
+            if stated % 10 == 3:
+                return "The tool response is unclear."
+            right = stated == (prior[-1] if prior else 0) + addends[len(prior)]
+            return f"Recomputed the sum. The step is: \\boxed{{{'+' if right else '-'}}}"
+        with lock:
+            variant = requests_seen[text] = requests_seen.get(text, -1) + 1
+        addend = addends[len(totals)]
+        total = (totals[-1] if totals else 0) + addend
+        if (variant + len(totals)) % 3 == 0:
+            total += 5
+        action = f"total = {total}"
+        if len(totals) + 1 == len(addends):
+            action += f"\nFinal Answer: {total}"
+        return f"Objective: add {addend}\nAction: {action}"
+
+    return respond
+
+
+def _shipped_inputs(request, tmp_path):
+    cfg = load_config(SHIPPED_CONFIG)
+    corpus = build_corpus(cfg.synthetic)
+    generator = ScriptedGenerator(corpus, branch_noise=cfg.synthetic.branch_noise,
+                                  noise_deltas=cfg.synthetic.noise_deltas,
+                                  seed=cfg.search.rng_seed)
+    return [t.problem for t in corpus], generator, ExactVerifier(corpus), cfg.search
+
+
+def _fake_server_inputs(request, tmp_path):
+    fake_server = request.getfixturevalue("fake_server")
+    fake_server.state.chat_responder = running_sum_responder()
+    endpoint = dict(max_retries=0, rate_limit_rps=10000, cache_dir=str(tmp_path / "cache"))
+    chat = BackendConfig(f"{fake_server.url}/v1/chat/completions", model_name="fake",
+                         **endpoint)
+    tool = BackendConfig(f"{fake_server.url}/tool", **endpoint)
+    problems = [
+        Problem(f"r{i}", f"Add the numbers {', '.join(map(str, addends))} in order.",
+                str(sum(addends)))
+        for i, addends in enumerate([(12, 20, 11), (40, 15), (5, 6, 7, 8), (21, 30, 9)])
+    ]
+    generator = ChatCompletionGenerator(chat, builtin_template("generator"))
+    verifier = ToolVerifier(tool, chat, builtin_template("judger"))
+    return problems, generator, verifier, search_cfg(max_rounds_R=12, max_depth=3, rng_seed=7)
+
+
+class TestDistinctRollouts:
+    """A build judges each distinct rollout of a problem once: its dataset is
+    the every-rollout dataset cut to the first line of each (problem, steps)."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("inputs", [_shipped_inputs, _fake_server_inputs],
+                             ids=["shipped", "fake-server"])
+    def test_build_equals_first_occurrences_of_every_rollout(
+            self, request, tmp_path, inputs, mode, workers):
+        problems, generator, verifier, search = inputs(request, tmp_path)
+        build = BuildConfig(mode=mode, rng_seed=search.rng_seed, config_hash="c0de",
+                            workers=workers)
+        out = tmp_path / "dataset.jsonl"
+        # Remote responses are cached, so the reference sees the build's.
+        report = build_dataset(problems, generator, verifier, search, build, out)
+        every = every_rollout_lines(problems, generator, verifier, search, build)
+        reference = first_occurrences(every)
+
+        assert len(reference) < len(every)
+        assert out.read_text(encoding="utf-8").splitlines() == reference
+        assert report.problem_errors == []
+        assert report.kept + report.dropped_total == report.rollouts_total
+        assert report.kept == len({
+            (i.provenance.problem_id, i.steps, i.labels) for i in report.instances
+        })
 
 
 class TestLoadProblems:

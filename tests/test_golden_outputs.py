@@ -18,26 +18,26 @@ SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "synth.jso
 # Files whose bytes do not depend on the labelling mode.
 _SHARED = {
     "annotations.jsonl": "7d79f25ff9cf73ddcf43553b97773a0845d203aab25333b8b1161fad53ff356f",
-    "dataset_summary.json": "3d88b1e9569da92b0af3e7fa37b6d54a30aed47c0dee6042e16c97e4cb7bf635",
+    "dataset_summary.json": "a6b742ea468c973353f6d32c17b0bf515824c6dd5b0f5fcc5c7b9f39966f016d",
     "decode_log.jsonl": "7585e7bedc397ba8034d1608d0b5b8fb21a7a89fcc8a535b4a97dc3dd58825e8",
     "decode_results.jsonl": "2abacc72d3a5b0b80ec000dba789517f3c876400c29b80cd158669893e81ac69",
     "eval_report.json": "f1b01498c4efdfe73d1eb27c5fcbf7f80081f0349cce122653b8e329ebc0a243",
     "eval_report.txt": "d815961dbb2b817e6be21a9052ed5cccd7bc6d5b390ad6ed836d51829427f30f",
     "predictions.jsonl": "aa1a812ad110590d5283181bb975fc37f2bfc83a1ff7d41fa3114e4a97e7dcca",
     "problems.jsonl": "7c2decdf6b9277ff99c9165c3d4fff74d15bac0357df7a9e0074ce87f7cebf57",
-    "report.txt": "992786bd69ced38b1bbe16389c07c56d7f21488856ae899acb2424c6bbb9e0a1",
+    "report.txt": "dc5489f8488420a22866d1ac5ef9b73e4081bc29730b28bdb5df65ef21a9e205",
 }
 
 GOLDEN = {
     "hybrid": {
         **_SHARED,
-        "dataset.jsonl": "1c368c29378a9788449e925c4f5e8fe6e038a60f742188992af3131f596c0330",
-        "report.json": "2f7f9fe9207e6d5b7fbb70de024b82866098b40888acfd07a66c73bc0877bf22",
+        "dataset.jsonl": "59267b45e3e0ea0dfc96daa42440cc46162215967c8ec4887ed22c52074a55ba",
+        "report.json": "507436d13adbf93bc4dc04887b49e89e16906cd056cceef745150ee47164e993",
     },
     "no_rationale": {
         **_SHARED,
-        "dataset.jsonl": "93093d6b41c866906b76a2f4ab33f9ebe1a5513bf346a3101702dcb11409ed40",
-        "report.json": "35649999408c7bf29df76679aa245c1afa91a2be505915763c87e1837123af59",
+        "dataset.jsonl": "82f5d1a42443d4104092300033cd4f436976363db51790fde63f8ced3813c06f",
+        "report.json": "a5eb558545ca2fc242a69cd16174422764e1de3e84e413832e308d3140e8c4ab",
     },
 }
 
@@ -52,12 +52,12 @@ STAGE_GOLDEN = {
     ("generate", "hybrid"): {
         "dataset.jsonl": GOLDEN["hybrid"]["dataset.jsonl"],
         "problems.jsonl": _SHARED["problems.jsonl"],
-        "summary.json": "3db3f824f963480a3f9721cbc0d79ca47c2732fe8867d5cdc5975ab3fff4b091",
+        "summary.json": "d0592ad8dbc92147776af6b9cbfe8cfc78f4ab487259e09c66f2c5da07f30757",
     },
     ("generate", "no_rationale"): {
         "dataset.jsonl": GOLDEN["no_rationale"]["dataset.jsonl"],
         "problems.jsonl": _SHARED["problems.jsonl"],
-        "summary.json": "0e09ccba22035c74a50126688c06e8fbf693247545b82dcda42cd8943a5ecb40",
+        "summary.json": "35361a2fbb9b97f1316e6ca95c596c5a7095bfd79d5c13c1da21ef24766ce42c",
     },
     ("decode", "hybrid"): _DECODE,
     ("decode", "no_rationale"): _DECODE,
