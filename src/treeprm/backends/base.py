@@ -37,7 +37,6 @@ class BackendConfig:
     timeout_s: float = 30.0
     max_retries: int = 2
     rate_limit_rps: float = 10.0
-    cache_dir: str | None = None
 
     def __post_init__(self):
         if not self.endpoint_url:

@@ -23,6 +23,7 @@ from typing import Callable
 import requests
 
 from ..domain import Problem, ReasoningStep, StepSequence, VerificationResult, parse_verdict_marker
+from ..jsonio import canonical_json
 from .base import SCORE_MODES, BackendConfig, BackendError
 from .templates import PromptTemplate
 from .transport import FileResponseCache, RateLimiter, cache_key
@@ -74,8 +75,6 @@ class _Endpoint:
     ):
         self.cfg = cfg
         self.cache = cache
-        if cache is None and cfg.cache_dir:
-            self.cache = FileResponseCache(cfg.cache_dir)
         self._session = requests.Session()
         self._limiter = RateLimiter(cfg.rate_limit_rps, sleep_fn=sleep_fn)
         self._sleep = sleep_fn
@@ -197,6 +196,19 @@ class ChatCompletionGenerator:
         return steps
 
 
+def _tool_result(text: str) -> str:
+    """The tool's answer: the `result` of a JSON object reply (a non-string
+    result as its canonical JSON), else the reply text as it came."""
+    try:
+        reply = json.loads(text)
+    except ValueError:
+        return text
+    if not isinstance(reply, dict) or "result" not in reply:
+        return text
+    result = reply["result"]
+    return result if isinstance(result, str) else canonical_json(result)
+
+
 class ToolVerifier:
     """Two-stage verifier: query the external math tool, then have the judger
     model fuse the step text with the tool response into a boxed verdict.
@@ -226,12 +238,7 @@ class ToolVerifier:
             method="GET",
             params={"query": query},
         )
-        tool_text = tool_raw.decode("utf-8", errors="replace")
-        try:
-            tool_text = json.loads(tool_text).get("result", tool_text)
-        except ValueError:
-            pass
-
+        tool_text = _tool_result(tool_raw.decode("utf-8", errors="replace"))
         body = self._template.render(
             problem=problem.statement,
             prior_steps=render_prior_steps(context),

@@ -23,6 +23,7 @@ from pathlib import Path
 from .backends import (
     ChatCompletionGenerator,
     ExactVerifier,
+    FileResponseCache,
     OracleScorer,
     ScriptedGenerator,
     ServedPrmScorer,
@@ -64,8 +65,12 @@ from .synthetic import SyntheticTrace, build_corpus, oracle_labels
 def _build_backends(cfg: RunConfig, traces: list[SyntheticTrace] | None,
                     roles: tuple[str, ...]) -> dict:
     """One backend per role: the http client of its parsed spec, or the
-    synthetic oracle over `traces`."""
+    synthetic oracle over `traces`. Every http role shares one response cache
+    under `paths.cache_dir`, when that is set."""
     scorer_template = "scorer_label_only" if cfg.mode == "no_rationale" else "scorer"
+    cache = None
+    if cfg.paths.cache_dir is not None and any(cfg.backends[role] is not None for role in roles):
+        cache = FileResponseCache(cfg.paths.cache_dir)
     built = {}
     for role in roles:
         spec = cfg.backends[role]
@@ -77,16 +82,19 @@ def _build_backends(cfg: RunConfig, traces: list[SyntheticTrace] | None,
                 seed=cfg.search.rng_seed,
             )
         elif role == "generator":
-            built[role] = ChatCompletionGenerator(spec.endpoint, builtin_template("generator"))
+            built[role] = ChatCompletionGenerator(spec.endpoint, builtin_template("generator"),
+                                                  cache=cache)
         elif role == "verifier" and spec is None:
             built[role] = ExactVerifier(traces)
         elif role == "verifier":
-            built[role] = ToolVerifier(spec.endpoint, spec.judger, builtin_template("judger"))
+            built[role] = ToolVerifier(spec.endpoint, spec.judger, builtin_template("judger"),
+                                       cache=cache)
         elif spec is None:
             built[role] = OracleScorer(traces)
         else:
             built[role] = ServedPrmScorer(
-                spec.endpoint, builtin_template(scorer_template), mode=spec.score_mode
+                spec.endpoint, builtin_template(scorer_template), cache=cache,
+                mode=spec.score_mode,
             )
     return built
 

@@ -6,8 +6,8 @@ Each section is read through the dataclass that declares its settings
 other field takes the dataclass default, and a key that names no field is a
 ConfigError. The reward and search knobs (beta, gamma, c, K, R, depths, seeds)
 have no defaults, so no experiment silently depends on baked-in values. The
-file's content hash is embedded in dataset provenance to keep corpora
-regenerable.
+hash of the settings that decide a run's outputs is embedded in dataset
+provenance to keep corpora regenerable.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -59,11 +59,33 @@ class RunConfig:
     mode: str = "hybrid"
     workers: int = 1
     synthetic: SyntheticCorpusConfig | None = None
-    config_hash: str = ""
 
     def __post_init__(self):
         if type(self.workers) is not int or self.workers < 1:  # a JSON true is a bool
             raise ConfigError("workers must be an integer >= 1")
+
+    @property
+    def config_hash(self) -> str:
+        """16 hex digits of the sha256 of the settings that decide a run's
+        outputs: search, decode, mode, the corpus, and per http role its
+        endpoints' model and temperature plus its score_mode. Paths, workers,
+        URLs, credentials, timeouts, retries and rate limits change where or
+        how fast a run goes, not what it writes, so they are left out."""
+        def backend(spec: HttpBackend | None):
+            if spec is None:
+                return None
+            endpoints = [{"model_name": cfg.model_name, "temperature": cfg.temperature}
+                         for cfg in (spec.endpoint, spec.judger) if cfg is not None]
+            return {"endpoints": endpoints, "score_mode": spec.score_mode}
+
+        semantic = {
+            "search": asdict(self.search),
+            "decode": asdict(self.decode),
+            "mode": self.mode,
+            "synthetic": None if self.synthetic is None else asdict(self.synthetic),
+            "backends": {role: backend(spec) for role, spec in self.backends.items()},
+        }
+        return hashlib.sha256(canonical_json(semantic).encode("utf-8")).hexdigest()[:16]
 
     def with_overrides(self, seed: int | None = None, mode: str | None = None,
                        workers: int | None = None) -> "RunConfig":
@@ -193,31 +215,26 @@ def _synthetic(raw: dict) -> SyntheticCorpusConfig | None:
 _BACKEND_ROLES = ("generator", "verifier", "scorer")
 
 
-def _endpoint(spec: dict, path: str, cache_dir: str | None, skip=()) -> BackendConfig:
-    """One endpoint; `paths.cache_dir` unless the spec names its own."""
-    return _read(BackendConfig, {"cache_dir": cache_dir, **spec}, path, skip)
-
-
-def _http_backend(role: str, spec: dict, cache_dir: str | None) -> HttpBackend:
+def _http_backend(role: str, spec: dict) -> HttpBackend:
     path = f"backends.{role}"
     if role == "verifier":
         if not all(isinstance(spec.get(key), dict) for key in ("tool", "judger")):
             raise ConfigError("backends.verifier needs tool and judger endpoint objects")
         _reject_unknown(spec, ("kind", "tool", "judger"), path)
         return HttpBackend(
-            _endpoint(spec["tool"], f"{path}.tool", cache_dir),
-            judger=_endpoint(spec["judger"], f"{path}.judger", cache_dir),
+            _read(BackendConfig, spec["tool"], f"{path}.tool"),
+            judger=_read(BackendConfig, spec["judger"], f"{path}.judger"),
         )
     if role != "scorer":
-        return HttpBackend(_endpoint(spec, path, cache_dir, skip=("kind",)))
+        return HttpBackend(_read(BackendConfig, spec, path, skip=("kind",)))
     score_mode = spec.get("score_mode", "label")
     if score_mode not in SCORE_MODES:
         raise ConfigError(f"{path}.score_mode must be {' or '.join(SCORE_MODES)}")
-    return HttpBackend(_endpoint(spec, path, cache_dir, skip=("kind", "score_mode")),
+    return HttpBackend(_read(BackendConfig, spec, path, skip=("kind", "score_mode")),
                        score_mode=score_mode)
 
 
-def _backends(raw: dict, cache_dir: str | None) -> dict:
+def _backends(raw: dict) -> dict:
     backends = dict.fromkeys(_BACKEND_ROLES)
     section = raw.get("backends")
     if section is None:
@@ -232,12 +249,8 @@ def _backends(raw: dict, cache_dir: str | None) -> dict:
         if spec["kind"] not in ("synthetic", "http"):
             raise ConfigError(f"backends.{role}.kind must be synthetic or http")
         if spec["kind"] == "http":
-            backends[role] = _http_backend(role, spec, cache_dir)
+            backends[role] = _http_backend(role, spec)
     return backends
-
-
-def config_hash_of(raw: dict) -> str:
-    return hashlib.sha256(canonical_json(raw).encode("utf-8")).hexdigest()[:16]
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -251,14 +264,13 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_unknown(raw, {f.name for f in fields(RunConfig)} - {"config_hash"}, "config")
+    _reject_unknown(raw, {f.name for f in fields(RunConfig)}, "config")
     return RunConfig(
         search=_read(SearchConfig, _section(raw, "search"), "search"),
         decode=_read(DecodeConfig, _section(raw, "decode"), "decode"),
-        paths=(paths := _paths(_section(raw, "paths"), path.parent)),
-        backends=_backends(raw, paths.cache_dir),
+        paths=_paths(_section(raw, "paths"), path.parent),
+        backends=_backends(raw),
         mode=_mode(raw),
         workers=raw.get("workers", RunConfig.workers),
         synthetic=_synthetic(raw),
-        config_hash=config_hash_of(raw),
     )

@@ -27,7 +27,6 @@ class DecodeError(RuntimeError):
 @dataclass(frozen=True)
 class DecodeConfig:
     candidates_N: int
-    temperature: float
     max_steps: int
     pass_n: int
     rng_seed: int
@@ -35,8 +34,6 @@ class DecodeConfig:
     def __post_init__(self):
         if self.candidates_N < 1:
             raise ValueError("candidates_N must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.pass_n < 1:

@@ -131,26 +131,49 @@ def _first_error_from_json(value) -> int | None:
     raise ValueError(f"first_error must be an integer or {ALL_VALID!r}, got {value!r}")
 
 
+def _build_each(build, located) -> list:
+    """`build(record)` for each (location, record) pair. A record that lacks
+    a key or holds a bad value raises ValueError naming its location."""
+    built = []
+    for where, record in located:
+        try:
+            built.append(build(record))
+        except KeyError as err:
+            raise ValueError(f"{where}: missing key {err}") from err
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{where}: {err}") from err
+    return built
+
+
+def _lines(path: str | Path):
+    return ((f"{path} line {line_no}", record) for line_no, record in read_jsonl(path))
+
+
+def _annotated(record: dict) -> AnnotatedSample:
+    steps = record["steps"]
+    if not isinstance(steps, list) or not all(isinstance(step, str) for step in steps):
+        raise ValueError("steps must be a list of strings")
+    return AnnotatedSample(
+        sample_id=str(record["id"]),
+        problem=record.get("problem", ""),
+        steps=tuple(steps),
+        gold_first_error=_first_error_from_json(record["first_error"]),
+    )
+
+
+def _prediction(record: dict) -> Prediction:
+    return Prediction(
+        sample_id=str(record["id"]),
+        first_error=_first_error_from_json(record["first_error"]),
+    )
+
+
 def load_annotated(path: str | Path) -> list[AnnotatedSample]:
-    return [
-        AnnotatedSample(
-            sample_id=str(record["id"]),
-            problem=record.get("problem", ""),
-            steps=tuple(record["steps"]),
-            gold_first_error=_first_error_from_json(record["first_error"]),
-        )
-        for _, record in read_jsonl(path)
-    ]
+    return _build_each(_annotated, _lines(path))
 
 
 def load_predictions(path: str | Path) -> list[Prediction]:
-    return [
-        Prediction(
-            sample_id=str(record["id"]),
-            first_error=_first_error_from_json(record["first_error"]),
-        )
-        for _, record in read_jsonl(path)
-    ]
+    return _build_each(_prediction, _lines(path))
 
 
 def write_annotated(path: str | Path, samples: Sequence[AnnotatedSample]) -> None:
@@ -195,28 +218,40 @@ class ReferenceRow:
     reported_f1: float
 
 
+def _reference_row(record: dict) -> ReferenceRow:
+    for key in ("error", "correct", "f1"):
+        if key in record and type(record[key]) not in (int, float):  # a JSON true is a bool
+            raise ValueError(f"{key} must be a number, got {record[key]!r}")
+    return ReferenceRow(
+        model=record["model"],
+        benchmark=record.get("benchmark", "-"),
+        error_accuracy=record["error"],
+        correct_accuracy=record["correct"],
+        reported_f1=record.get("f1", f1_from_accuracies(record["error"], record["correct"])),
+    )
+
+
 def reference_rows(path: str | Path | None = None) -> list[ReferenceRow]:
     """Published (error, correct, F1) score rows from a `{"rows": [...]}` file:
     the bundled table, or the file at `path`.
 
     Each row names `model`, `error` and `correct`. A row without `benchmark`
     gets "-", and a row without `f1` gets the F1 of its two accuracies; every
-    bundled row carries both.
+    bundled row carries both. A bad row raises ValueError naming the file and
+    the row.
     """
     source = Path(path) if path is not None else resources.files("treeprm").joinpath(
         "assets/processbench_reference.json"
     )
-    records = json.loads(source.read_text(encoding="utf-8"))["rows"]
-    return [
-        ReferenceRow(
-            model=r["model"],
-            benchmark=r.get("benchmark", "-"),
-            error_accuracy=r["error"],
-            correct_accuracy=r["correct"],
-            reported_f1=r.get("f1", f1_from_accuracies(r["error"], r["correct"])),
-        )
-        for r in records
-    ]
+    try:
+        document = json.loads(source.read_text(encoding="utf-8"))
+    except ValueError as err:
+        raise ValueError(f"{source}: invalid JSON: {err}") from err
+    if not isinstance(document, dict) or not isinstance(document.get("rows"), list):
+        raise ValueError(f"{source}: expected an object with a rows list")
+    return _build_each(_reference_row, (
+        (f"{source} rows[{index}]", record) for index, record in enumerate(document["rows"])
+    ))
 
 
 def recompute_reference_table(rows: Sequence[ReferenceRow]) -> list[tuple[ReferenceRow, float]]:

@@ -34,6 +34,7 @@ class _FakeState:
         self.fail_next = 0
         self.chat_responder = lambda body: "Objective: do nothing\nAction: nothing"
         self.tool_responder = lambda query: f"evaluated({query})"
+        self.raw_tool_responder = None  # overrides tool_responder with the whole reply text
         self.raw_chat_responder = None  # overrides chat_responder with a full JSON body
 
 
@@ -84,6 +85,9 @@ class _Handler(BaseHTTPRequestHandler):
             state.tool_requests.append(query)
         if self._maybe_fail(state):
             return
+        if state.raw_tool_responder is not None:
+            self._respond(state.raw_tool_responder(query).encode("utf-8"))
+            return
         self._respond(json.dumps({"result": state.tool_responder(query)}).encode("utf-8"))
 
 
@@ -112,6 +116,14 @@ class FakeServer:
 
 @pytest.fixture
 def fake_server():
+    server = FakeServer()
+    yield server
+    server.shutdown()
+
+
+@pytest.fixture
+def other_fake_server():
+    """A second server on its own port, for runs that differ only in URL."""
     server = FakeServer()
     yield server
     server.shutdown()

@@ -371,8 +371,7 @@ def test_criterion_8_guided_decoding(tmp_path):
         generator = ScriptedGenerator(corpus, branch_noise=1.0,
                                       noise_deltas=(10, 20, 30), seed=801)
         scorer = OracleScorer(corpus)
-        cfg = DecodeConfig(candidates_N=8, temperature=1.0, max_steps=12,
-                           pass_n=8, rng_seed=801)
+        cfg = DecodeConfig(candidates_N=8, max_steps=12, pass_n=8, rng_seed=801)
         results = []
         for trace in corpus:
             result = decode(trace.problem, generator, scorer, cfg)

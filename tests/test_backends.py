@@ -191,9 +191,9 @@ class TestRateLimiter:
 
 class TestChatCompletionGenerator:
     def _generator(self, server, tmp_path, **cfg_overrides):
-        cfg = backend_cfg(f"{server.url}/v1/chat/completions",
-                          cache_dir=str(tmp_path / "cache"), **cfg_overrides)
+        cfg = backend_cfg(f"{server.url}/v1/chat/completions", **cfg_overrides)
         return ChatCompletionGenerator(cfg, builtin_template("generator"),
+                                       cache=FileResponseCache(tmp_path / "cache"),
                                        sleep_fn=lambda s: None)
 
     def test_samples_count_independent_requests(self, fake_server, tmp_path):
@@ -233,9 +233,9 @@ class TestChatCompletionGenerator:
         first = generator.generate(PROBLEM, (), 3)
         count_after_first = fake_server.state.request_count
         # New client instance pointing at a dead endpoint, same cache dir.
-        dead_cfg = backend_cfg("http://127.0.0.1:1/unreachable", max_retries=0,
-                               cache_dir=str(tmp_path / "cache"))
+        dead_cfg = backend_cfg("http://127.0.0.1:1/unreachable", max_retries=0)
         warm = ChatCompletionGenerator(dead_cfg, builtin_template("generator"),
+                                       cache=FileResponseCache(tmp_path / "cache"),
                                        sleep_fn=lambda s: None)
         second = warm.generate(PROBLEM, (), 3)
         assert second == first
@@ -255,9 +255,9 @@ class TestChatCompletionGenerator:
 class TestToolVerifier:
     def _verifier(self, server, tmp_path):
         tool_cfg = backend_cfg(f"{server.url}/tool")
-        judger_cfg = backend_cfg(f"{server.url}/v1/chat/completions",
-                                 cache_dir=str(tmp_path / "cache"))
+        judger_cfg = backend_cfg(f"{server.url}/v1/chat/completions")
         return ToolVerifier(tool_cfg, judger_cfg, builtin_template("judger"),
+                            cache=FileResponseCache(tmp_path / "cache"),
                             sleep_fn=lambda s: None)
 
     def test_positive_verdict(self, fake_server, tmp_path):
@@ -300,12 +300,28 @@ class TestToolVerifier:
         judger_body = fake_server.state.chat_requests[-1]["body"]
         assert "tool says 130" in judger_body["messages"][1]["content"]
 
+    @pytest.mark.parametrize("reply, shown", [
+        ("42", "42"),
+        ("[1, 2]", "[1, 2]"),
+        ('{"result": 42}', "42"),
+        ('{"result": {"sum": 5}}', '{"sum":5}'),
+        ('{"answer": 5}', '{"answer": 5}'),
+    ], ids=["number", "list", "number-result", "object-result", "no-result"])
+    def test_tool_reply_that_is_no_string_result(self, fake_server, tmp_path, reply, shown):
+        fake_server.state.raw_tool_responder = lambda query: reply
+        fake_server.state.chat_responder = lambda body: "ok \\boxed{+}"
+        verifier = self._verifier(fake_server, tmp_path)
+        result = verifier.verify(PROBLEM, ReasoningStep(index=1, objective="o", action="a"), ())
+        assert (result.label, result.verifiable) == (1, True)
+        judger_body = fake_server.state.chat_requests[-1]["body"]
+        assert f"Tool response:\n{shown}\n" in judger_body["messages"][1]["content"]
+
 
 class TestServedPrmScorer:
     def _scorer(self, server, tmp_path, mode="label"):
-        cfg = backend_cfg(f"{server.url}/v1/chat/completions",
-                          cache_dir=str(tmp_path / "cache"))
-        return ServedPrmScorer(cfg, builtin_template("scorer"), mode=mode,
+        cfg = backend_cfg(f"{server.url}/v1/chat/completions")
+        return ServedPrmScorer(cfg, builtin_template("scorer"),
+                               cache=FileResponseCache(tmp_path / "cache"), mode=mode,
                                sleep_fn=lambda s: None)
 
     def test_boxed_plus_scores_one(self, fake_server, tmp_path):

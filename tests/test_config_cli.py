@@ -2,15 +2,17 @@
 
 import json
 import re
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import pytest
 
 from treeprm.backends import BackendConfig
 from treeprm.cli import main
-from treeprm.config import ConfigError, HttpBackend, load_config
+from treeprm.config import ConfigError, HttpBackend, Paths, load_config
 from treeprm.dataset import load_instances
+from treeprm.decoding import DecodeConfig
+from treeprm.mcts import SearchConfig
 from treeprm.synthetic import SyntheticCorpusConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -29,7 +31,6 @@ def base_config(out_dir: Path) -> dict:
         },
         "decode": {
             "candidates_N": 8,
-            "temperature": 1.0,
             "max_steps": 10,
             "pass_n": 4,
             "rng_seed": 7,
@@ -120,7 +121,7 @@ class TestLoadConfig:
         ("search.exploration_c", "nan", "must be a finite number"),
         ("search.exploration_c", float("nan"), "must be a finite number"),
         ("search.decay_gamma", True, "must be a finite number"),
-        ("decode.temperature", float("inf"), "must be a finite number"),
+        ("synthetic.error_rate", float("inf"), "must be a finite number"),
         ("synthetic.num_terms", [2.5, 6], "must be an integer"),
         ("synthetic.value_range", [10, "99"], "must be an integer"),
         ("synthetic.noise_deltas", "77", "must be a list of integers"),
@@ -166,22 +167,28 @@ class TestLoadConfig:
             cfg["paths"]["cache_dir"] = "cache"
             cfg["backends"] = {
                 "verifier": {"kind": "http", "tool": {"endpoint_url": "http://t"},
-                             "judger": {"endpoint_url": "http://j", "model_name": "m",
-                                        "cache_dir": "/elsewhere"}},
+                             "judger": {"endpoint_url": "http://j", "model_name": "m"}},
                 "scorer": {"kind": "http", "endpoint_url": "http://s", "temperature": 0.5},
             }
 
-        backends = load_config(write_config(tmp_path, remote)).backends
-        cache = str(tmp_path / "cache")
-        assert backends == {
+        loaded = load_config(write_config(tmp_path, remote))
+        assert loaded.paths.cache_dir == str(tmp_path / "cache")
+        assert loaded.backends == {
             "generator": None,
             "verifier": HttpBackend(
-                BackendConfig("http://t", cache_dir=cache),
-                judger=BackendConfig("http://j", model_name="m", cache_dir="/elsewhere"),
+                BackendConfig("http://t"), judger=BackendConfig("http://j", model_name="m"),
             ),
-            "scorer": HttpBackend(BackendConfig("http://s", temperature=0.5, cache_dir=cache),
+            "scorer": HttpBackend(BackendConfig("http://s", temperature=0.5),
                                   score_mode="label"),
         }
+
+        def own_cache(cfg):
+            remote(cfg)
+            cfg["backends"]["verifier"]["judger"]["cache_dir"] = "/elsewhere"
+
+        message = r"^unknown key: backends\.verifier\.judger\.cache_dir$"
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, own_cache))
 
     @pytest.mark.parametrize("role, spec, message", [
         ("verifier", {"kind": "http", "tool": {"endpoint_url": "http://t"}},
@@ -206,6 +213,7 @@ class TestLoadConfig:
         ("config.worker", lambda cfg: cfg.update(worker=4)),
         ("synthetic.branch_nois", lambda cfg: cfg["synthetic"].update(branch_nois=0.9)),
         ("paths.cachedir", lambda cfg: cfg["paths"].update(cachedir="cache")),
+        ("decode.temperature", lambda cfg: cfg["decode"].update(temperature=1.0)),
         ("backends.generator.timeout",
          lambda cfg: cfg.update(backends={"generator": {
             "kind": "http", "endpoint_url": "http://g", "timeout": 5}})),
@@ -244,6 +252,26 @@ class TestLoadConfig:
         assert backends["verifier"].judger.model_name == "my-judger"
         assert backends["scorer"].score_mode == "label"
 
+    def test_readme_settings_table_matches_the_dataclasses(self):
+        rows = {}
+        for line in README.read_text(encoding="utf-8").splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if line.startswith("| ") and len(cells) == 3:
+                rows[cells[0]] = cells[1:]
+        counts = {"four": 4, "five": 5, "six": 6, "seven": 7}
+        for row, cls in (("`search`", SearchConfig), ("`decode`", DecodeConfig),
+                         ("`paths`", Paths), ("`synthetic`", SyntheticCorpusConfig),
+                         ("http endpoint", BackendConfig)):
+            required, optional = rows[row]
+            mandatory = [f.name for f in fields(cls)
+                         if f.default is MISSING and f.default_factory is MISSING]
+            defaulted = [f.name for f in fields(cls) if f.name not in mandatory]
+            if required.startswith("all "):
+                assert (counts[required.split()[1]], optional) == (len(mandatory), "none"), row
+            else:
+                assert re.findall(r"`(\w+)`", required) == mandatory, row
+            assert re.findall(r"`(\w+)` \(", optional) == defaulted, row
+
     def test_seed_override_propagates(self, tmp_path):
         def off_default(cfg):
             cfg["synthetic"].update(max_planted_errors=2, planted_deltas=[5, -5])
@@ -258,8 +286,9 @@ class TestLoadConfig:
         assert asdict(cfg.search) == {**asdict(loaded.search), "rng_seed": 99}
         assert asdict(cfg.decode) == {**asdict(loaded.decode), "rng_seed": 99}
         assert asdict(cfg.synthetic) == {**asdict(loaded.synthetic), "seed": 99}
-        for name in ("paths", "backends", "mode", "workers", "config_hash"):
+        for name in ("paths", "backends", "mode", "workers"):
             assert getattr(cfg, name) == getattr(loaded, name)
+        assert cfg.config_hash != loaded.config_hash
 
         moved = loaded.with_overrides(mode="no_rationale", workers=3)
         assert (moved.mode, moved.workers) == ("no_rationale", 3)
@@ -272,6 +301,63 @@ class TestLoadConfig:
         a = load_config(write_config(tmp_path, name="a.json"))
         b = load_config(write_config(tmp_path, name="b.json"))
         assert a.config_hash == b.config_hash
+
+
+class TestConfigHash:
+    """The hash names what a run computes, not where it writes or how fast."""
+
+    @staticmethod
+    def _load(tmp_path, mutate=None):
+        def remote(cfg):
+            endpoint = {"endpoint_url": "http://127.0.0.1:8000/v1/chat/completions",
+                        "model_name": "m", "temperature": 0.7}
+            cfg["backends"] = {
+                "generator": {"kind": "http", **endpoint},
+                "verifier": {"kind": "http",
+                             "tool": {"endpoint_url": "http://127.0.0.1:8000/tool"},
+                             "judger": dict(endpoint)},
+                "scorer": {"kind": "http", **endpoint},
+            }
+            if mutate:
+                mutate(cfg)
+
+        return load_config(write_config(tmp_path, remote))
+
+    @pytest.mark.parametrize("mutate", [
+        lambda cfg: cfg.update(workers=4),
+        lambda cfg: cfg["paths"].update(output_dir="elsewhere"),
+        lambda cfg: cfg["paths"].update(cache_dir="cache"),
+        lambda cfg: cfg["backends"]["generator"].update(endpoint_url="https://g:9443/v1"),
+        lambda cfg: cfg["backends"]["verifier"]["tool"].update(
+            endpoint_url="http://127.0.0.1:8001/tool"),
+        lambda cfg: cfg["backends"]["scorer"].update(timeout_s=5),
+        lambda cfg: cfg["backends"]["verifier"]["judger"].update(max_retries=0),
+        lambda cfg: cfg["backends"]["verifier"]["tool"].update(rate_limit_rps=2),
+        lambda cfg: cfg["backends"]["generator"].update(auth_token_env_var="POLICY_TOKEN"),
+    ], ids=["workers", "output_dir", "cache_dir", "url", "port", "timeout_s", "max_retries",
+            "rate_limit_rps", "auth_token_env_var"])
+    def test_equal_across_where_and_how_fast(self, tmp_path, mutate):
+        assert self._load(tmp_path, mutate).config_hash == self._load(tmp_path).config_hash
+
+    @pytest.mark.parametrize("mutate", [
+        lambda cfg: cfg["search"].update(branch_K=4),
+        lambda cfg: cfg["decode"].update(candidates_N=4),
+        lambda cfg: cfg["synthetic"].update(error_rate=0.25),
+        lambda cfg: cfg["backends"]["generator"].update(model_name="m2"),
+        lambda cfg: cfg["backends"]["verifier"]["judger"].update(temperature=0.0),
+        lambda cfg: cfg["backends"]["scorer"].update(score_mode="likelihood"),
+        lambda cfg: cfg["backends"].update(scorer={"kind": "synthetic"}),
+    ], ids=["search", "decode", "synthetic", "model_name", "temperature", "score_mode",
+            "kind"])
+    def test_differs_across_what_a_run_computes(self, tmp_path, mutate):
+        assert self._load(tmp_path, mutate).config_hash != self._load(tmp_path).config_hash
+
+    def test_overrides_move_it_only_where_outputs_move(self, tmp_path):
+        cfg = self._load(tmp_path)
+        assert cfg.with_overrides(seed=3).config_hash != cfg.config_hash
+        assert cfg.with_overrides(mode="step_only").config_hash != cfg.config_hash
+        assert cfg.with_overrides(workers=4).config_hash == cfg.config_hash
+        assert cfg.with_overrides(seed=7).config_hash == cfg.config_hash  # the file's seed
 
 
 class TestCliSynth:
@@ -352,9 +438,12 @@ class TestCliGenerate:
             other = bare[key]
             assert other.labels == full.labels
             assert other.rationales == ("",) * len(other.steps)
+            # The mode is part of the config hash, and only the hash moves with it.
+            assert other.provenance.config_hash != full.provenance.config_hash
+            same_hash = replace(other.provenance, config_hash=full.provenance.config_hash)
             assert (other.problem, other.steps, other.final_answer, other.outcome_flag,
-                    other.provenance) == (full.problem, full.steps, full.final_answer,
-                                          full.outcome_flag, full.provenance)
+                    same_hash) == (full.problem, full.steps, full.final_answer,
+                                   full.outcome_flag, full.provenance)
         for key, full in hybrid.items():
             if key in outputs["step_only"]:
                 other = outputs["step_only"][key]
@@ -450,6 +539,24 @@ class TestCliEval:
                      "--predictions", str(tmp_path / "pred.jsonl")]) == 0
         assert "100.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, name, text, where", [
+        ("--annotations", "ann.jsonl", '{"id": "s1", "first_error": 1}\n', "line 1"),
+        ("--pairs", "pairs.json", '{"rows": [{"model": "m", "error": 40.0}]}', "rows[0]"),
+    ])
+    def test_bad_eval_input_names_file_and_place(self, tmp_path, capsys, flag, name, text,
+                                                 where):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        (tmp_path / "pred.jsonl").write_text('{"id": "s1", "first_error": 1}\n',
+                                             encoding="utf-8")
+        inputs = [flag, str(path)]
+        if flag == "--annotations":
+            inputs += ["--predictions", str(tmp_path / "pred.jsonl")]
+        assert main(["eval", *inputs]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{path} {where}: missing key")
+
     def test_eval_without_inputs_fails_cleanly(self, capsys):
         assert main(["eval"]) == 1
         err = json.loads(capsys.readouterr().err.strip())
@@ -496,17 +603,18 @@ class TestCliInspect:
 
 
 class TestCliRemoteBackends:
-    def _remote_config(self, tmp_path, server_url):
-        problems = tmp_path / "problems.jsonl"
-        problems.write_text(
-            '{"id": "r1", "statement": "Add 2 and 3.", "gold_answer": "5"}\n',
-            encoding="utf-8",
-        )
+    def _remote_config(self, tmp_path, server_url, problems=1, workers=1):
+        problems_file = tmp_path / "problems.jsonl"
+        problems_file.write_text("".join(
+            f'{{"id": "r{i}", "statement": "Add 2 and 3.", "gold_answer": "5"}}\n'
+            for i in range(1, problems + 1)
+        ), encoding="utf-8")
 
         def mutate(cfg):
             del cfg["synthetic"]
+            cfg["workers"] = workers
             cfg["search"]["max_rounds_R"] = 2
-            cfg["paths"]["problems_file"] = str(problems)
+            cfg["paths"]["problems_file"] = str(problems_file)
             cfg["paths"]["cache_dir"] = str(tmp_path / "cache")
             endpoint = {"endpoint_url": f"{server_url}/v1/chat/completions",
                         "model_name": "fake", "max_retries": 0, "rate_limit_rps": 10000}
@@ -543,6 +651,21 @@ class TestCliRemoteBackends:
         assert main(["generate", "--config", str(config), "--output", str(out_b)]) == 0
         assert tree_bytes(out_a) == tree_bytes(out_b)
         assert fake_server.state.request_count == requests_cold
+
+    def test_outputs_do_not_depend_on_workers_output_dir_or_url(
+            self, tmp_path, fake_server, other_fake_server):
+        outputs = []
+        for name, server, workers in (("a", fake_server, 1), ("b", other_fake_server, 2)):
+            server.state.chat_responder = self._responder
+            (tmp_path / name).mkdir()
+            config = self._remote_config(tmp_path / name, server.url, problems=3,
+                                         workers=workers)
+            assert main(["generate", "--config", str(config)]) == 0
+            assert server.state.request_count > 0
+            out = tmp_path / name / "out"
+            outputs.append([(out / f).read_bytes() for f in ("dataset.jsonl", "summary.json")])
+        assert outputs[0] == outputs[1]
+        assert len(load_instances(tmp_path / "a" / "out" / "dataset.jsonl")) == 3
 
 
 class TestCliErrors:

@@ -10,7 +10,12 @@ from pathlib import Path
 import pytest
 
 from treeprm import __version__
-from treeprm.backends import BackendConfig, ChatCompletionGenerator, ToolVerifier
+from treeprm.backends import (
+    BackendConfig,
+    ChatCompletionGenerator,
+    FileResponseCache,
+    ToolVerifier,
+)
 from treeprm.backends.synthetic import ExactVerifier, ScriptedGenerator
 from treeprm.backends.templates import builtin_template
 from treeprm.config import load_config
@@ -394,7 +399,7 @@ def _shipped_inputs(request, tmp_path):
 def _fake_server_inputs(request, tmp_path):
     fake_server = request.getfixturevalue("fake_server")
     fake_server.state.chat_responder = running_sum_responder()
-    endpoint = dict(max_retries=0, rate_limit_rps=10000, cache_dir=str(tmp_path / "cache"))
+    endpoint = dict(max_retries=0, rate_limit_rps=10000)
     chat = BackendConfig(f"{fake_server.url}/v1/chat/completions", model_name="fake",
                          **endpoint)
     tool = BackendConfig(f"{fake_server.url}/tool", **endpoint)
@@ -403,8 +408,9 @@ def _fake_server_inputs(request, tmp_path):
                 str(sum(addends)))
         for i, addends in enumerate([(12, 20, 11), (40, 15), (5, 6, 7, 8), (21, 30, 9)])
     ]
-    generator = ChatCompletionGenerator(chat, builtin_template("generator"))
-    verifier = ToolVerifier(tool, chat, builtin_template("judger"))
+    cache = FileResponseCache(tmp_path / "cache")
+    generator = ChatCompletionGenerator(chat, builtin_template("generator"), cache=cache)
+    verifier = ToolVerifier(tool, chat, builtin_template("judger"), cache=cache)
     return problems, generator, verifier, search_cfg(max_rounds_R=12, max_depth=3, rng_seed=7)
 
 

@@ -20,7 +20,7 @@ from treeprm.synthetic import trace_from_values
 
 
 def decode_cfg(**overrides):
-    values = dict(candidates_N=8, temperature=1.0, max_steps=12, pass_n=4, rng_seed=17)
+    values = dict(candidates_N=8, max_steps=12, pass_n=4, rng_seed=17)
     values.update(overrides)
     return DecodeConfig(**values)
 

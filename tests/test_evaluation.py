@@ -1,6 +1,8 @@
 """First-error localization scoring and the published-F1 arithmetic fixtures."""
 
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -194,3 +196,43 @@ class TestFileFormats:
         path.write_text('{"id": "s1", "first_error": "dunno"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="all-valid"):
             load_predictions(path)
+
+    @pytest.mark.parametrize("loader, record, message", [
+        (load_annotated, '{"id": "s2", "first_error": 1}', "missing key 'steps'"),
+        (load_annotated, '{"id": "s2", "steps": "ab", "first_error": 1}',
+         "steps must be a list of strings"),
+        (load_annotated, '{"id": "s2", "steps": ["a"], "first_error": "x"}',
+         "first_error must be an integer"),
+        (load_annotated, '{"id": "s2", "steps": ["a"], "first_error": 3}',
+         "gold_first_error 3 outside"),
+        (load_predictions, '{"id": "s2"}', "missing key 'first_error'"),
+        (load_predictions, '{"id": "s2", "first_error": 1.5}', "first_error must be an integer"),
+    ])
+    def test_bad_record_names_file_and_line(self, tmp_path, loader, record, message):
+        path = tmp_path / "in.jsonl"
+        path.write_text('{"id": "s1", "steps": ["a"], "first_error": 1}\n\n' + record + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: {message}"):
+            loader(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ({"model": "m", "error": 40.0}, "missing key 'correct'"),
+        ({"error": 40.0, "correct": 60.0}, "missing key 'model'"),
+        ({"model": "m", "error": "40", "correct": 60.0}, "error must be a number, got '40'"),
+        ({"model": "m", "error": 40.0, "correct": 60.0, "f1": True},
+         "f1 must be a number, got True"),
+        ([40.0, 60.0], "list indices"),
+    ])
+    def test_bad_reference_row_names_file_and_row(self, tmp_path, row, message):
+        path = tmp_path / "pairs.json"
+        good = {"model": "m", "error": 40.0, "correct": 60.0}
+        path.write_text(json.dumps({"rows": [good, row]}), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} rows\\[1\\]: {message}"):
+            reference_rows(path)
+
+    @pytest.mark.parametrize("text", ['[{"model": "m"}]', '{"rows": 5}', "{"])
+    def test_reference_file_without_rows_list_names_file(self, tmp_path, text):
+        path = tmp_path / "pairs.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            reference_rows(path)

@@ -31,36 +31,42 @@ _SHARED = {
 GOLDEN = {
     "hybrid": {
         **_SHARED,
-        "dataset.jsonl": "59267b45e3e0ea0dfc96daa42440cc46162215967c8ec4887ed22c52074a55ba",
-        "report.json": "507436d13adbf93bc4dc04887b49e89e16906cd056cceef745150ee47164e993",
+        "dataset.jsonl": "f9593f4a6ed38d9439bb7ffd093ea83130122120558c1c58d9d45ea051377b18",
+        "report.json": "a7d8d40fcf198552afa50ec136ef003b8022cc423bb2df5366c499556f589ee4",
     },
     "no_rationale": {
         **_SHARED,
-        "dataset.jsonl": "82f5d1a42443d4104092300033cd4f436976363db51790fde63f8ced3813c06f",
-        "report.json": "a5eb558545ca2fc242a69cd16174422764e1de3e84e413832e308d3140e8c4ab",
+        "dataset.jsonl": "3241c7f6c19f6c0cd3451a46c4387475b3493a26e9a433a30e3e3101a1bc20b6",
+        "report.json": "77830078c63b4eeda6586aaca0fb2fc7b6b7511440d2e52be044f00b5b4583a6",
     },
 }
 
-# `decode` writes the same bytes in every mode on synthetic backends.
+# `decode` writes the same results and log in every mode on synthetic
+# backends; its summary carries the config hash, which covers the mode.
 _DECODE = {
     "decode_log.jsonl": _SHARED["decode_log.jsonl"],
     "decode_results.jsonl": _SHARED["decode_results.jsonl"],
-    "decode_summary.json": "3ef65806d8f7f1b1286ec61e8995e24f1bda5e441234dfd4c100d9090d8581da",
 }
 
 STAGE_GOLDEN = {
     ("generate", "hybrid"): {
         "dataset.jsonl": GOLDEN["hybrid"]["dataset.jsonl"],
         "problems.jsonl": _SHARED["problems.jsonl"],
-        "summary.json": "d0592ad8dbc92147776af6b9cbfe8cfc78f4ab487259e09c66f2c5da07f30757",
+        "summary.json": "255011b733e43d0db922670832b2b1aa4b054b1a00d56bfc171e3aca17db21be",
     },
     ("generate", "no_rationale"): {
         "dataset.jsonl": GOLDEN["no_rationale"]["dataset.jsonl"],
         "problems.jsonl": _SHARED["problems.jsonl"],
-        "summary.json": "35361a2fbb9b97f1316e6ca95c596c5a7095bfd79d5c13c1da21ef24766ce42c",
+        "summary.json": "ac6ebb027a4ec7d5b47feeefbc8bc3cddde6c0dfbf47c3b4e54052dc8ef3587f",
     },
-    ("decode", "hybrid"): _DECODE,
-    ("decode", "no_rationale"): _DECODE,
+    ("decode", "hybrid"): {
+        **_DECODE,
+        "decode_summary.json": "7c4e82a416a60d59281e0b97e80d02db845d976b1589428bb2c520d14cc598c9",
+    },
+    ("decode", "no_rationale"): {
+        **_DECODE,
+        "decode_summary.json": "a32de7f94cbc84ca1310ba9b2fb0556ba88f67167e5491703e8b584b9bbb9929",
+    },
 }
 
 

@@ -12,7 +12,7 @@ import math
 from treeprm.backends.base import BackendConfig
 from treeprm.backends.remote import ChatCompletionGenerator, ServedPrmScorer, ToolVerifier
 from treeprm.backends.templates import PromptTemplate
-from treeprm.backends.transport import cache_key
+from treeprm.backends.transport import FileResponseCache, cache_key
 from treeprm.domain import Problem, ReasoningStep
 
 PROBLEM = Problem(id="q1", statement="Add 2 and 3.", gold_answer="5")
@@ -42,9 +42,9 @@ SCORER_LABEL_KEY = "59875cef87aa99d8de86229cd9f87b6688bdb5ebe71ecd9ba1f01930dd00
 SCORER_LIKELIHOOD_KEY = "4da5372b20fd1cbed1469d52d292dde321a4c4605482d5a9da6b386efc67ebf4"
 
 
-def _cfg(url, cache_dir, **overrides):
+def _cfg(url, **overrides):
     values = dict(endpoint_url=url, model_name="test-model", temperature=0.7, timeout_s=5.0,
-                  max_retries=0, rate_limit_rps=1000.0, cache_dir=cache_dir)
+                  max_retries=0, rate_limit_rps=1000.0)
     values.update(overrides)
     return BackendConfig(**values)
 
@@ -64,14 +64,16 @@ def _reply(body):
 
 def _run_all_roles(url, cache_dir):
     chat = f"{url}/v1/chat/completions"
-    generator = ChatCompletionGenerator(_cfg(chat, cache_dir), GENERATOR_T)
+    cache = FileResponseCache(cache_dir)
+    generator = ChatCompletionGenerator(_cfg(chat), GENERATOR_T, cache=cache)
     verifier = ToolVerifier(
-        _cfg(f"{url}/tool", cache_dir),
-        _cfg(chat, cache_dir, model_name="judge-model", temperature=0.0),
+        _cfg(f"{url}/tool"),
+        _cfg(chat, model_name="judge-model", temperature=0.0),
         JUDGER_T,
+        cache=cache,
     )
-    label = ServedPrmScorer(_cfg(chat, cache_dir, model_name="prm"), SCORER_T, mode="label")
-    likelihood = ServedPrmScorer(_cfg(chat, cache_dir, model_name="prm"), SCORER_T,
+    label = ServedPrmScorer(_cfg(chat, model_name="prm"), SCORER_T, cache=cache, mode="label")
+    likelihood = ServedPrmScorer(_cfg(chat, model_name="prm"), SCORER_T, cache=cache,
                                  mode="likelihood")
     return (
         generator.generate(PROBLEM, STATE, 2),
