@@ -152,7 +152,10 @@ class _Endpoint:
 def _chat_content(raw: bytes, endpoint: str) -> str:
     try:
         body = json.loads(raw.decode("utf-8"))
-        return body["choices"][0]["message"]["content"]
+        content = body["choices"][0]["message"]["content"]
+        if not isinstance(content, str):
+            raise TypeError(f"content is {type(content).__name__}, not a string")
+        return content
     except (ValueError, KeyError, IndexError, TypeError) as err:
         raise BackendError(f"malformed chat response from {endpoint}: {err}") from err
 

@@ -33,7 +33,6 @@ from .backends import (
 from .config import ConfigError, RunConfig, load_config
 from .dataset import (
     MODES,
-    BuildConfig,
     BuildReport,
     build_dataset,
     load_problems,
@@ -140,14 +139,9 @@ def _stage_inputs(args, roles: tuple[str, ...]):
 
 def _generate(cfg: RunConfig, problems, generator, verifier, out: Path) -> BuildReport:
     """The generate stage: search every problem and emit `dataset.jsonl`."""
-    build_cfg = BuildConfig(
-        mode=cfg.mode,
-        rng_seed=cfg.search.rng_seed,
-        config_hash=cfg.config_hash,
-        workers=cfg.workers,
-    )
     return build_dataset(
-        problems, generator, verifier, cfg.search, build_cfg, out / "dataset.jsonl"
+        problems, generator, verifier, cfg.search, out / "dataset.jsonl",
+        mode=cfg.mode, config_hash=cfg.config_hash, workers=cfg.workers,
     )
 
 

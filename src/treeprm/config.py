@@ -26,8 +26,6 @@ from .jsonio import canonical_json
 from .mcts import SearchConfig
 from .synthetic import SyntheticCorpusConfig
 
-MODE_FLAGS = tuple(mode for mode in MODES if mode != "hybrid")
-
 
 class ConfigError(ValueError):
     """A config file failed validation; the message names the field."""
@@ -63,20 +61,23 @@ class RunConfig:
     def __post_init__(self):
         if type(self.workers) is not int or self.workers < 1:  # a JSON true is a bool
             raise ConfigError("workers must be an integer >= 1")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
 
     @property
     def config_hash(self) -> str:
         """16 hex digits of the sha256 of the settings that decide a run's
-        outputs: search, decode, mode, the corpus, and per http role its
-        endpoints' model and temperature plus its score_mode. Paths, workers,
+        outputs: search, decode, mode, the corpus, and per http role its chat
+        endpoint's model and temperature (the judger's, for the verifier,
+        whose tool request sends neither) plus its score_mode. Paths, workers,
         URLs, credentials, timeouts, retries and rate limits change where or
         how fast a run goes, not what it writes, so they are left out."""
         def backend(spec: HttpBackend | None):
             if spec is None:
                 return None
-            endpoints = [{"model_name": cfg.model_name, "temperature": cfg.temperature}
-                         for cfg in (spec.endpoint, spec.judger) if cfg is not None]
-            return {"endpoints": endpoints, "score_mode": spec.score_mode}
+            chat = spec.judger or spec.endpoint
+            return {"model_name": chat.model_name, "temperature": chat.temperature,
+                    "score_mode": spec.score_mode}
 
         semantic = {
             "search": asdict(self.search),
@@ -190,22 +191,6 @@ def _paths(section: dict, base_dir: Path) -> Paths:
     return Paths(resolve(paths.output_dir), problems_file, resolve(paths.cache_dir))
 
 
-def _mode(raw: dict) -> str:
-    section = raw.get("mode", {})
-    if not isinstance(section, dict):
-        raise ConfigError("config.mode must be an object of boolean flags")
-    unknown = set(section) - set(MODE_FLAGS)
-    if unknown:
-        raise ConfigError(f"unknown mode flags: {', '.join(sorted(unknown))}")
-    for flag, value in section.items():
-        if not isinstance(value, bool):
-            raise ConfigError(f"mode.{flag} must be a boolean")
-    active = [flag for flag in MODE_FLAGS if section.get(flag)]
-    if len(active) > 1:
-        raise ConfigError("modes mutually exclusive")
-    return active[0] if active else "hybrid"
-
-
 def _synthetic(raw: dict) -> SyntheticCorpusConfig | None:
     if raw.get("synthetic") is None:
         return None
@@ -270,7 +255,7 @@ def load_config(path: str | Path) -> RunConfig:
         decode=_read(DecodeConfig, _section(raw, "decode"), "decode"),
         paths=_paths(_section(raw, "paths"), path.parent),
         backends=_backends(raw),
-        mode=_mode(raw),
+        mode=raw.get("mode", RunConfig.mode),
         workers=raw.get("workers", RunConfig.workers),
         synthetic=_synthetic(raw),
     )

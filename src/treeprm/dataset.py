@@ -46,7 +46,7 @@ from .domain import (
     normalize_answer,
     parse_verdict_marker,
 )
-from .jsonio import canonical_json, read_jsonl, write_jsonl
+from .jsonio import canonical_json, load_jsonl, read_jsonl, write_jsonl
 from .mcts import RolloutOutcome, SearchConfig, run_search
 from .rewards import labelled_steps
 
@@ -276,20 +276,6 @@ def instance_from_record(record: dict) -> TrainingInstance:
         raise SerializationError(f"malformed instance record: {err}") from err
 
 
-@dataclass(frozen=True)
-class BuildConfig:
-    mode: str = "hybrid"
-    rng_seed: int = 0
-    config_hash: str = ""
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode: {self.mode!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-
-
 @dataclass
 class BuildReport:
     """What a build did: kept/dropped bookkeeping plus audit logs."""
@@ -337,7 +323,8 @@ def _build_one(
     generator: StepGenerator,
     verifier: StepVerifier,
     search_cfg: SearchConfig,
-    build_cfg: BuildConfig,
+    mode: str,
+    config_hash: str,
 ) -> tuple[list[TrainingInstance], dict[str, int], list[FlipEvent], list[dict], int]:
     instances: list[TrainingInstance] = []
     drops: dict[str, int] = {}
@@ -357,7 +344,7 @@ def _build_one(
             continue
         seen.add(key)
         candidate = assemble_candidate(
-            problem, rollout, build_cfg.mode, search_cfg.outcome_beta, search_cfg.decay_gamma
+            problem, rollout, mode, search_cfg.outcome_beta, search_cfg.decay_gamma
         )
         flips.extend(candidate.flips)
         reason = filter_trace(candidate)
@@ -366,14 +353,14 @@ def _build_one(
             continue
         provenance = Provenance(
             problem_id=problem.id,
-            tree_id=tree_id_for(problem.id, build_cfg.rng_seed),
+            tree_id=tree_id_for(problem.id, search_cfg.rng_seed),
             rollout_index=rollout.round_index,
-            rng_seed=build_cfg.rng_seed,
-            config_hash=build_cfg.config_hash,
+            rng_seed=search_cfg.rng_seed,
+            config_hash=config_hash,
             pipeline_version=PIPELINE_VERSION,
         )
         instances.append(
-            finalize_instance(candidate, provenance, build_cfg.mode == "no_rationale")
+            finalize_instance(candidate, provenance, mode == "no_rationale")
         )
     return instances, drops, flips, errors, len(seen)
 
@@ -393,25 +380,31 @@ def build_dataset(
     generator: StepGenerator,
     verifier: StepVerifier,
     search_cfg: SearchConfig,
-    build_cfg: BuildConfig,
     output_path: str | Path | None = None,
+    *,
+    mode: str = "hybrid",
+    config_hash: str = "",
+    workers: int = 1,
 ) -> BuildReport:
     """Search every problem, convert its distinct rollouts, filter, and emit
-    instances.
+    instances labelled in `mode`. Provenance takes its seed from `search_cfg`
+    and records `config_hash`.
 
-    Problems run on a pool of `build_cfg.workers` threads; output order is
-    always the given problem order. A failing problem is recorded and
-    skipped, never fatal.
+    Problems run on a pool of `workers` threads; output order is always the
+    given problem order. A failing problem is recorded and skipped, never
+    fatal; an unknown mode fails before any problem runs.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode: {mode!r}")
     report = BuildReport(problems_total=len(problems))
 
     def task(problem: Problem):
         try:
-            return _build_one(problem, generator, verifier, search_cfg, build_cfg)
+            return _build_one(problem, generator, verifier, search_cfg, mode, config_hash)
         except Exception as err:  # noqa: BLE001 - per-problem isolation is the contract
             return [], {}, [], [{"problem_id": problem.id, "error": str(err)}], 0
 
-    with ThreadPoolExecutor(max_workers=build_cfg.workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         results = pool_map(pool, task, problems)
 
     for instances, drops, flips, errors, rollout_count in results:
@@ -449,25 +442,27 @@ def load_instances(path: str | Path) -> list[TrainingInstance]:
 def load_problems(path: str | Path) -> list[Problem]:
     """Read a line-delimited problem set of {id, statement, gold_answer}.
 
-    Ids must be unique within the file; gold answers are canonicalized.
+    Ids must be unique within the file; gold answers are canonicalized. A bad
+    record raises ValueError naming the file and the line.
     """
-    problems = []
     seen: set[str] = set()
-    for line_no, record in read_jsonl(path):
-        try:
-            problem = Problem(
-                id=str(record["id"]),
-                statement=record["statement"],
-                gold_answer=normalize_answer(record["gold_answer"]),
-                source=record.get("source", "external"),
-            )
-        except KeyError as err:
-            raise ValueError(f"problem record on line {line_no} is missing {err}") from err
+
+    def build(record: dict) -> Problem:
+        for key in ("statement", "gold_answer"):
+            if not isinstance(record[key], str):
+                raise ValueError(f"{key} must be a string, got {record[key]!r}")
+        problem = Problem(
+            id=str(record["id"]),
+            statement=record["statement"],
+            gold_answer=normalize_answer(record["gold_answer"]),
+            source=record.get("source", "external"),
+        )
         if problem.id in seen:
-            raise ValueError(f"duplicate problem id on line {line_no}: {problem.id}")
+            raise ValueError(f"duplicate problem id: {problem.id}")
         seen.add(problem.id)
-        problems.append(problem)
-    return problems
+        return problem
+
+    return load_jsonl(path, build)
 
 
 def write_problems(path: str | Path, problems: Sequence[Problem]) -> None:

@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .jsonio import read_jsonl, write_jsonl
+from .jsonio import build_each, load_jsonl, write_jsonl
 
 ALL_VALID = "all-valid"
 
@@ -131,24 +131,6 @@ def _first_error_from_json(value) -> int | None:
     raise ValueError(f"first_error must be an integer or {ALL_VALID!r}, got {value!r}")
 
 
-def _build_each(build, located) -> list:
-    """`build(record)` for each (location, record) pair. A record that lacks
-    a key or holds a bad value raises ValueError naming its location."""
-    built = []
-    for where, record in located:
-        try:
-            built.append(build(record))
-        except KeyError as err:
-            raise ValueError(f"{where}: missing key {err}") from err
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"{where}: {err}") from err
-    return built
-
-
-def _lines(path: str | Path):
-    return ((f"{path} line {line_no}", record) for line_no, record in read_jsonl(path))
-
-
 def _annotated(record: dict) -> AnnotatedSample:
     steps = record["steps"]
     if not isinstance(steps, list) or not all(isinstance(step, str) for step in steps):
@@ -169,11 +151,11 @@ def _prediction(record: dict) -> Prediction:
 
 
 def load_annotated(path: str | Path) -> list[AnnotatedSample]:
-    return _build_each(_annotated, _lines(path))
+    return load_jsonl(path, _annotated)
 
 
 def load_predictions(path: str | Path) -> list[Prediction]:
-    return _build_each(_prediction, _lines(path))
+    return load_jsonl(path, _prediction)
 
 
 def write_annotated(path: str | Path, samples: Sequence[AnnotatedSample]) -> None:
@@ -249,7 +231,7 @@ def reference_rows(path: str | Path | None = None) -> list[ReferenceRow]:
         raise ValueError(f"{source}: invalid JSON: {err}") from err
     if not isinstance(document, dict) or not isinstance(document.get("rows"), list):
         raise ValueError(f"{source}: expected an object with a rows list")
-    return _build_each(_reference_row, (
+    return build_each(_reference_row, (
         (f"{source} rows[{index}]", record) for index, record in enumerate(document["rows"])
     ))
 

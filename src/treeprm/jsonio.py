@@ -56,3 +56,24 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                     f"got {type(record).__name__}"
                 )
             yield line_no, record
+
+
+def build_each(build: Callable[[dict], Any], located: Iterable[tuple[str, dict]]) -> list:
+    """`build(record)` for each (location, record) pair. A record that lacks
+    a key or holds a bad value raises ValueError naming its location."""
+    built = []
+    for where, record in located:
+        try:
+            built.append(build(record))
+        except KeyError as err:
+            raise ValueError(f"{where}: missing key {err}") from err
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{where}: {err}") from err
+    return built
+
+
+def load_jsonl(path: str | Path, build: Callable[[dict], Any]) -> list:
+    """`build(record)` for every record of a JSONL file; a bad record raises
+    ValueError naming the file and the line."""
+    return build_each(build, ((f"{path} line {line_no}", record)
+                              for line_no, record in read_jsonl(path)))

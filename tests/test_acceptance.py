@@ -16,7 +16,6 @@ import pytest
 
 from treeprm.backends.synthetic import ExactVerifier, OracleScorer, ScriptedGenerator
 from treeprm.dataset import (
-    BuildConfig,
     Provenance,
     SchemaVersionError,
     TrainingInstance,
@@ -227,9 +226,9 @@ def _build_6(tmp_path, name):
     generator = ScriptedGenerator(corpus, branch_noise=0.2, noise_deltas=(7, -7, 13), seed=602)
     verifier = ExactVerifier(corpus)
     cfg = search_config(max_rounds_R=8, max_depth=8, rng_seed=602)
-    build_cfg = BuildConfig(mode="hybrid", rng_seed=602, config_hash="accept6")
     out = tmp_path / name
-    report = build_dataset(problems, generator, verifier, cfg, build_cfg, out)
+    report = build_dataset(problems, generator, verifier, cfg, out,
+                           mode="hybrid", config_hash="accept6")
     return corpus, report, out
 
 
@@ -311,9 +310,9 @@ def test_criterion_7_ablation_mode_contracts(tmp_path):
             generator = ScriptedGenerator(corpus, branch_noise=0.25,
                                           noise_deltas=(9, -9), seed=701)
             verifier = ExactVerifier(corpus)
-            build_cfg = BuildConfig(mode=mode, rng_seed=701, config_hash="accept7")
             reports[mode] = build_dataset(
-                problems, generator, verifier, cfg, build_cfg, tmp_path / f"{mode}.jsonl"
+                problems, generator, verifier, cfg, tmp_path / f"{mode}.jsonl",
+                mode=mode, config_hash="accept7",
             )
 
         def keyed(report):

@@ -1,5 +1,6 @@
 """Config loading/validation and the CLI surface, run in-process."""
 
+import argparse
 import json
 import re
 from dataclasses import MISSING, asdict, fields, replace
@@ -8,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from treeprm.backends import BackendConfig
-from treeprm.cli import main
+from treeprm.cli import build_parser, main
 from treeprm.config import ConfigError, HttpBackend, Paths, load_config
-from treeprm.dataset import load_instances
+from treeprm.dataset import MODES, load_instances
 from treeprm.decoding import DecodeConfig
 from treeprm.mcts import SearchConfig
 from treeprm.synthetic import SyntheticCorpusConfig
@@ -88,20 +89,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"decay_gamma out of \(0,1\]"):
             load_config(write_config(tmp_path, bad_gamma))
 
-    def test_modes_mutually_exclusive(self, tmp_path):
-        def both(cfg):
-            cfg["mode"] = {"step_only": True, "outcome_only": True}
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_mode_string_loads(self, tmp_path, mode):
+        assert load_config(write_config(tmp_path, lambda cfg: cfg.update(mode=mode))).mode == mode
 
-        with pytest.raises(ConfigError, match="modes mutually exclusive"):
-            load_config(write_config(tmp_path, both))
-
-    @pytest.mark.parametrize("value", ["false", 0, None])
-    def test_mode_flag_must_be_boolean(self, tmp_path, value):
-        def not_bool(cfg):
-            cfg["mode"] = {"step_only": value}
-
-        with pytest.raises(ConfigError, match="mode.step_only must be a boolean"):
-            load_config(write_config(tmp_path, not_bool))
+    @pytest.mark.parametrize("value", [{"step_only": True}, 1, "bogus"])
+    def test_mode_must_be_one_of_the_four_strings(self, tmp_path, value):
+        message = re.escape("mode must be one of hybrid, step_only, outcome_only, no_rationale")
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, lambda cfg: cfg.update(mode=value)))
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path)).with_overrides(mode=value)
 
     @pytest.mark.parametrize("value", [0, True, "2", 1.5])
     def test_workers_must_be_positive_integer(self, tmp_path, value):
@@ -141,12 +139,6 @@ class TestLoadConfig:
 
         c = load_config(write_config(tmp_path, integer_c)).search.exploration_c
         assert c == 1.0 and type(c) is float
-
-    def test_single_mode_flag_ok(self, tmp_path):
-        def outcome_only(cfg):
-            cfg["mode"] = {"outcome_only": True}
-
-        assert load_config(write_config(tmp_path, outcome_only)).mode == "outcome_only"
 
     def test_problems_file_must_exist(self, tmp_path):
         def missing(cfg):
@@ -245,7 +237,9 @@ class TestLoadConfig:
         config = json.loads(local)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        assert load_config(path).backends == dict.fromkeys(("generator", "verifier", "scorer"))
+        local_cfg = load_config(path)
+        assert local_cfg.backends == dict.fromkeys(("generator", "verifier", "scorer"))
+        assert local_cfg.mode == "hybrid"
         config.update(json.loads("{" + remote + "}"))
         path.write_text(json.dumps(config), encoding="utf-8")
         backends = load_config(path).backends
@@ -275,7 +269,7 @@ class TestLoadConfig:
     def test_seed_override_propagates(self, tmp_path):
         def off_default(cfg):
             cfg["synthetic"].update(max_planted_errors=2, planted_deltas=[5, -5])
-            cfg.update(mode={"step_only": True}, workers=2)
+            cfg.update(mode="step_only", workers=2)
 
         loaded = load_config(write_config(tmp_path, off_default))
         cfg = loaded.with_overrides(seed=99)
@@ -334,8 +328,11 @@ class TestConfigHash:
         lambda cfg: cfg["backends"]["verifier"]["judger"].update(max_retries=0),
         lambda cfg: cfg["backends"]["verifier"]["tool"].update(rate_limit_rps=2),
         lambda cfg: cfg["backends"]["generator"].update(auth_token_env_var="POLICY_TOKEN"),
+        # The tool is a GET that sends neither its model nor its temperature.
+        lambda cfg: cfg["backends"]["verifier"]["tool"].update(model_name="calculator"),
+        lambda cfg: cfg["backends"]["verifier"]["tool"].update(temperature=0.0),
     ], ids=["workers", "output_dir", "cache_dir", "url", "port", "timeout_s", "max_retries",
-            "rate_limit_rps", "auth_token_env_var"])
+            "rate_limit_rps", "auth_token_env_var", "tool_model_name", "tool_temperature"])
     def test_equal_across_where_and_how_fast(self, tmp_path, mutate):
         assert self._load(tmp_path, mutate).config_hash == self._load(tmp_path).config_hash
 
@@ -358,6 +355,25 @@ class TestConfigHash:
         assert cfg.with_overrides(mode="step_only").config_hash != cfg.config_hash
         assert cfg.with_overrides(workers=4).config_hash == cfg.config_hash
         assert cfg.with_overrides(seed=7).config_hash == cfg.config_hash  # the file's seed
+
+
+class TestCliSurface:
+    def test_readme_usage_block_lists_each_subcommands_long_options(self):
+        section = README.read_text(encoding="utf-8").split("\n## CLI\n")[1]
+        usage = re.search(r"```\n(.*?)```", section, re.S).group(1)
+        documented: dict[str, set] = {}
+        for line in usage.splitlines():
+            if line.startswith("treeprm "):
+                command = line.split()[1]
+            documented.setdefault(command, set()).update(re.findall(r"--[\w-]+", line))
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        declared = {
+            command: {option for action in parser._actions for option in action.option_strings
+                      if option.startswith("--") and option != "--help"}
+            for command, parser in subparsers.choices.items()
+        }
+        assert documented == declared
 
 
 class TestCliSynth:

@@ -21,7 +21,6 @@ from treeprm.backends.templates import builtin_template
 from treeprm.config import load_config
 from treeprm.dataset import (
     MODES,
-    BuildConfig,
     Provenance,
     SchemaVersionError,
     SerializationError,
@@ -228,10 +227,9 @@ class TestBuildDataset:
         problems = [t.problem for t in traces]
         generator = ScriptedGenerator(traces, branch_noise=0.3, noise_deltas=(7, -7), seed=5)
         verifier = ExactVerifier(traces)
-        cfg = BuildConfig(mode=mode, rng_seed=5, config_hash="beef", workers=workers)
         out = tmp_path / name
-        report = build_dataset(problems, generator, verifier,
-                               search_cfg(max_rounds_R=rounds), cfg, out)
+        report = build_dataset(problems, generator, verifier, search_cfg(max_rounds_R=rounds),
+                               out, mode=mode, config_hash="beef", workers=workers)
         return report, out
 
     def test_accounting_and_reasons(self, tmp_path):
@@ -286,9 +284,25 @@ class TestBuildDataset:
         generator = ScriptedGenerator(traces[:2], branch_noise=0.0, seed=5)
         verifier = ExactVerifier(traces[:2])
         report = build_dataset(problems, generator, verifier, search_cfg(),
-                               BuildConfig(rng_seed=5), tmp_path / "x.jsonl")
+                               tmp_path / "x.jsonl")
         assert any(e["problem_id"] == "b3" for e in report.problem_errors)
         assert report.kept > 0
+
+    def test_unknown_mode_raises_before_the_generator_is_called(self, tmp_path):
+        traces = self._corpus()
+        calls = []
+
+        class CountingGenerator(ScriptedGenerator):
+            def generate(self, problem, state, count):
+                calls.append(problem.id)
+                return super().generate(problem, state, count)
+
+        generator = CountingGenerator(traces, seed=5)
+        out = tmp_path / "bogus.jsonl"
+        with pytest.raises(ValueError, match="unknown mode: 'bogus'"):
+            build_dataset([t.problem for t in traces], generator, ExactVerifier(traces),
+                          search_cfg(), out, mode="bogus")
+        assert calls == [] and not out.exists()
 
     def test_summary_dict_shape(self, tmp_path):
         report, _ = self._build(tmp_path)
@@ -309,7 +323,7 @@ class TestBuildDataset:
         verifier = ExactVerifier(corpus)
         report = build_dataset(problems, generator, verifier,
                                search_cfg(max_rounds_R=4, rng_seed=42),
-                               BuildConfig(rng_seed=42), tmp_path / "clean.jsonl")
+                               tmp_path / "clean.jsonl")
         assert report.dropped == {}
         # Without branch noise each problem has one line, found in its first round.
         assert report.kept == report.rollouts_total == 200
@@ -319,22 +333,22 @@ class TestBuildDataset:
             assert instance.outcome_flag == 1
 
 
-def every_rollout_lines(problems, generator, verifier, search, build):
+def every_rollout_lines(problems, generator, verifier, search, mode, config_hash):
     """The dataset lines of judging every rollout of every round, repeated
     lines included: the reference for the distinct-rollout build."""
     lines = []
     for problem in problems:
         for rollout in run_search(problem, generator, verifier, search).rollouts:
-            candidate = assemble_candidate(problem, rollout, build.mode,
+            candidate = assemble_candidate(problem, rollout, mode,
                                            search.outcome_beta, search.decay_gamma)
             if filter_trace(candidate) is not None:
                 continue
             provenance = Provenance(
-                problem_id=problem.id, tree_id=tree_id_for(problem.id, build.rng_seed),
-                rollout_index=rollout.round_index, rng_seed=build.rng_seed,
-                config_hash=build.config_hash, pipeline_version=__version__,
+                problem_id=problem.id, tree_id=tree_id_for(problem.id, search.rng_seed),
+                rollout_index=rollout.round_index, rng_seed=search.rng_seed,
+                config_hash=config_hash, pipeline_version=__version__,
             )
-            instance = finalize_instance(candidate, provenance, build.mode == "no_rationale")
+            instance = finalize_instance(candidate, provenance, mode == "no_rationale")
             lines.append(serialize_instance(instance))
     return lines
 
@@ -425,12 +439,11 @@ class TestDistinctRollouts:
     def test_build_equals_first_occurrences_of_every_rollout(
             self, request, tmp_path, inputs, mode, workers):
         problems, generator, verifier, search = inputs(request, tmp_path)
-        build = BuildConfig(mode=mode, rng_seed=search.rng_seed, config_hash="c0de",
-                            workers=workers)
         out = tmp_path / "dataset.jsonl"
         # Remote responses are cached, so the reference sees the build's.
-        report = build_dataset(problems, generator, verifier, search, build, out)
-        every = every_rollout_lines(problems, generator, verifier, search, build)
+        report = build_dataset(problems, generator, verifier, search, out,
+                               mode=mode, config_hash="c0de", workers=workers)
+        every = every_rollout_lines(problems, generator, verifier, search, mode, "c0de")
         reference = first_occurrences(every)
 
         assert len(reference) < len(every)
@@ -440,6 +453,43 @@ class TestDistinctRollouts:
         assert report.kept == len({
             (i.provenance.problem_id, i.steps, i.labels) for i in report.instances
         })
+
+
+class TestMalformedChatReply:
+    """A chat reply whose content is not a string is a backend error, so it
+    fails the round that asked for it and the problem goes on."""
+
+    @pytest.mark.parametrize("role", ["generator", "judger"])
+    def test_null_content_costs_one_round(self, fake_server, role):
+        respond = running_sum_responder()
+        nulls = []
+
+        def reply(body):
+            judging = "Tool response:" in body["messages"][1]["content"]
+            if judging == (role == "judger") and not nulls:
+                nulls.append(body)
+                content = None
+            else:
+                content = respond(body)
+            return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+        fake_server.state.raw_chat_responder = reply
+        endpoint = dict(max_retries=0, rate_limit_rps=10000)
+        chat = BackendConfig(f"{fake_server.url}/v1/chat/completions", model_name="fake",
+                             **endpoint)
+        tool = BackendConfig(f"{fake_server.url}/tool", **endpoint)
+        # No response cache: a cached null reply would be replayed every round.
+        generator = ChatCompletionGenerator(chat, builtin_template("generator"))
+        verifier = ToolVerifier(tool, chat, builtin_template("judger"))
+        problem = Problem("r0", "Add the numbers 12, 20, 11 in order.", "43")
+        report = build_dataset([problem], generator, verifier,
+                               search_cfg(max_rounds_R=6, max_depth=3, rng_seed=7))
+
+        assert [(e["problem_id"], e["round"]) for e in report.problem_errors] == [("r0", 1)]
+        assert report.problem_errors[0]["error"] == (
+            f"malformed chat response from {chat.endpoint_url}: content is NoneType, "
+            "not a string")
+        assert report.kept > 0
 
 
 class TestLoadProblems:
@@ -464,8 +514,25 @@ class TestLoadProblems:
         path = tmp_path / "problems.jsonl"
         record = '{"id": "dup", "statement": "s", "gold_answer": "1"}\n'
         path.write_text(record * 2, encoding="utf-8")
-        with pytest.raises(ValueError, match="duplicate problem id on line 2"):
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 2: duplicate problem id")):
             load_problems(path)
+
+    @pytest.mark.parametrize(("record", "message"), [
+        ('{"id": "e2", "statement": "s", "gold_answer": 42}',
+         "gold_answer must be a string, got 42"),
+        ('{"id": "e2", "statement": "s", "gold_answer": " "}', "gold_answer must be non-empty"),
+        ('{"id": "", "statement": "s", "gold_answer": "1"}', "problem id must be non-empty"),
+        ('{"id": "e2", "statement": 7, "gold_answer": "1"}', "statement must be a string, got 7"),
+        ('{"id": "e2", "statement": "s", "gold_answer": "1", "source": "web"}',
+         "unknown problem source: 'web'"),
+    ])
+    def test_bad_record_names_the_file_and_line(self, tmp_path, record, message):
+        path = tmp_path / "problems.jsonl"
+        path.write_text('{"id": "e1", "statement": "s", "gold_answer": "1"}\n\n'
+                        + record + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            load_problems(path)
+        assert str(excinfo.value) == f"{path} line 3: {message}"
 
 
 class TestMalformedRecords:
