@@ -16,7 +16,7 @@ from .domain import (
     normalize_answer,
 )
 from .mcts import RolloutOutcome, SearchConfig, TreeNode, run_search
-from .rewards import AggregatedReward, aggregate, node_value, step_label, trajectory_labels
+from .rewards import aggregate, node_value, step_label
 
 __all__ = [
     "__version__",
@@ -30,9 +30,7 @@ __all__ = [
     "SearchConfig",
     "TreeNode",
     "run_search",
-    "AggregatedReward",
     "aggregate",
     "node_value",
     "step_label",
-    "trajectory_labels",
 ]

@@ -1,7 +1,7 @@
 from .base import BackendConfig, BackendError, StepGenerator, StepScorer, StepVerifier
 from .remote import ChatCompletionGenerator, ServedPrmScorer, ToolVerifier
 from .synthetic import ExactVerifier, OracleScorer, ScriptedGenerator
-from .templates import PromptTemplate, builtin_template, load_template
+from .templates import PromptTemplate, builtin_template
 from .transport import FileResponseCache, RateLimiter, cache_key
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "ScriptedGenerator",
     "PromptTemplate",
     "builtin_template",
-    "load_template",
     "FileResponseCache",
     "RateLimiter",
     "cache_key",

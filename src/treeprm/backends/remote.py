@@ -9,7 +9,9 @@ in the README.
 
 Every request goes through the shared rate limiter, retries transient
 failures (connection errors, 429, 5xx) with exponential backoff, and is
-served from the content-addressed cache when warm.
+served from the content-addressed cache when warm. Each request names the
+reader that turns its reply into what the role uses; a reply is cached only
+once that reader accepts it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import math
 import re
 import time
-from typing import Callable
+from typing import Callable, TypeVar
 
 import requests
 
@@ -27,6 +29,8 @@ from ..jsonio import canonical_json
 from .base import SCORE_MODES, BackendConfig, BackendError
 from .templates import PromptTemplate
 from .transport import FileResponseCache, RateLimiter, cache_key
+
+_T = TypeVar("_T")
 
 _RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 _BACKOFF_BASE_S = 0.5
@@ -121,21 +125,28 @@ class _Endpoint:
             status=last_status,
         )
 
-    def request(self, key_payload: dict, method: str = "POST",
-                payload: dict | None = None, params: dict | None = None) -> bytes:
+    def request(self, key_payload: dict, read: Callable[[bytes], _T], method: str = "POST",
+                payload: dict | None = None, params: dict | None = None) -> _T:
+        """`read` of the reply; with a cache, the reply is stored only if
+        `read` accepts it."""
         key = cache_key(key_payload)
         if self.cache is not None:
-            return self.cache.get_or_fetch(key, lambda: self._fetch(method, payload, params))
-        return self._fetch(method, payload, params)
+            return self.cache.get_or_fetch(
+                key, lambda: self._fetch(method, payload, params), read
+            )
+        return read(self._fetch(method, payload, params))
 
-    def chat(self, key_payload: dict, template: PromptTemplate, body: str, **extra) -> bytes:
+    def chat(self, key_payload: dict, template: PromptTemplate, body: str,
+             read: Callable[[bytes], _T], **extra) -> _T:
         """One chat completion: the template's preamble as the system message
-        and `body` as the user message. The cache key adds the template, the
-        temperature and the model to `key_payload`; `extra` joins the POST."""
+        and `body` as the user message, returned through `read`. The cache key
+        adds the template, the temperature and the model to `key_payload`;
+        `extra` joins the POST."""
         cfg = self.cfg
         return self.request(
             {**key_payload, "template": template.body_template,
              "temperature": cfg.temperature, "model": cfg.model_name},
+            read,
             payload={
                 "model": cfg.model_name,
                 "messages": [
@@ -148,16 +159,18 @@ class _Endpoint:
             },
         )
 
-
-def _chat_content(raw: bytes, endpoint: str) -> str:
-    try:
-        body = json.loads(raw.decode("utf-8"))
-        content = body["choices"][0]["message"]["content"]
-        if not isinstance(content, str):
-            raise TypeError(f"content is {type(content).__name__}, not a string")
-        return content
-    except (ValueError, KeyError, IndexError, TypeError) as err:
-        raise BackendError(f"malformed chat response from {endpoint}: {err}") from err
+    def chat_content(self, raw: bytes) -> str:
+        """The `content` string of a chat reply's first choice."""
+        try:
+            body = json.loads(raw.decode("utf-8"))
+            content = body["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"content is {type(content).__name__}, not a string")
+            return content
+        except (ValueError, KeyError, IndexError, TypeError) as err:
+            raise BackendError(
+                f"malformed chat response from {self.cfg.endpoint_url}: {err}"
+            ) from err
 
 
 class ChatCompletionGenerator:
@@ -185,23 +198,23 @@ class ChatCompletionGenerator:
         actions = [s.action for s in state]
         steps = []
         for sample_index in range(count):
-            raw = self._endpoint.chat(
+            content = self._endpoint.chat(
                 {"kind": "chat-step", "problem": problem.id, "state": actions,
                  "sample_index": sample_index},
                 self._template,
                 body,
+                self._endpoint.chat_content,
             )
-            step = parse_step_completion(
-                _chat_content(raw, self._endpoint.cfg.endpoint_url), len(state) + 1
-            )
+            step = parse_step_completion(content, len(state) + 1)
             if step is not None:
                 steps.append(step)
         return steps
 
 
-def _tool_result(text: str) -> str:
+def _tool_result(raw: bytes) -> str:
     """The tool's answer: the `result` of a JSON object reply (a non-string
     result as its canonical JSON), else the reply text as it came."""
+    text = raw.decode("utf-8", errors="replace")
     try:
         reply = json.loads(text)
     except ValueError:
@@ -236,32 +249,31 @@ class ToolVerifier:
         self, problem: Problem, step: ReasoningStep, context: StepSequence
     ) -> VerificationResult:
         query = step.action
-        tool_raw = self._tool.request(
+        tool_text = self._tool.request(
             {"kind": "tool", "endpoint": self._tool.cfg.endpoint_url, "query": query},
+            _tool_result,
             method="GET",
             params={"query": query},
         )
-        tool_text = _tool_result(tool_raw.decode("utf-8", errors="replace"))
         body = self._template.render(
             problem=problem.statement,
             prior_steps=render_prior_steps(context),
             candidate_step=render_candidate(step),
             tool_response=tool_text,
         )
-        raw = self._judger.chat(
+        content = self._judger.chat(
             {"kind": "judge-step", "problem": problem.id,
              "state": [s.action for s in context], "candidate": step.action,
              "tool_response": tool_text},
             self._template,
             body,
+            self._judger.chat_content,
         )
-        content = _chat_content(raw, self._judger.cfg.endpoint_url)
         verdict = parse_verdict_marker(content)
         return VerificationResult(
             label=-1 if verdict is None else verdict,
             rationale=content,
             tool_query=query,
-            raw_response=raw.decode("utf-8", errors="replace"),
             verifiable=verdict is not None,
         )
 
@@ -296,18 +308,19 @@ class ServedPrmScorer:
             candidate_step=render_candidate(candidate),
         )
         sample_name = f"{problem.id}@{candidate.index}"
-        raw = self._endpoint.chat(
+        read = self._likelihood_score if self._mode == "likelihood" else self._label_score
+        return self._endpoint.chat(
             {"kind": "score-step", "problem": problem.id,
              "state": [s.action for s in state], "candidate": candidate.action,
              "mode": self._mode},
             self._template,
             body,
+            lambda raw: read(raw, sample_name),
             logprobs=self._mode == "likelihood",
         )
-        if self._mode == "likelihood":
-            return self._likelihood_score(raw, sample_name)
-        content = _chat_content(raw, self._endpoint.cfg.endpoint_url)
-        verdict = parse_verdict_marker(content)
+
+    def _label_score(self, raw: bytes, sample_name: str) -> float:
+        verdict = parse_verdict_marker(self._endpoint.chat_content(raw))
         if verdict is None:
             raise BackendError(f"unparseable PRM output for sample {sample_name}")
         return float(verdict)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 _SECTION_RE = re.compile(r"^===\s*(role|body|output)\s*===\s*$", re.MULTILINE)
 _SLOT_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
@@ -66,10 +65,6 @@ def parse_template(text: str) -> PromptTemplate:
         body_template=sections["body"].strip(),
         output_grammar=sections["output"].strip(),
     )
-
-
-def load_template(path: str | Path) -> PromptTemplate:
-    return parse_template(Path(path).read_text(encoding="utf-8"))
 
 
 def builtin_template(name: str) -> PromptTemplate:

@@ -1,10 +1,12 @@
 """Transport plumbing shared by the HTTP backends: response cache, rate limit.
 
 The cache is content-addressed: one file per sha256 of the canonical request
-payload, holding the raw response bytes. With a warm cache a pipeline run
-issues zero network requests and reproduces the run that populated it byte
-for byte. Identical concurrent requests are deduplicated in-flight so only
-one of them hits the network.
+payload, holding the raw response bytes. A response is stored only once the
+caller's reader accepts it, so a reply the caller cannot read is asked for
+again rather than replayed. With a warm cache a pipeline run issues zero
+network requests and reproduces the run that populated it byte for byte.
+Identical concurrent requests are deduplicated in-flight so only one of them
+hits the network.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 from ..jsonio import canonical_json
+
+_T = TypeVar("_T")
 
 
 def cache_key(payload: dict) -> str:
@@ -56,13 +60,17 @@ class FileResponseCache:
             tmp.unlink(missing_ok=True)
             raise
 
-    def get_or_fetch(self, key: str, fetch: Callable[[], bytes]) -> bytes:
-        """Return the cached response, fetching it at most once per key even
-        under concurrent identical requests."""
+    def get_or_fetch(
+        self, key: str, fetch: Callable[[], bytes],
+        read: Callable[[bytes], _T] = lambda data: data,
+    ) -> _T:
+        """`read` of the cached response, fetching it at most once per key even
+        under concurrent identical requests. A fetched response is stored only
+        after `read` returns; an error from `read` leaves the key uncached."""
         while True:
             cached = self.get(key)
             if cached is not None:
-                return cached
+                return read(cached)
             with self._master:
                 waiter = self._inflight.get(key)
                 if waiter is None:
@@ -72,10 +80,11 @@ class FileResponseCache:
         try:
             cached = self.get(key)
             if cached is not None:
-                return cached
+                return read(cached)
             data = fetch()
+            value = read(data)
             self.put(key, data)
-            return data
+            return value
         finally:
             with self._master:
                 event = self._inflight.pop(key)

@@ -54,8 +54,6 @@ SCHEMA_VERSION = 1
 
 MODES = ("hybrid", "step_only", "outcome_only", "no_rationale")
 
-DROP_REASONS = ("incomplete", "unverifiable", "inconsistent")
-
 
 class SerializationError(ValueError):
     """An instance field cannot be encoded."""
@@ -442,17 +440,17 @@ def load_instances(path: str | Path) -> list[TrainingInstance]:
 def load_problems(path: str | Path) -> list[Problem]:
     """Read a line-delimited problem set of {id, statement, gold_answer}.
 
-    Ids must be unique within the file; gold answers are canonicalized. A bad
-    record raises ValueError naming the file and the line.
+    Ids are strings, unique within the file; gold answers are canonicalized.
+    A bad record raises ValueError naming the file and the line.
     """
     seen: set[str] = set()
 
     def build(record: dict) -> Problem:
-        for key in ("statement", "gold_answer"):
+        for key in ("id", "statement", "gold_answer"):
             if not isinstance(record[key], str):
                 raise ValueError(f"{key} must be a string, got {record[key]!r}")
         problem = Problem(
-            id=str(record["id"]),
+            id=record["id"],
             statement=record["statement"],
             gold_answer=normalize_answer(record["gold_answer"]),
             source=record.get("source", "external"),

@@ -109,7 +109,6 @@ class VerificationResult:
     label: int
     rationale: str
     tool_query: str = ""
-    raw_response: str = ""
     verifiable: bool = True
 
     def __post_init__(self):

@@ -143,17 +143,15 @@ class RolloutOutcome:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """What one search round did; error is set when the round was aborted.
+    """Where one search round put its reward, or why it was aborted.
 
     reward_path_indices addresses the rewarded node as child indices from the
-    root; every proper prefix of it received one visit this round.
+    root; every proper prefix of it received one visit this round. An aborted
+    round has no reward path and sets error; a finished round's rollout, with
+    its reward, is in `SearchResult.rollouts`.
     """
 
     round_index: int
-    expansion_depth: int
-    reward: float
-    final_flag: int
-    complete: bool
     reward_path_indices: tuple[int, ...] = ()
     error: str | None = None
 
@@ -326,7 +324,7 @@ def run_search(
         try:
             record = _run_round(result, round_index, problem, generator, verifier, cfg)
         except BackendError as err:
-            record = RoundRecord(round_index, -1, 0.0, -1, False, (), error=str(err))
+            record = RoundRecord(round_index, error=str(err))
         result.rounds.append(record)
     return result
 
@@ -364,8 +362,8 @@ def _run_round(
     # truncated rollout has no answer step, so every sampled step is in the
     # window, as if the missing final step sat one past the end.
     length = len(sim.steps) if sim.complete else len(sim.steps) + 1
-    agg = aggregate(window, sim.final_flag, cfg.outcome_beta, cfg.decay_gamma, i, length)
-    reward = node_value(agg.u_value, sim_node.step_verification.label)
+    u = aggregate(window, sim.final_flag, cfg.outcome_beta, cfg.decay_gamma, i, length)
+    reward = node_value(u, sim_node.step_verification.label)
     sim_node.q_value = reward
     backpropagate([(node, i - node.depth) for node in path], reward, cfg.decay_gamma)
 
@@ -387,12 +385,11 @@ def _run_round(
             complete=sim.complete,
             final_answer=sim.final_answer,
             final_flag=sim.final_flag,
-            u_value=agg.u_value,
+            u_value=u,
             node_reward=reward,
         )
     )
-    reward_path = tuple(_indices_along(path + [sim_node]))
-    return RoundRecord(round_index, i, reward, sim.final_flag, sim.complete, reward_path)
+    return RoundRecord(round_index, tuple(_indices_along(path + [sim_node])))
 
 
 def most_visited_path(root: TreeNode) -> list[TreeNode]:

@@ -15,15 +15,14 @@ label_j = sign(u_j + v_j), with sign(0) = -1 (conservative). The final step
 has no tool verification; its label is F itself, consistent with the formula
 since an empty window gives sign((1 + beta) * F) = F.
 
-`labelled_steps` computes every step's label and u_j + v_j in one pass over a
-completed trajectory. It evaluates `aggregate`'s expression, summed in the
-same order, so each value equals the one `step_label` would compute bit for
-bit; `aggregate` and `step_label` remain the per-index reference.
+`_u` is the one place the formula is written. `aggregate` evaluates it for
+one window; `labelled_steps` evaluates it for every suffix of a completed
+trajectory in one pass, so each of its values equals the one `step_label`
+would compute bit for bit. `step_label` remains the per-index reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -43,17 +42,12 @@ def _check_weights(beta: float, gamma: float) -> None:
         raise ValueError("gamma must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class AggregatedReward:
-    """One evaluated rollout window: u plus everything that produced it."""
-
-    u_value: float
-    expansion_index: int
-    length: int
-    step_weights: tuple[float, ...]
-    step_labels: tuple[int, ...]
-    final_flag: int
-    beta: float
+def _u(window: Sequence[int], weights: Sequence[float], outcome: float) -> float:
+    """u for the verification labels in `window`: their mean weighted by
+    `weights` (0 for an empty window) plus the outcome term beta * F."""
+    if window:
+        return sum(w * v for w, v in zip(weights, window)) / len(window) + outcome
+    return outcome
 
 
 def aggregate(
@@ -63,8 +57,8 @@ def aggregate(
     gamma: float,
     expansion_index: int,
     length: int,
-) -> AggregatedReward:
-    """Fuse the verification window j = i+1..length-1 with the outcome flag."""
+) -> float:
+    """u for the verification window j = i+1..length-1 and the outcome flag."""
     _check_weights(beta, gamma)
     _check_sign("final_flag", final_flag)
     window = max(length - 1 - expansion_index, 0)
@@ -73,22 +67,10 @@ def aggregate(
             f"expected {window} step labels for i={expansion_index}, T={length}; "
             f"got {len(step_labels)}"
         )
-    weights = tuple(gamma ** (offset + 1) for offset in range(window))
     for label in step_labels:
         _check_sign("step label", label)
-    if window:
-        u = sum(w * v for w, v in zip(weights, step_labels)) / window + beta * final_flag
-    else:
-        u = beta * final_flag
-    return AggregatedReward(
-        u_value=u,
-        expansion_index=expansion_index,
-        length=length,
-        step_weights=weights,
-        step_labels=tuple(step_labels),
-        final_flag=final_flag,
-        beta=beta,
-    )
+    weights = [gamma ** (offset + 1) for offset in range(window)]
+    return _u(step_labels, weights, beta * final_flag)
 
 
 def node_value(u: float, v: int) -> float:
@@ -123,7 +105,7 @@ def step_label(
     if any(v is None for v in suffix):
         raise UnlabeledStepError("unlabeled step in aggregation window")
     _check_sign("step label", own)
-    u = aggregate(suffix, final_flag, beta, gamma, index, length).u_value
+    u = aggregate(suffix, final_flag, beta, gamma, index, length)
     return 1 if u + own > 0 else -1
 
 
@@ -137,8 +119,8 @@ def labelled_steps(
     trajectory; the final step T is labeled F and has no v_T.
 
     Inputs are validated once, with `step_label`'s exception types. Each u_j is
-    `aggregate`'s expression over the suffix v_{j+1..T-1}, summed front to
-    back, so every value equals `aggregate(...).u_value + v_j` exactly.
+    `_u` over the suffix v_{j+1..T-1}, as in `aggregate`, so every value
+    equals `aggregate(...) + v_j` exactly.
     """
     for index, label in enumerate(labels, start=1):
         if label is None:
@@ -153,21 +135,7 @@ def labelled_steps(
     outcome = beta * final_flag
     steps = []
     for j, own in enumerate(labels, start=1):
-        suffix = labels[j:]
-        window = len(suffix)
-        if window:
-            u = sum(w * v for w, v in zip(weights, suffix)) / window + outcome
-        else:
-            u = outcome
+        u = _u(labels[j:], weights, outcome)
         steps.append((1 if u + own > 0 else -1, u + own))
     return steps
 
-
-def trajectory_labels(
-    labels: Sequence[int | None],
-    final_flag: int,
-    beta: float,
-    gamma: float,
-) -> list[int]:
-    """Labels for all T steps of a completed trajectory (final label is F)."""
-    return [label for label, _ in labelled_steps(labels, final_flag, beta, gamma)] + [final_flag]

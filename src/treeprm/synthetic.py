@@ -201,7 +201,6 @@ def exact_verify(
         label=label,
         rationale=rationale,
         tool_query=f"{previous} + {addend}",
-        raw_response=str(expected),
     )
 
 

@@ -104,7 +104,7 @@ def test_criterion_2_aggregation_oracle_equivalence():
                 expected = total / window + Fraction.from_float(beta) * final_flag
             else:
                 expected = Fraction.from_float(beta) * final_flag
-            got = aggregate(labels, final_flag, beta, gamma, i, length).u_value
+            got = aggregate(labels, final_flag, beta, gamma, i, length)
             assert abs(got - float(expected)) <= 1e-12
 
 
@@ -119,7 +119,7 @@ def test_criterion_3_backpropagation_decay():
             final_flag = rng.choice((-1, 1))
             i = depth
             u = aggregate(labels, final_flag, DEFAULT_BETA, gamma, i,
-                          i + len(labels) + 1).u_value
+                          i + len(labels) + 1)
             reward = node_value(u, rng.choice((-1, 1)))
             nodes = [TreeNode() for _ in range(depth)]
             entries = [(node, d + 1) for d, node in enumerate(nodes)]

@@ -457,10 +457,12 @@ class TestDistinctRollouts:
 
 class TestMalformedChatReply:
     """A chat reply whose content is not a string is a backend error, so it
-    fails the round that asked for it and the problem goes on."""
+    fails the round that asked for it and the problem goes on. A response
+    cache does not keep the reply, so the next round asks for it again."""
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
     @pytest.mark.parametrize("role", ["generator", "judger"])
-    def test_null_content_costs_one_round(self, fake_server, role):
+    def test_null_content_costs_one_round(self, fake_server, tmp_path, role, cached):
         respond = running_sum_responder()
         nulls = []
 
@@ -478,9 +480,9 @@ class TestMalformedChatReply:
         chat = BackendConfig(f"{fake_server.url}/v1/chat/completions", model_name="fake",
                              **endpoint)
         tool = BackendConfig(f"{fake_server.url}/tool", **endpoint)
-        # No response cache: a cached null reply would be replayed every round.
-        generator = ChatCompletionGenerator(chat, builtin_template("generator"))
-        verifier = ToolVerifier(tool, chat, builtin_template("judger"))
+        cache = FileResponseCache(tmp_path / "cache") if cached else None
+        generator = ChatCompletionGenerator(chat, builtin_template("generator"), cache=cache)
+        verifier = ToolVerifier(tool, chat, builtin_template("judger"), cache=cache)
         problem = Problem("r0", "Add the numbers 12, 20, 11 in order.", "43")
         report = build_dataset([problem], generator, verifier,
                                search_cfg(max_rounds_R=6, max_depth=3, rng_seed=7))
@@ -490,6 +492,41 @@ class TestMalformedChatReply:
             f"malformed chat response from {chat.endpoint_url}: content is NoneType, "
             "not a string")
         assert report.kept > 0
+
+
+def test_reply_ids_do_not_split_a_rollout(fake_server, tmp_path):
+    """Servers stamp each chat reply with a fresh id. Without a cache, the
+    second round verifies the line's second step again and gets the same
+    verdict in a differently stamped reply; the line is still judged and
+    written once."""
+    stamps = iter(range(10**6))
+
+    def reply(body):
+        text = body["messages"][1]["content"]
+        if "Tool response:" in text:
+            content = "Recomputed the sum. The step is: \\boxed{+}"
+        else:
+            done = len(_TOTAL_RE.findall(text))
+            content = f"Objective: add\nAction: total = {(12, 32, 43)[done]}"
+            if done == 2:
+                content += "\nFinal Answer: 43"
+        return {"id": f"chatcmpl-{next(stamps)}",
+                "choices": [{"message": {"role": "assistant", "content": content}}]}
+
+    fake_server.state.raw_chat_responder = reply
+    endpoint = dict(max_retries=0, rate_limit_rps=10000)
+    chat = BackendConfig(f"{fake_server.url}/v1/chat/completions", model_name="fake",
+                         **endpoint)
+    tool = BackendConfig(f"{fake_server.url}/tool", **endpoint)
+    generator = ChatCompletionGenerator(chat, builtin_template("generator"))
+    verifier = ToolVerifier(tool, chat, builtin_template("judger"))
+    problem = Problem("r0", "Add the numbers 12, 20, 11 in order.", "43")
+    out = tmp_path / "dataset.jsonl"
+    report = build_dataset([problem], generator, verifier,
+                           search_cfg(branch_K=1, max_rounds_R=4, max_depth=3, rng_seed=7), out)
+
+    assert (report.rollouts_total, report.kept) == (1, 1)
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1
 
 
 class TestLoadProblems:
@@ -522,6 +559,9 @@ class TestLoadProblems:
          "gold_answer must be a string, got 42"),
         ('{"id": "e2", "statement": "s", "gold_answer": " "}', "gold_answer must be non-empty"),
         ('{"id": "", "statement": "s", "gold_answer": "1"}', "problem id must be non-empty"),
+        ('{"id": null, "statement": "s", "gold_answer": "1"}', "id must be a string, got None"),
+        ('{"id": [1], "statement": "s", "gold_answer": "1"}', "id must be a string, got [1]"),
+        ('{"id": 7, "statement": "s", "gold_answer": "1"}', "id must be a string, got 7"),
         ('{"id": "e2", "statement": 7, "gold_answer": "1"}', "statement must be a string, got 7"),
         ('{"id": "e2", "statement": "s", "gold_answer": "1", "source": "web"}',
          "unknown problem source: 'web'"),

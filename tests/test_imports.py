@@ -1,10 +1,20 @@
-"""Every module-level import and private definition under `src/` is used:
-refactors leave stale ones."""
+"""Every module-level import, private definition and public name under `src/`
+is used: refactors leave stale ones."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# Public names that no command reads but that stay, each with its reason.
+KEPT_UNREFERENCED = {
+    "treeprm/rewards.py:step_label":
+        "the per-index reference that the labelling tests hold labelled_steps to",
+    "treeprm/dataset.py:load_instances":
+        "reads back the format serialize_instance writes; the dataset and CLI "
+        "tests read outputs with it",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -78,3 +88,84 @@ def test_no_unreferenced_private_definitions_under_src():
         if (names := unreferenced_private_definitions(module.read_text(encoding="utf-8")))
     }
     assert stale == {}
+
+
+def public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Public functions, classes and constants bound at module level, each
+    with the statement that binds it."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        defined.update((name, node) for name in names if not name.startswith("_"))
+    return defined
+
+
+def names_read(nodes, strings: bool = False) -> set[str]:
+    """Identifiers that `nodes` read, as a name or an attribute. Import
+    statements and `__all__` entries are not reads. With `strings`, string
+    constants count too, for code that looks names up by string."""
+    read = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return read
+
+
+def unreferenced_public_names(modules: dict[str, str],
+                              readers: list[tuple[str, bool]]) -> list[str]:
+    """`module:name` for each public definition in `modules` (name to source)
+    that no other module, no reader source and no other statement of its own
+    module reads. `readers` pairs a source with whether its strings count."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    reads = {name: names_read([tree]) for name, tree in trees.items()}
+    external = set()
+    for source, strings in readers:
+        external |= names_read([ast.parse(source)], strings)
+    found = []
+    for module, tree in trees.items():
+        others = set().union(*(read for other, read in reads.items() if other != module))
+        for name, definition in public_definitions(tree).items():
+            own = names_read(node for node in tree.body if node is not definition)
+            if name not in others | external | own:
+                found.append(f"{module}:{name}")
+    return sorted(found)
+
+
+def test_public_checker_finds_unreferenced_names():
+    modules = {
+        "a": "from b import used\n__all__ = ['exported']\n"
+             "def exported():\n    return exported()\n"
+             "LIMIT = 3\ndef helper():\n    return LIMIT\n"
+             "def main():\n    return helper()\n",
+        "b": "def used():\n    pass\nclass Hooked:\n    pass\n",
+    }
+    readers = [("import a\na.main()\n", False), ("HOOKS = ['Hooked']\n", True)]
+    assert unreferenced_public_names(modules, readers) == ["a:exported", "b:used"]
+
+
+def test_every_public_name_under_src_is_read():
+    """A public name counts as read when another `src/` module, `perfbench/`
+    (which rebinds names given as strings) or the acceptance tests name it,
+    or when its own module reads it outside its definition."""
+    modules = {
+        str(module.relative_to(SRC)): module.read_text(encoding="utf-8")
+        for module in sorted(SRC.rglob("*.py"))
+    }
+    readers = [(path.read_text(encoding="utf-8"), True)
+               for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    readers.append(((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"), False))
+    assert unreferenced_public_names(modules, readers) == sorted(KEPT_UNREFERENCED), (
+        "delete what nothing reads, or keep it in KEPT_UNREFERENCED with a reason"
+    )

@@ -415,7 +415,7 @@ class TestRunSearch:
         trace, generator, verifier = self._bundle([9, 9, 9])
         cfg = make_config(max_rounds_R=1, decay_gamma=1.0)
         result = run_search(trace.problem, generator, verifier, cfg)
-        reward = result.rounds[0].reward
+        reward = result.rollouts[0].node_reward
         # Single round at depth 1: the root is the only ancestor.
         assert result.root.q_value == reward
         assert result.rollouts[0].node_reward == reward

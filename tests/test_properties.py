@@ -10,7 +10,6 @@ from treeprm.rewards import (
     aggregate,
     labelled_steps,
     step_label,
-    trajectory_labels,
 )
 
 deterministic = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -27,12 +26,9 @@ def test_labelled_steps_equal_step_label_and_aggregate_exactly(labels, final_fla
     steps = labelled_steps(labels, final_flag, beta, gamma)
     assert len(steps) == length - 1
     for j, (label, u_plus_v) in enumerate(steps, start=1):
-        u = aggregate(labels[j:], final_flag, beta, gamma, j, length).u_value
+        u = aggregate(labels[j:], final_flag, beta, gamma, j, length)
         assert u_plus_v == u + labels[j - 1]
         assert label == step_label(j, labels, final_flag, beta, gamma)
-    assert trajectory_labels(labels, final_flag, beta, gamma) == [
-        step_label(j, labels, final_flag, beta, gamma) for j in range(1, length + 1)
-    ]
 
 
 @deterministic

@@ -10,7 +10,6 @@ from treeprm.rewards import (
     aggregate,
     node_value,
     step_label,
-    trajectory_labels,
 )
 
 
@@ -30,26 +29,25 @@ def oracle_u(labels, final_flag, beta, gamma, i, T):
 class TestAggregate:
     def test_unit_weights_hand_value(self):
         # i=1, T=4, v=(+1,+1), F=+1, beta=0.5, gamma=1 -> (1/2)(1+1) + 0.5
-        agg = aggregate([1, 1], 1, 0.5, 1.0, 1, 4)
-        assert agg.u_value == pytest.approx(1.5, abs=1e-15)
+        u = aggregate([1, 1], 1, 0.5, 1.0, 1, 4)
+        assert u == pytest.approx(1.5, abs=1e-15)
 
     def test_all_negative_symmetry(self):
-        agg = aggregate([-1, -1, -1], -1, 1.0, 1.0, 0, 4)
-        assert agg.u_value == pytest.approx(-2.0, abs=1e-15)
+        u = aggregate([-1, -1, -1], -1, 1.0, 1.0, 0, 4)
+        assert u == pytest.approx(-2.0, abs=1e-15)
 
     def test_empty_window_is_outcome_only(self):
-        agg = aggregate([], 1, 0.5, 0.9, 3, 4)
-        assert agg.u_value == pytest.approx(0.5, abs=1e-15)
-        assert agg.step_weights == ()
+        u = aggregate([], 1, 0.5, 0.9, 3, 4)
+        assert u == 0.5
 
     def test_negative_window_allowed_for_terminal_reuse(self):
         # T == i happens when a fully explored line is re-evaluated.
-        agg = aggregate([], -1, 0.5, 0.9, 3, 3)
-        assert agg.u_value == pytest.approx(-0.5, abs=1e-15)
+        u = aggregate([], -1, 0.5, 0.9, 3, 3)
+        assert u == pytest.approx(-0.5, abs=1e-15)
 
     def test_weights_are_discounts(self):
-        agg = aggregate([1, -1], 1, 0.0, 0.9, 2, 5)
-        assert agg.step_weights == (pytest.approx(0.9), pytest.approx(0.81))
+        u = aggregate([1, -1], 1, 0.0, 0.9, 2, 5)
+        assert u == pytest.approx((0.9 - 0.81) / 2)
 
     def test_label_validation(self):
         with pytest.raises(ValueError, match="step label"):
@@ -79,7 +77,7 @@ class TestAggregate:
             beta = rng.choice((0.0, 0.25, 0.5, 1.0, 2.0))
             gamma = rng.choice((0.5, 0.9, 0.99, 1.0))
             expected = oracle_u(labels, F, beta, gamma, i, T)
-            got = aggregate(labels, F, beta, gamma, i, T).u_value
+            got = aggregate(labels, F, beta, gamma, i, T)
             assert abs(got - float(expected)) <= 1e-12
 
     def test_flipping_outcome_shifts_u_by_two_beta(self):
@@ -90,8 +88,8 @@ class TestAggregate:
             labels = [rng.choice((-1, 1)) for _ in range(T - 1 - i)]
             beta = rng.uniform(0.0, 2.0)
             gamma = rng.uniform(0.1, 1.0)
-            low = aggregate(labels, -1, beta, gamma, i, T).u_value
-            high = aggregate(labels, 1, beta, gamma, i, T).u_value
+            low = aggregate(labels, -1, beta, gamma, i, T)
+            high = aggregate(labels, 1, beta, gamma, i, T)
             assert high - low == pytest.approx(2 * beta, abs=1e-12)
 
     def test_gamma_one_all_positive_is_one_plus_beta_f(self):
@@ -101,8 +99,8 @@ class TestAggregate:
             i = rng.randint(0, T - 2)
             beta = rng.uniform(0.0, 2.0)
             F = rng.choice((-1, 1))
-            agg = aggregate([1] * (T - 1 - i), F, beta, 1.0, i, T)
-            assert agg.u_value == pytest.approx(1 + beta * F, abs=1e-12)
+            u = aggregate([1] * (T - 1 - i), F, beta, 1.0, i, T)
+            assert u == pytest.approx(1 + beta * F, abs=1e-12)
 
 
 class TestNodeValue:
@@ -152,9 +150,3 @@ class TestStepLabel:
             for k in range(j - 1):
                 mutated[k] = -mutated[k]
             assert step_label(j, mutated, F, 0.5, 0.9) == original
-
-    def test_trajectory_labels_shape(self):
-        labels = trajectory_labels([1, -1, 1], -1, 0.5, 0.9)
-        assert len(labels) == 4
-        assert labels[-1] == -1
-        assert all(lab in (-1, 1) for lab in labels)
