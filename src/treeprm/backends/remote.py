@@ -11,7 +11,8 @@ Every request goes through the shared rate limiter, retries transient
 failures (connection errors, 429, 5xx) with exponential backoff, and is
 served from the content-addressed cache when warm. Each request names the
 reader that turns its reply into what the role uses; a reply is cached only
-once that reader accepts it.
+once that reader accepts it. The cache memoizes one value per key, so every
+key carries the `kind` of its reader, and the scorer's also its `mode`.
 """
 
 from __future__ import annotations

@@ -7,6 +7,13 @@ again rather than replayed. With a warm cache a pipeline run issues zero
 network requests and reproduces the run that populated it byte for byte.
 Identical concurrent requests are deduplicated in-flight so only one of them
 hits the network.
+
+Each cache instance also keeps in memory the value its reader returned for
+every key it has answered, so a later request for that key reads no file
+(`FileResponseCache` states the rule that makes this sound). A command builds
+one instance (`cli._build_backends`), so the memo lives for one command and is
+never shared across processes; README **Caching** gives its size. A run
+without `paths.cache_dir` has no cache and so no memo.
 """
 
 from __future__ import annotations
@@ -28,14 +35,27 @@ def cache_key(payload: dict) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
+_MISSING = object()
+
+
 class FileResponseCache:
-    """On-disk response store keyed by content hash, with in-flight dedup."""
+    """On-disk response store keyed by content hash, with in-flight dedup and
+    an in-process memo of what each key's reader returned.
+
+    The memo rests on one rule: a key always names one reader, and that reader
+    returns an immutable value (a `str` or a `float` today) that every later
+    request for the key shares. The backends keep it by putting the reader's
+    identity in the key: every key carries `kind`, and the scorer's also its
+    `mode`. The scorer's reader also takes a sample name, but only its errors
+    use it, and an error is never memoized.
+    """
 
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._master = threading.Lock()
         self._inflight: dict[str, threading.Event] = {}
+        self._memo: dict[str, object] = {}
 
     def _path(self, key: str) -> Path:
         return self.cache_dir / f"{key}.bin"
@@ -66,11 +86,21 @@ class FileResponseCache:
     ) -> _T:
         """`read` of the cached response, fetching it at most once per key even
         under concurrent identical requests. A fetched response is stored only
-        after `read` returns; an error from `read` leaves the key uncached."""
+        after `read` returns; an error from `read` leaves the key uncached.
+        What `read` returns is memoized, so a later call for the key on this
+        instance costs one dict lookup."""
+        memo = self._memo
         while True:
-            cached = self.get(key)
-            if cached is not None:
-                return read(cached)
+            value = memo.get(key, _MISSING)
+            if value is not _MISSING:
+                return value
+            # A warm entry is read before taking the in-flight slot, which
+            # saves an event and two lock round trips per key; a cold key
+            # pays one more file probe inside the slot.
+            data = self.get(key)
+            if data is not None:
+                value = memo[key] = read(data)
+                return value
             with self._master:
                 waiter = self._inflight.get(key)
                 if waiter is None:
@@ -78,12 +108,14 @@ class FileResponseCache:
                     break
             waiter.wait()
         try:
-            cached = self.get(key)
-            if cached is not None:
-                return read(cached)
-            data = fetch()
-            value = read(data)
-            self.put(key, data)
+            data = self.get(key)
+            if data is not None:
+                value = read(data)
+            else:
+                data = fetch()
+                value = read(data)
+                self.put(key, data)
+            memo[key] = value
             return value
         finally:
             with self._master:

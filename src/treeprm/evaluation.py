@@ -131,12 +131,19 @@ def _first_error_from_json(value) -> int | None:
     raise ValueError(f"first_error must be an integer or {ALL_VALID!r}, got {value!r}")
 
 
+def _sample_id(record: dict) -> str:
+    sample_id = record["id"]
+    if not isinstance(sample_id, str):
+        raise ValueError(f"id must be a string, got {sample_id!r}")
+    return sample_id
+
+
 def _annotated(record: dict) -> AnnotatedSample:
     steps = record["steps"]
     if not isinstance(steps, list) or not all(isinstance(step, str) for step in steps):
         raise ValueError("steps must be a list of strings")
     return AnnotatedSample(
-        sample_id=str(record["id"]),
+        sample_id=_sample_id(record),
         problem=record.get("problem", ""),
         steps=tuple(steps),
         gold_first_error=_first_error_from_json(record["first_error"]),
@@ -145,7 +152,7 @@ def _annotated(record: dict) -> AnnotatedSample:
 
 def _prediction(record: dict) -> Prediction:
     return Prediction(
-        sample_id=str(record["id"]),
+        sample_id=_sample_id(record),
         first_error=_first_error_from_json(record["first_error"]),
     )
 

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -137,8 +138,9 @@ class TestCache:
         assert cache_key({"a": 1}) != cache_key({"a": 2})
 
     def test_inflight_dedup_single_fetch(self, tmp_path):
+        """Threads asking for one cold key share one fetch, one read and one value."""
         cache = FileResponseCache(tmp_path)
-        calls = []
+        calls, reads = [], []
         gate = threading.Event()
 
         def fetch():
@@ -146,9 +148,13 @@ class TestCache:
             gate.wait(timeout=5)
             return b"once"
 
+        def read(data):
+            reads.append(1)
+            return data.decode()
+
         results = []
         threads = [
-            threading.Thread(target=lambda: results.append(cache.get_or_fetch("k", fetch)))
+            threading.Thread(target=lambda: results.append(cache.get_or_fetch("k", fetch, read)))
             for _ in range(8)
         ]
         for t in threads:
@@ -157,8 +163,91 @@ class TestCache:
         gate.set()
         for t in threads:
             t.join(timeout=5)
-        assert results == [b"once"] * 8
+        assert results == ["once"] * 8
+        assert all(result is results[0] for result in results)
         assert len(calls) == 1
+        assert len(reads) == 1
+
+
+def _count_file_reads(monkeypatch) -> list:
+    reads = []
+    original = Path.read_bytes
+
+    def counted(self):
+        reads.append(self.name)
+        return original(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    return reads
+
+
+class TestCacheMemo:
+    def test_repeat_key_is_answered_without_a_file_call(self, tmp_path, monkeypatch):
+        key = cache_key({"memo": 1})
+        FileResponseCache(tmp_path).put(key, b"warm")
+        cache = FileResponseCache(tmp_path)
+        reads = _count_file_reads(monkeypatch)
+        first = cache.get_or_fetch(key, lambda: pytest.fail("fetched"), bytes.decode)
+        (tmp_path / f"{key}.bin").unlink()
+        second = cache.get_or_fetch(key, lambda: pytest.fail("fetched"), bytes.decode)
+        assert first == "warm"
+        assert second is first
+        assert reads == [f"{key}.bin"]
+
+    def test_fetched_value_is_memoized_after_its_put(self, tmp_path, monkeypatch):
+        cache = FileResponseCache(tmp_path)
+        first = cache.get_or_fetch("k", lambda: b"2.5", float)
+        reads = _count_file_reads(monkeypatch)
+        assert cache.get_or_fetch("k", lambda: pytest.fail("fetched"), float) is first
+        assert reads == []
+        assert (tmp_path / "k.bin").read_bytes() == b"2.5"
+
+    def test_rejected_reply_is_neither_stored_nor_memoized(self, tmp_path):
+        cache = FileResponseCache(tmp_path)
+        replies = iter([b"bad", b"good"])
+        fetches = []
+
+        def fetch():
+            fetches.append(1)
+            return next(replies)
+
+        def read(data):
+            if data == b"bad":
+                raise BackendError("unreadable")
+            return data.decode()
+
+        with pytest.raises(BackendError, match="unreadable"):
+            cache.get_or_fetch("k", fetch, read)
+        assert list(tmp_path.iterdir()) == []
+        assert cache.get_or_fetch("k", fetch, read) == "good"
+        assert cache.get_or_fetch("k", fetch, read) == "good"
+        assert len(fetches) == 2
+        assert cache.get("k") == b"good"
+
+    def test_rejected_entry_on_disk_is_read_again(self, tmp_path):
+        cache = FileResponseCache(tmp_path)
+        cache.put("k", b"bad")
+
+        def read(data):
+            if data == b"bad":
+                raise BackendError("unreadable")
+            return data.decode()
+
+        with pytest.raises(BackendError):
+            cache.get_or_fetch("k", lambda: pytest.fail("fetched"), read)
+        cache.put("k", b"good")
+        assert cache.get_or_fetch("k", lambda: pytest.fail("fetched"), read) == "good"
+
+    def test_a_second_instance_on_the_directory_reads_from_disk(self, tmp_path, monkeypatch):
+        first = FileResponseCache(tmp_path)
+        assert first.get_or_fetch("k", lambda: b"stored", bytes.decode) == "stored"
+        reads = _count_file_reads(monkeypatch)
+        second = FileResponseCache(tmp_path)
+        assert second.get_or_fetch("k", lambda: pytest.fail("fetched"), bytes.decode) == "stored"
+        assert reads == ["k.bin"]
+        (tmp_path / "k.bin").unlink()
+        third = FileResponseCache(tmp_path)
+        assert third.get_or_fetch("k", lambda: b"again", bytes.decode) == "again"
 
 
 class TestRateLimiter:
@@ -240,6 +329,16 @@ class TestChatCompletionGenerator:
         second = warm.generate(PROBLEM, (), 3)
         assert second == first
         assert fake_server.state.request_count == count_after_first
+
+    def test_repeat_generate_is_answered_from_the_memo(self, fake_server, tmp_path):
+        fake_server.state.chat_responder = lambda body: "Objective: a\nAction: 2 + 3 = 5"
+        generator = self._generator(fake_server, tmp_path)
+        first = generator.generate(PROBLEM, (), 3)
+        for entry in (tmp_path / "cache").iterdir():
+            entry.unlink()
+        fake_server.state.chat_responder = lambda body: pytest.fail("asked again")
+        assert generator.generate(PROBLEM, (), 3) == first
+        assert fake_server.state.request_count == 3
 
     def test_auth_header_resolved_from_env(self, fake_server, tmp_path, monkeypatch):
         monkeypatch.setenv("TEST_BACKEND_TOKEN", "sekret")

@@ -207,6 +207,12 @@ class TestFileFormats:
          "gold_first_error 3 outside"),
         (load_predictions, '{"id": "s2"}', "missing key 'first_error'"),
         (load_predictions, '{"id": "s2", "first_error": 1.5}', "first_error must be an integer"),
+        (load_annotated, '{"id": null, "steps": ["a"], "first_error": 1}',
+         "id must be a string, got None"),
+        (load_annotated, '{"id": 7, "steps": ["a"], "first_error": 1}',
+         "id must be a string, got 7"),
+        (load_predictions, '{"id": null, "first_error": 1}', "id must be a string, got None"),
+        (load_predictions, '{"id": 7, "first_error": 1}', "id must be a string, got 7"),
     ])
     def test_bad_record_names_file_and_line(self, tmp_path, loader, record, message):
         path = tmp_path / "in.jsonl"

@@ -1,7 +1,9 @@
 """Every module-level import, private definition and public name under `src/`
-is used: refactors leave stale ones."""
+is used, and every name the bench tracer rebinds exists: refactors leave stale
+ones."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -169,3 +171,23 @@ def test_every_public_name_under_src_is_read():
     assert unreferenced_public_names(modules, readers) == sorted(KEPT_UNREFERENCED), (
         "delete what nothing reads, or keep it in KEPT_UNREFERENCED with a reason"
     )
+
+
+def test_every_traced_treeprm_target_resolves():
+    """`perfbench/tracing.py` rebinds treeprm functions and methods by name,
+    so a rename under `src/` would break only traced bench runs."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [(module, (attr,)) for _, module, attr in tracing.FUNCTIONS]
+    targets += [(module, (cls, attr)) for _, module, cls, attr in tracing.METHODS]
+    targets = [(module, path) for module, path in targets if module.startswith("treeprm")]
+    missing = []
+    for module, path in targets:
+        target = importlib.import_module(module)
+        for name in path:
+            target = getattr(target, name, None)
+        if not callable(target):
+            missing.append(".".join((module, *path)))
+    assert len(targets) > 20
+    assert missing == []
