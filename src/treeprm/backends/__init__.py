@@ -2,7 +2,7 @@ from .base import BackendConfig, BackendError, StepGenerator, StepScorer, StepVe
 from .remote import ChatCompletionGenerator, ServedPrmScorer, ToolVerifier
 from .synthetic import ExactVerifier, OracleScorer, ScriptedGenerator
 from .templates import PromptTemplate, builtin_template
-from .transport import FileResponseCache, RateLimiter, cache_key
+from .transport import FileResponseCache, RateLimiter, cache_key, host_limiters
 
 __all__ = [
     "BackendConfig",
@@ -21,4 +21,5 @@ __all__ = [
     "FileResponseCache",
     "RateLimiter",
     "cache_key",
+    "host_limiters",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
+from urllib.parse import urlsplit
 
 from ..domain import Problem, ReasoningStep, StepSequence, VerificationResult
 
@@ -39,8 +40,11 @@ class BackendConfig:
     rate_limit_rps: float = 10.0
 
     def __post_init__(self):
-        if not self.endpoint_url:
-            raise ValueError("endpoint_url must be non-empty")
+        url = urlsplit(self.endpoint_url if isinstance(self.endpoint_url, str) else "")
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint_url must be an http:// or https:// URL with a host, "
+                             f"got {self.endpoint_url!r}")
+        url.port  # a port that is no number in 0-65535 raises ValueError
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be > 0")
         if self.max_retries < 0:

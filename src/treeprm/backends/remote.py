@@ -7,9 +7,10 @@ Wire format is the widespread chat-completion schema: POST a JSON body with
 endpoint taking the query as a ``query`` parameter. Exact shapes are pinned
 in the README.
 
-Every request goes through the shared rate limiter, retries transient
-failures (connection errors, 429, 5xx) with exponential backoff, and is
-served from the content-addressed cache when warm. Each request names the
+Requests go over the standard library's `http.client`, one keep-alive
+connection per endpoint and thread. Every request goes through its host's rate
+limiter, retries transient failures (connection errors, 429, 5xx) with
+exponential backoff, and is served from the content-addressed cache when warm. Each request names the
 reader that turns its reply into what the role uses; a reply is cached only
 once that reader accepts it. The cache memoizes one value per key, so every
 key carries the `kind` of its reader, and the scorer's also its `mode`.
@@ -17,19 +18,21 @@ key carries the `kind` of its reader, and the scorer's also its `mode`.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import re
+import threading
 import time
+import weakref
 from typing import Callable, TypeVar
-
-import requests
+from urllib.parse import urlencode, urlsplit
 
 from ..domain import Problem, ReasoningStep, StepSequence, VerificationResult, parse_verdict_marker
-from ..jsonio import canonical_json
+from ..jsonio import canonical_json, request_body
 from .base import SCORE_MODES, BackendConfig, BackendError
 from .templates import PromptTemplate
-from .transport import FileResponseCache, RateLimiter, cache_key
+from .transport import FileResponseCache, RateLimiter, cache_key, origin
 
 _T = TypeVar("_T")
 
@@ -69,19 +72,42 @@ def parse_step_completion(text: str, index: int) -> ReasoningStep | None:
     )
 
 
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    for connection in connections:
+        connection.close()
+
+
 class _Endpoint:
-    """One remote endpoint with its limiter, retry policy, and cache."""
+    """One remote endpoint with its limiter, retry policy, and cache.
+
+    Each thread that sends to the endpoint keeps one keep-alive connection to
+    it, reopened after any failed exchange.
+    """
 
     def __init__(
         self,
         cfg: BackendConfig,
         cache: FileResponseCache | None = None,
         sleep_fn: Callable[[float], None] = time.sleep,
+        limiters: dict[str, RateLimiter] | None = None,
     ):
         self.cfg = cfg
         self.cache = cache
-        self._session = requests.Session()
-        self._limiter = RateLimiter(cfg.rate_limit_rps, sleep_fn=sleep_fn)
+        url = urlsplit(cfg.endpoint_url)
+        self._connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        )
+        self._host, self._port = url.hostname, url.port or self._connection_class.default_port
+        self._target = url.path or "/"
+        self._query = url.query
+        if self._query:
+            self._target += "?" + self._query
+        self._local = threading.local()
+        # Every thread's connection, closed when the endpoint goes away.
+        self._connections: list[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._connections)
+        self._limiter = (RateLimiter(cfg.rate_limit_rps, sleep_fn=sleep_fn) if limiters is None
+                         else limiters[origin(cfg.endpoint_url)])
         self._sleep = sleep_fn
 
     def _headers(self) -> dict[str, str]:
@@ -91,6 +117,39 @@ class _Endpoint:
             headers["Authorization"] = f"Bearer {token}"
         return headers
 
+    def _connection(self) -> http.client.HTTPConnection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connection_class(
+                self._host, self._port, timeout=self.cfg.timeout_s
+            )
+            self._connections.append(connection)
+        return connection
+
+    def _send(self, method: str, payload: dict | None, params: dict | None) -> tuple[int, bytes]:
+        """One exchange on this thread's connection: the reply's status and body.
+
+        A kept-alive connection that the server has closed in the meantime
+        fails with a reset, a broken pipe or no status line at all; the request
+        then goes once more, at once, on a new connection."""
+        target = self._target
+        if params:
+            target += ("&" if self._query else "?") + urlencode(params, doseq=True)
+        body = None if payload is None else request_body(payload)
+        headers = self._headers()
+        connection = self._connection()
+        reused = connection.sock is not None
+        try:
+            connection.request(method, target, body, headers)
+            response = connection.getresponse()
+        except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected included
+            if not reused:
+                raise
+            connection.close()
+            connection.request(method, target, body, headers)
+            response = connection.getresponse()
+        return response.status, response.read()
+
     def _fetch(self, method: str, payload: dict | None, params: dict | None) -> bytes:
         last_error: str = "no attempt made"
         last_status: int | None = None
@@ -99,27 +158,18 @@ class _Endpoint:
                 self._sleep(_BACKOFF_BASE_S * (2 ** (attempt - 1)))
             self._limiter.acquire()
             try:
-                response = self._session.request(
-                    method,
-                    self.cfg.endpoint_url,
-                    json=payload,
-                    params=params,
-                    headers=self._headers(),
-                    timeout=self.cfg.timeout_s,
-                )
-            except requests.RequestException as err:
+                status, content = self._send(method, payload, params)
+            except (OSError, http.client.HTTPException) as err:
+                self._connection().close()
                 last_error = f"request failed: {err}"
                 continue
-            if response.status_code in _RETRYABLE_STATUSES:
-                last_error = f"transient HTTP {response.status_code}"
-                last_status = response.status_code
+            if status in _RETRYABLE_STATUSES:
+                last_error = f"transient HTTP {status}"
+                last_status = status
                 continue
-            if response.status_code != 200:
-                raise BackendError(
-                    f"HTTP {response.status_code} from {self.cfg.endpoint_url}",
-                    status=response.status_code,
-                )
-            return response.content
+            if status != 200:
+                raise BackendError(f"HTTP {status} from {self.cfg.endpoint_url}", status=status)
+            return content
         raise BackendError(
             f"{self.cfg.endpoint_url}: exhausted {self.cfg.max_retries + 1} attempts; "
             f"last error: {last_error}",
@@ -188,8 +238,9 @@ class ChatCompletionGenerator:
         template: PromptTemplate,
         cache: FileResponseCache | None = None,
         sleep_fn: Callable[[float], None] = time.sleep,
+        limiters: dict[str, RateLimiter] | None = None,
     ):
-        self._endpoint = _Endpoint(cfg, cache, sleep_fn)
+        self._endpoint = _Endpoint(cfg, cache, sleep_fn, limiters)
         self._template = template
 
     def generate(self, problem: Problem, state: StepSequence, count: int) -> list[ReasoningStep]:
@@ -241,9 +292,10 @@ class ToolVerifier:
         template: PromptTemplate,
         cache: FileResponseCache | None = None,
         sleep_fn: Callable[[float], None] = time.sleep,
+        limiters: dict[str, RateLimiter] | None = None,
     ):
-        self._tool = _Endpoint(tool_cfg, cache, sleep_fn)
-        self._judger = _Endpoint(judger_cfg, cache, sleep_fn)
+        self._tool = _Endpoint(tool_cfg, cache, sleep_fn, limiters)
+        self._judger = _Endpoint(judger_cfg, cache, sleep_fn, limiters)
         self._template = template
 
     def verify(
@@ -295,10 +347,11 @@ class ServedPrmScorer:
         cache: FileResponseCache | None = None,
         mode: str = "label",
         sleep_fn: Callable[[float], None] = time.sleep,
+        limiters: dict[str, RateLimiter] | None = None,
     ):
         if mode not in SCORE_MODES:
             raise ValueError(f"unknown scorer mode: {mode!r}")
-        self._endpoint = _Endpoint(cfg, cache, sleep_fn)
+        self._endpoint = _Endpoint(cfg, cache, sleep_fn, limiters)
         self._template = template
         self._mode = mode
 

@@ -23,9 +23,11 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
+from urllib.parse import urlsplit
 
 from ..jsonio import canonical_json
+from .base import BackendConfig
 
 _T = TypeVar("_T")
 
@@ -150,3 +152,25 @@ class RateLimiter:
         wait = slot - now
         if wait > 0:
             self._sleep(wait)
+
+
+def origin(url: str) -> str:
+    """scheme://host:port of `url`, with the scheme's default port filled in."""
+    parts = urlsplit(url)
+    port = parts.port or (443 if parts.scheme == "https" else 80)
+    return f"{parts.scheme}://{parts.hostname}:{port}"
+
+
+def host_limiters(
+    endpoints: Iterable[BackendConfig],
+    time_fn: Callable[[], float] = time.monotonic,
+    sleep_fn: Callable[[float], None] = time.sleep,
+) -> dict[str, RateLimiter]:
+    """One limiter per origin of `endpoints`, at the lowest `rate_limit_rps`
+    that any endpoint on that origin sets."""
+    rates: dict[str, float] = {}
+    for cfg in endpoints:
+        key = origin(cfg.endpoint_url)
+        rates[key] = min(rates.get(key, cfg.rate_limit_rps), cfg.rate_limit_rps)
+    return {key: RateLimiter(rate, time_fn=time_fn, sleep_fn=sleep_fn)
+            for key, rate in rates.items()}

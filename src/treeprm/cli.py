@@ -29,6 +29,7 @@ from .backends import (
     ServedPrmScorer,
     ToolVerifier,
     builtin_template,
+    host_limiters,
 )
 from .config import ConfigError, RunConfig, load_config
 from .dataset import (
@@ -65,11 +66,15 @@ def _build_backends(cfg: RunConfig, traces: list[SyntheticTrace] | None,
                     roles: tuple[str, ...]) -> dict:
     """One backend per role: the http client of its parsed spec, or the
     synthetic oracle over `traces`. Every http role shares one response cache
-    under `paths.cache_dir`, when that is set."""
+    under `paths.cache_dir`, when that is set, and the endpoints on one host
+    share one rate limiter."""
     scorer_template = "scorer_label_only" if cfg.mode == "no_rationale" else "scorer"
+    specs = [cfg.backends[role] for role in roles if cfg.backends[role] is not None]
     cache = None
-    if cfg.paths.cache_dir is not None and any(cfg.backends[role] is not None for role in roles):
+    if cfg.paths.cache_dir is not None and specs:
         cache = FileResponseCache(cfg.paths.cache_dir)
+    limiters = host_limiters(endpoint for spec in specs
+                             for endpoint in (spec.endpoint, spec.judger) if endpoint is not None)
     built = {}
     for role in roles:
         spec = cfg.backends[role]
@@ -82,18 +87,18 @@ def _build_backends(cfg: RunConfig, traces: list[SyntheticTrace] | None,
             )
         elif role == "generator":
             built[role] = ChatCompletionGenerator(spec.endpoint, builtin_template("generator"),
-                                                  cache=cache)
+                                                  cache=cache, limiters=limiters)
         elif role == "verifier" and spec is None:
             built[role] = ExactVerifier(traces)
         elif role == "verifier":
             built[role] = ToolVerifier(spec.endpoint, spec.judger, builtin_template("judger"),
-                                       cache=cache)
+                                       cache=cache, limiters=limiters)
         elif spec is None:
             built[role] = OracleScorer(traces)
         else:
             built[role] = ServedPrmScorer(
                 spec.endpoint, builtin_template(scorer_template), cache=cache,
-                mode=spec.score_mode,
+                mode=spec.score_mode, limiters=limiters,
             )
     return built
 

@@ -2,7 +2,8 @@
 
 Sorted keys, ASCII escapes and compact separators make the text a function of
 the value alone, so identical runs write identical bytes, and the config hash
-and the response-cache key name equal payloads with equal digests.
+and the response-cache key name equal payloads with equal digests. HTTP
+request bodies use a second set of options (`request_body`).
 """
 
 from __future__ import annotations
@@ -12,9 +13,20 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 
-def canonical_json(value: Any) -> str:
+_CANONICAL = {"sort_keys": True, "ensure_ascii": True, "separators": (",", ":")}
+# Keys in insertion order, default separators, ASCII escapes, NaN refused.
+_REQUEST = {"allow_nan": False}
+
+
+def canonical_json(value: Any, options: dict = _CANONICAL) -> str:
     """One line of JSON: sorted keys, ASCII escapes, no whitespace."""
-    return json.dumps(value, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+    return json.dumps(value, **options)
+
+
+def request_body(payload: Any) -> bytes:
+    """The JSON body of an HTTP request: `json.dumps(payload, allow_nan=False)`
+    as UTF-8 (ASCII, since non-ASCII text is escaped)."""
+    return canonical_json(payload, _REQUEST).encode("utf-8")
 
 
 def write_jsonl(

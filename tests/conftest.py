@@ -31,7 +31,9 @@ class _FakeState:
         self.request_count = 0
         self.chat_requests: list[dict] = []
         self.tool_requests: list[str] = []
+        self.tool_paths: list[str] = []
         self.fail_next = 0
+        self.close_after_reply = False  # drop each connection without `Connection: close`
         self.chat_responder = lambda body: "Objective: do nothing\nAction: nothing"
         self.tool_responder = lambda query: f"evaluated({query})"
         self.raw_tool_responder = None  # overrides tool_responder with the whole reply text
@@ -39,6 +41,9 @@ class _FakeState:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive unless a reply says otherwise
+    disable_nagle_algorithm = True  # headers and body go in two sends
+
     def log_message(self, *args):  # keep test output quiet
         pass
 
@@ -48,6 +53,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
+        if self.server.state.close_after_reply:
+            self.close_connection = True
 
     def _maybe_fail(self, state) -> bool:
         with state.lock:
@@ -62,11 +69,12 @@ class _Handler(BaseHTTPRequestHandler):
         with state.lock:
             state.request_count += 1
         length = int(self.headers.get("Content-Length", "0"))
-        body = json.loads(self.rfile.read(length) or b"{}")
+        raw = self.rfile.read(length)
+        body = json.loads(raw or b"{}")
         with state.lock:
-            state.chat_requests.append(
-                {"path": self.path, "body": body, "auth": self.headers.get("Authorization")}
-            )
+            state.chat_requests.append({"path": self.path, "body": body, "raw": raw,
+                                        "auth": self.headers.get("Authorization"),
+                                        "client": self.client_address})
         if self._maybe_fail(state):
             return
         if state.raw_chat_responder is not None:
@@ -83,6 +91,7 @@ class _Handler(BaseHTTPRequestHandler):
         query = parse_qs(urlparse(self.path).query).get("query", [""])[0]
         with state.lock:
             state.tool_requests.append(query)
+            state.tool_paths.append(self.path)
         if self._maybe_fail(state):
             return
         if state.raw_tool_responder is not None:

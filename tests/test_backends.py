@@ -1,13 +1,17 @@
 """Transport plumbing and the remote HTTP backends against a local fake server."""
 
+import functools
+import json
 import math
 import multiprocessing
+import re
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from treeprm import cli
 from treeprm.backends.base import BackendConfig, BackendError
 from treeprm.backends.remote import (
     ChatCompletionGenerator,
@@ -17,11 +21,13 @@ from treeprm.backends.remote import (
 )
 from treeprm.backends.synthetic import ExactVerifier, OracleScorer, ScriptedGenerator
 from treeprm.backends.templates import PromptTemplate, builtin_template, parse_template
-from treeprm.backends.transport import FileResponseCache, RateLimiter, cache_key
+from treeprm.backends.transport import FileResponseCache, RateLimiter, cache_key, host_limiters
+from treeprm.config import load_config
 from treeprm.domain import Problem, ReasoningStep
 from treeprm.synthetic import trace_from_values
 
 PROBLEM = Problem(id="q1", statement="Add 2 and 3.", gold_answer="5")
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def backend_cfg(url, **overrides):
@@ -276,6 +282,49 @@ class TestRateLimiter:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             RateLimiter(0.0)
+
+
+class TestHostLimiters:
+    def test_one_limiter_per_scheme_host_and_port_at_the_lowest_rate(self):
+        clock = [0.0]
+        sleeps = []
+        limiters = host_limiters(
+            [backend_cfg("http://a/x", rate_limit_rps=5.0),
+             backend_cfg("http://a:80/y", rate_limit_rps=4.0),
+             backend_cfg("http://a:8080/z"), backend_cfg("https://a/z")],
+            time_fn=lambda: clock[0], sleep_fn=sleeps.append,
+        )
+        assert sorted(limiters) == ["http://a:80", "http://a:8080", "https://a:443"]
+        for _ in range(2):
+            limiters["http://a:80"].acquire()
+        assert sleeps == [0.25]
+
+    def test_readme_remote_example_shares_one_rate_on_its_host(
+            self, fake_server, tmp_path, monkeypatch):
+        """The README's generator, judger, scorer and tool all sit on one host,
+        so every request waits for the tool's 2 requests per second."""
+        section = README.read_text(encoding="utf-8").split("## Configuration")[1]
+        local, remote = re.findall(r"```jsonc\n(.*?)```", section.split("\n## ")[0], re.S)
+        config = json.loads(local)
+        config.update(json.loads("{" + remote.replace("https://host", fake_server.url) + "}"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        clock = [0.0]
+        sleeps = []
+
+        def sleep_fn(duration):
+            sleeps.append(duration)
+            clock[0] += duration
+
+        monkeypatch.setattr(cli, "host_limiters", functools.partial(
+            host_limiters, time_fn=lambda: clock[0], sleep_fn=sleep_fn))
+        fake_server.state.chat_responder = lambda body: "Objective: add\nAction: 5 \\boxed{+}"
+        built = cli._build_backends(load_config(path), None, ("generator", "verifier", "scorer"))
+        (step,) = built["generator"].generate(PROBLEM, (), 1)
+        assert built["verifier"].verify(PROBLEM, step, ()).label == 1
+        assert built["scorer"].score(PROBLEM, (), step) == 1.0
+        assert fake_server.state.request_count == 4
+        assert sleeps == [0.5, 0.5, 0.5]
 
 
 class TestChatCompletionGenerator:
@@ -548,6 +597,11 @@ class TestBackendConfig:
             BackendConfig(endpoint_url="http://x", rate_limit_rps=0)
         with pytest.raises(ValueError, match="max_retries"):
             BackendConfig(endpoint_url="http://x", max_retries=-1)
+        for url in ("", "localhost:8000/v1", "ftp://x/v1", "http:///v1", 5):
+            with pytest.raises(ValueError, match="endpoint_url must be an http"):
+                BackendConfig(endpoint_url=url)
+        with pytest.raises(ValueError, match="Port out of range"):
+            BackendConfig(endpoint_url="http://x:99999/v1")
 
     def test_token_resolution_lazy(self, monkeypatch):
         cfg = BackendConfig(endpoint_url="http://x", auth_token_env_var="LATER_TOKEN")

@@ -193,6 +193,9 @@ class TestLoadConfig:
          "backends.scorer: timeout_s must be > 0"),
         ("scorer", {"kind": "http", "endpoint_url": "http://s", "score_mode": "bogus"},
          "backends.scorer.score_mode must be label or likelihood"),
+        ("verifier", {"kind": "http", "tool": {"endpoint_url": "localhost:9000/tool"},
+                      "judger": {"endpoint_url": "http://j"}},
+         "backends.verifier.tool: endpoint_url must be an http:// or https:// URL"),
     ])
     def test_malformed_http_spec_rejected_at_load(self, tmp_path, role, spec, message):
         def broken(cfg):

@@ -1,9 +1,10 @@
 """Every module-level import, private definition and public name under `src/`
-is used, and every name the bench tracer rebinds exists: refactors leave stale
-ones."""
+is used, every import is of the standard library or treeprm, and every name
+the bench tracer rebinds exists: refactors leave stale ones."""
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +40,41 @@ def unused_imports(source: str) -> list[str]:
             used.update(ast.literal_eval(node.value))
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Modules that a module-level import takes from outside the standard
+    library and treeprm; a relative import is of treeprm."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{module} (line {node.lineno})" for module in modules
+                  if module.split(".")[0] not in sys.stdlib_module_names | {"treeprm"}]
+    return found
+
+
+def test_stdlib_checker_flags_third_party_imports_only():
+    source = (
+        "from __future__ import annotations\n"
+        "import http.client, json\nimport requests\n"
+        "from urllib.parse import urlsplit\nfrom .base import x\n"
+        "from treeprm.jsonio import canonical_json\nfrom urllib3.util import Retry\n"
+    )
+    assert non_stdlib_imports(source) == ["requests (line 3)", "urllib3.util (line 7)"]
+
+
+def test_src_imports_only_the_standard_library():
+    outside = {
+        str(module.relative_to(SRC)): names
+        for module in sorted(SRC.rglob("*.py"))
+        if (names := non_stdlib_imports(module.read_text(encoding="utf-8")))
+    }
+    assert outside == {}
 
 
 def unreferenced_private_definitions(source: str) -> list[str]:

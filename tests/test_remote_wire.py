@@ -5,11 +5,20 @@ the local fake server with one cache directory. The chat cache names were
 recorded from the implementation that filled the caches in use, so a change
 to a key payload (which would silently invalidate every warm cache) fails
 here.
+
+The client's connection handling is pinned here too: the raw body bytes, a
+tool URL that carries a query, one connection per thread, a kept-alive
+connection the server dropped, and TLS failures.
 """
 
+import json
 import math
+import sys
+import threading
 
-from treeprm.backends.base import BackendConfig
+import pytest
+
+from treeprm.backends.base import BackendConfig, BackendError
 from treeprm.backends.remote import ChatCompletionGenerator, ServedPrmScorer, ToolVerifier
 from treeprm.backends.templates import PromptTemplate
 from treeprm.backends.transport import FileResponseCache, cache_key
@@ -134,3 +143,77 @@ def test_warm_cache_replays_every_role_without_requests(fake_server, tmp_path):
     assert sent == 6
     assert _run_all_roles(fake_server.url, cache_dir) == cold
     assert fake_server.state.request_count == sent
+
+
+def test_post_body_is_json_dumps_without_nan_as_utf8(fake_server):
+    fake_server.state.raw_chat_responder = _reply
+    problem = Problem(id="q2", statement="Add 2 and 3 — in €.", gold_answer="5")
+    generator = ChatCompletionGenerator(_cfg(f"{fake_server.url}/v1/chat/completions"),
+                                        GENERATOR_T)
+    generator.generate(problem, (), 1)
+    body = _chat_body("test-model", "gen-role", "P: Add 2 and 3 — in €.\nS: (none yet)", 0.7)
+    (request,) = fake_server.state.chat_requests
+    assert request["raw"] == json.dumps(body, allow_nan=False).encode()
+
+
+def test_tool_query_is_appended_to_a_query_in_the_endpoint_url(fake_server):
+    fake_server.state.raw_chat_responder = _reply
+    chat = f"{fake_server.url}/v1/chat/completions"
+    verifier = ToolVerifier(_cfg(f"{fake_server.url}/tool?key=k1"), _cfg(chat), JUDGER_T)
+    verifier.verify(PROBLEM, CANDIDATE, STATE)
+    assert fake_server.state.tool_paths == ["/tool?key=k1&query=Final+Answer%3A+5"]
+
+
+def test_a_connection_the_server_dropped_is_resent_without_a_retry(fake_server):
+    """The server closes each connection after its reply without saying so,
+    so every request after the first meets a dead kept-alive connection."""
+    fake_server.state.raw_chat_responder = _reply
+    fake_server.state.close_after_reply = True
+    sleeps = []
+    generator = ChatCompletionGenerator(
+        _cfg(f"{fake_server.url}/v1/chat/completions", rate_limit_rps=1e6), GENERATOR_T,
+        sleep_fn=sleeps.append,
+    )
+    for _ in range(3):
+        assert len(generator.generate(PROBLEM, STATE, 2)) == 2
+    assert fake_server.state.request_count == 6
+    assert sleeps == []
+
+
+def test_https_to_a_plain_http_server_is_a_retryable_request_failure(fake_server):
+    sleeps = []
+    url = fake_server.url.replace("http://", "https://") + "/v1/chat/completions"
+    generator = ChatCompletionGenerator(
+        _cfg(url, max_retries=1, timeout_s=0.5, rate_limit_rps=1e6), GENERATOR_T,
+        sleep_fn=sleeps.append,
+    )
+    with pytest.raises(BackendError, match="exhausted 2 attempts; last error: request failed"):
+        generator.generate(PROBLEM, STATE, 1)
+    assert sleeps == [0.5]
+    assert fake_server.state.request_count == 0
+
+
+def test_each_thread_keeps_one_connection_per_endpoint(fake_server):
+    fake_server.state.raw_chat_responder = _reply
+    generator = ChatCompletionGenerator(
+        _cfg(f"{fake_server.url}/v1/chat/completions", rate_limit_rps=1e6), GENERATOR_T
+    )
+    answers = []
+
+    def work():
+        answers.append(len(generator.generate(PROBLEM, STATE, 5)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [5] * 6
+    assert fake_server.state.request_count == 30
+    assert len({request["client"] for request in fake_server.state.chat_requests}) == 6
