@@ -5,7 +5,7 @@ rationale-enhanced training data, decode with reward-guided greedy search,
 and score first-error localization.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .domain import (
     Problem,

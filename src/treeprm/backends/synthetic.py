@@ -63,7 +63,9 @@ class ScriptedGenerator(_TraceBacked):
 
     def generate(self, problem: Problem, state: StepSequence, count: int) -> list[ReasoningStep]:
         trace = self._trace(problem)
-        rng = random.Random(derive_subseed(self.seed, problem.id, state, count))
+        rng = None
+        if count > 1:  # one candidate draws nothing
+            rng = random.Random(derive_subseed(self.seed, problem.id, state, count))
         return scripted_generate(state, trace, count, self.branch_noise, rng, self.noise_deltas)
 
 

@@ -1,9 +1,10 @@
 """Builds rationale-enhanced training data from multi-round search rollouts.
 
 Every distinct rollout of a problem (optimal or not) becomes one candidate
-instance. Search replays a finished line in many rounds; a rollout whose
-steps and verifications equal an earlier round's is skipped, so each line is
-judged once and `BuildReport.rollouts_total` counts distinct rollouts. A
+instance. While parts of the tree are still open, a search round can select a
+line that is already finished; a rollout whose steps and verifications equal
+an earlier round's is skipped, so each line is judged once and
+`BuildReport.rollouts_total` counts distinct rollouts. A
 candidate is dropped for exactly one reason:
 
   incomplete    -- the rollout never reached a final answer

@@ -9,10 +9,15 @@ Simulation is tree-external: rollout continuations are recorded as
 RolloutOutcome values, not grafted onto the tree. The tree only ever holds
 expansion-created children, so a node has at most K of them.
 
+A simulated node that is terminal (a final step) takes one visit, like its
+ancestors, so UCT stops treating it as unvisited and moves on to its siblings.
 Rounds whose selection lands on a terminal node (a fully explored line)
 simulate from that node itself: the rollout is the line as it stands, with an
 empty verification window and its outcome flag, and its reward is
-backpropagated again, keeping visit counts meaningful after convergence.
+backpropagated again. Such a replay adds no new line, so the search stops as
+soon as no node is open: none is left unexpanded, and every terminal node has
+been visited. A node that expanded to no children is a dead end, and so is a
+node whose children are all dead ends; selection never enters one again.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ class TreeNode:
     """One partial reasoning state. Mutable: search updates q and visits."""
 
     __slots__ = ("state", "action_in", "q_value", "visit_count", "children",
-                 "step_verification", "_expanded")
+                 "step_verification", "dead_end", "_expanded")
 
     def __init__(
         self,
@@ -81,6 +86,7 @@ class TreeNode:
         self.visit_count = 0
         self.children: list[TreeNode] = []
         self.step_verification = step_verification
+        self.dead_end = False
         self._expanded = False
 
     @property
@@ -146,7 +152,8 @@ class RoundRecord:
     """Where one search round put its reward, or why it was aborted.
 
     reward_path_indices addresses the rewarded node as child indices from the
-    root; every proper prefix of it received one visit this round. An aborted
+    root; every proper prefix of it received one visit this round, and so did
+    the rewarded node itself when it is terminal. An aborted
     round has no reward path and sets error; a finished round's rollout, with
     its reward, is in `SearchResult.rollouts`.
     """
@@ -158,9 +165,16 @@ class RoundRecord:
 
 @dataclass
 class SearchResult:
+    """The tree, one rollout per finished round, and one record per round run.
+
+    open_nodes counts the non-terminal nodes not yet expanded plus the terminal
+    nodes not yet visited; the empty root starts open.
+    """
+
     root: TreeNode
     rollouts: list[RolloutOutcome] = field(default_factory=list)
     rounds: list[RoundRecord] = field(default_factory=list)
+    open_nodes: int = 1
 
 
 class SimulationResult(NamedTuple):
@@ -191,13 +205,15 @@ def best_index(scores: Sequence[float]) -> int:
 def select_leaf(root: TreeNode, cfg: SearchConfig) -> list[TreeNode]:
     """Descend by maximal UCT while nodes are fully expanded and non-terminal.
 
-    Ties break to the lowest child index. Returns the root-to-leaf path.
+    Dead-end children are never chosen. Ties break to the lowest child index.
+    Returns the root-to-leaf path.
     """
     path = [root]
     node = root
     while node.fully_expanded and not node.terminal and node.children:
         scores = [
-            uct_score(child.q_value, node.visit_count, child.visit_count, cfg.exploration_c)
+            -inf if child.dead_end
+            else uct_score(child.q_value, node.visit_count, child.visit_count, cfg.exploration_c)
             for child in node.children
         ]
         node = node.children[best_index(scores)]
@@ -313,7 +329,8 @@ def run_search(
     verifier: StepVerifier,
     cfg: SearchConfig,
 ) -> SearchResult:
-    """Run R rounds of select / expand / simulate / aggregate / backpropagate.
+    """Run at most R rounds of select / expand / simulate / aggregate /
+    backpropagate, stopping early once no node is open.
 
     A backend error aborts only its round (recorded in `rounds`); partial
     trees are valid output. Deterministic given the config seed and
@@ -321,12 +338,23 @@ def run_search(
     """
     result = SearchResult(root=TreeNode())
     for round_index in range(1, cfg.max_rounds_R + 1):
+        if not result.open_nodes:
+            break
         try:
             record = _run_round(result, round_index, problem, generator, verifier, cfg)
         except BackendError as err:
             record = RoundRecord(round_index, error=str(err))
         result.rounds.append(record)
     return result
+
+
+def _close_dead_end(path: Sequence[TreeNode]) -> None:
+    """Mark the childless leaf of `path` a dead end, and each ancestor left with
+    only dead-end children."""
+    for node in reversed(path):
+        if not all(child.dead_end for child in node.children):
+            return
+        node.dead_end = True
 
 
 def _indices_along(path: Sequence[TreeNode]) -> list[int]:
@@ -348,10 +376,10 @@ def _run_round(
         # sampled) and keep credit flowing to its ancestors.
         sim_node, path = leaf, path[:-1]
     else:
-        if leaf.fully_expanded and not leaf.children:
-            raise BackendError("selected a dead-end node with no expandable children")
         children = expand(leaf, problem, generator, verifier, cfg)
+        result.open_nodes += len(children) - 1
         if not children:
+            _close_dead_end(path)
             raise BackendError("expansion produced no children")
         sim_node = choose_simulation_child(children)
     sim = simulate(sim_node, problem, generator, verifier, cfg)
@@ -365,6 +393,10 @@ def _run_round(
     u = aggregate(window, sim.final_flag, cfg.outcome_beta, cfg.decay_gamma, i, length)
     reward = node_value(u, sim_node.step_verification.label)
     sim_node.q_value = reward
+    if sim_node.terminal:
+        if sim_node.visit_count == 0:
+            result.open_nodes -= 1
+        sim_node.visit_count += 1
     backpropagate([(node, i - node.depth) for node in path], reward, cfg.decay_gamma)
 
     # One verification per non-final step. When the simulated node is itself

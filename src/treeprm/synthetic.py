@@ -221,7 +221,7 @@ def scripted_generate(
     trace: SyntheticTrace,
     count: int,
     branch_noise: float,
-    rng: random.Random,
+    rng: random.Random | None,
     noise_deltas: tuple[int, ...] = DEFAULT_NOISE_DELTAS,
 ) -> list[ReasoningStep]:
     """Scripted stand-in for an LLM step generator.
@@ -230,7 +230,9 @@ def scripted_generate(
     planted corruption at this index: the scripted model reliably makes that
     mistake on every path). Each remaining candidate is independently
     perturbed with probability branch_noise, taking its delta from the
-    configured pool in rotation.
+    configured pool in rotation. Candidates that state the same total are the
+    same (frozen) step object. A single candidate draws nothing, so `rng` may
+    then be None.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -248,13 +250,15 @@ def scripted_generate(
     base = previous + trace.addends[position - 1] + planted
     is_final = position == len(trace.addends)
     addend = trace.addends[position - 1]
-    candidates = [render_step(position, addend, base, is_final)]
+    rendered = {0: render_step(position, addend, base, is_final)}
+    candidates = [rendered[0]]
     for slot in range(1, count):
+        delta = 0
         if rng.random() < branch_noise:
             delta = noise_deltas[(slot - 1) % len(noise_deltas)]
-            candidates.append(render_step(position, addend, base + delta, is_final))
-        else:
-            candidates.append(render_step(position, addend, base, is_final))
+        if delta not in rendered:
+            rendered[delta] = render_step(position, addend, base + delta, is_final)
+        candidates.append(rendered[delta])
     return candidates
 
 

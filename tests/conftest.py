@@ -5,11 +5,22 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from unittest import mock
 from urllib.parse import parse_qs, urlparse
 
 import pytest
 
+from treeprm.mcts import SearchResult
 from treeprm.synthetic import trace_from_values
+
+
+@pytest.fixture
+def all_rounds():
+    """A context manager that takes the early stop out of `run_search`: inside
+    it `open_nodes` always reads 1, so every search runs all R rounds. This is
+    the reference that the stopped search must match."""
+    return mock.patch.object(SearchResult, "open_nodes",
+                             property(lambda self: 1, lambda self, value: None))
 
 
 @pytest.fixture

@@ -577,7 +577,10 @@ class TestRemoteSearchIntegration:
         result = run_search(PROBLEM, generator, verifier, cfg)
 
         assert all(record.error is None for record in result.rounds)
-        assert len(result.rollouts) == 4
+        # Three rounds finish the tree (the root's expansion, then one per
+        # first step), so the search stops before its fourth.
+        assert len(result.rounds) == len(result.rollouts) == 3
+        assert result.open_nodes == 0
         assert all(rollout.complete for rollout in result.rollouts)
         # The root saw both the correct and the wrong first step.
         assert len(result.root.children) == 2

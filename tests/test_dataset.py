@@ -455,6 +455,26 @@ class TestDistinctRollouts:
         })
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", MODES)
+def test_stopped_build_writes_the_bytes_of_all_rounds(request, tmp_path, all_rounds,
+                                                      mode, workers):
+    """A search stops once no node is open, because every later round would
+    only replay a finished line: the build is the same as with all R rounds."""
+    problems, generator, verifier, search = _shipped_inputs(request, tmp_path)
+
+    def build(name):
+        out = tmp_path / name
+        report = build_dataset(problems, generator, verifier, search, out,
+                               mode=mode, config_hash="c0de", workers=workers)
+        return out.read_bytes(), report.summary_dict()
+
+    stopped = build("stopped.jsonl")
+    with all_rounds:
+        reference = build("reference.jsonl")
+    assert stopped == reference
+
+
 class TestMalformedChatReply:
     """A chat reply whose content is not a string is a backend error, so it
     fails the round that asked for it and the problem goes on. A response

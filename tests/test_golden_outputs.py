@@ -18,26 +18,26 @@ SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "synth.jso
 # Files whose bytes do not depend on the labelling mode.
 _SHARED = {
     "annotations.jsonl": "7d79f25ff9cf73ddcf43553b97773a0845d203aab25333b8b1161fad53ff356f",
-    "dataset_summary.json": "a6b742ea468c973353f6d32c17b0bf515824c6dd5b0f5fcc5c7b9f39966f016d",
+    "dataset_summary.json": "429ef3293f1893c87579b8fa6af2e12e4b52e6c58192bac19e880947ebff2c1e",
     "decode_log.jsonl": "7585e7bedc397ba8034d1608d0b5b8fb21a7a89fcc8a535b4a97dc3dd58825e8",
     "decode_results.jsonl": "2abacc72d3a5b0b80ec000dba789517f3c876400c29b80cd158669893e81ac69",
     "eval_report.json": "f1b01498c4efdfe73d1eb27c5fcbf7f80081f0349cce122653b8e329ebc0a243",
     "eval_report.txt": "d815961dbb2b817e6be21a9052ed5cccd7bc6d5b390ad6ed836d51829427f30f",
     "predictions.jsonl": "aa1a812ad110590d5283181bb975fc37f2bfc83a1ff7d41fa3114e4a97e7dcca",
     "problems.jsonl": "7c2decdf6b9277ff99c9165c3d4fff74d15bac0357df7a9e0074ce87f7cebf57",
-    "report.txt": "dc5489f8488420a22866d1ac5ef9b73e4081bc29730b28bdb5df65ef21a9e205",
+    "report.txt": "647d4089b08312553f6ad14c05633d88b1ffe3328d9fe735f9d7d740f2d2e528",
 }
 
 GOLDEN = {
     "hybrid": {
         **_SHARED,
-        "dataset.jsonl": "f9593f4a6ed38d9439bb7ffd093ea83130122120558c1c58d9d45ea051377b18",
-        "report.json": "a7d8d40fcf198552afa50ec136ef003b8022cc423bb2df5366c499556f589ee4",
+        "dataset.jsonl": "bfae44f77080ae918a1df5026fc35074ed97638379537f6c4710ffdce2a3fa9a",
+        "report.json": "4dbb5843dfa98c1a72ac792ad091e7a8223cd3d1fe143dd7dc1d56a98e37d51a",
     },
     "no_rationale": {
         **_SHARED,
-        "dataset.jsonl": "3241c7f6c19f6c0cd3451a46c4387475b3493a26e9a433a30e3e3101a1bc20b6",
-        "report.json": "77830078c63b4eeda6586aaca0fb2fc7b6b7511440d2e52be044f00b5b4583a6",
+        "dataset.jsonl": "c5f40c6e856999d3e1750e88e0cee7664fab33696274592163a9273e0d9cf59a",
+        "report.json": "ed379a756d1bf5893a5e84ce4e641cba7ee730949229e76fc89d4a986aaea4b7",
     },
 }
 
@@ -52,12 +52,12 @@ STAGE_GOLDEN = {
     ("generate", "hybrid"): {
         "dataset.jsonl": GOLDEN["hybrid"]["dataset.jsonl"],
         "problems.jsonl": _SHARED["problems.jsonl"],
-        "summary.json": "255011b733e43d0db922670832b2b1aa4b054b1a00d56bfc171e3aca17db21be",
+        "summary.json": "300210a2c35fe380e74c770691dedc68b0d3775fbacd8a8a61e313b3880559a5",
     },
     ("generate", "no_rationale"): {
         "dataset.jsonl": GOLDEN["no_rationale"]["dataset.jsonl"],
         "problems.jsonl": _SHARED["problems.jsonl"],
-        "summary.json": "ac6ebb027a4ec7d5b47feeefbc8bc3cddde6c0dfbf47c3b4e54052dc8ef3587f",
+        "summary.json": "4b28a1b0aa9a2e297a4ffff9ef3077edcffaa05f78f11215969b54d74cda1250",
     },
     ("decode", "hybrid"): {
         **_DECODE,

@@ -1,6 +1,7 @@
 """Every module-level import, private definition and public name under `src/`
 is used, every import is of the standard library or treeprm, and every name
-the bench tracer rebinds exists: refactors leave stale ones."""
+the bench tracer rebinds exists: refactors leave stale ones. The package and
+its metadata name one version."""
 
 import ast
 import importlib.util
@@ -227,3 +228,14 @@ def test_every_traced_treeprm_target_resolves():
             missing.append(".".join((module, *path)))
     assert len(targets) > 20
     assert missing == []
+
+
+def test_package_version_matches_pyproject():
+    """`pipeline_version` in every dataset record is `treeprm.__version__`, so
+    the installed metadata must name the same release."""
+    import tomllib
+
+    import treeprm
+
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert treeprm.__version__ == pyproject["project"]["version"]

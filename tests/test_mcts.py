@@ -3,11 +3,13 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from treeprm.backends.base import BackendError
 from treeprm.backends.synthetic import ExactVerifier, ScriptedGenerator
+from treeprm.config import load_config
 from treeprm.domain import ReasoningStep, VerificationResult
 from treeprm.mcts import (
     SearchConfig,
@@ -22,7 +24,9 @@ from treeprm.mcts import (
     simulate,
     uct_score,
 )
-from treeprm.synthetic import trace_from_values
+from treeprm.synthetic import build_corpus, trace_from_values
+
+SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "synth.json"
 
 
 def make_config(**overrides):
@@ -139,6 +143,13 @@ class TestSelectLeaf:
             before = path_indices(root, cfg)
             shift_q(root, rng.uniform(-10, 10))
             assert path_indices(root, cfg) == before
+
+    def test_dead_end_children_are_never_selected(self):
+        dead = make_node(q=5.0, visits=0)
+        dead.dead_end = True
+        live = make_node(q=-5.0, visits=3)
+        root = make_node(visits=3, children=(dead, live))
+        assert select_leaf(root, make_config())[-1] is live
 
     def test_unvisited_always_beats_revisit_on_random_trees(self):
         cfg = make_config()
@@ -375,7 +386,9 @@ class TestRunSearch:
         errors = [r for r in result.rounds if r.error]
         assert len(errors) == 1
         assert "transient failure" in errors[0].error
-        assert len(result.rollouts) == 3
+        # The two rounds after the failure build the whole 2-step chain.
+        assert len(result.rounds) == 3
+        assert len(result.rollouts) == 2
 
     def test_visit_bookkeeping(self):
         trace, generator, verifier = self._bundle([3, 4, 5], noise=0.8, seed=21)
@@ -394,15 +407,19 @@ class TestRunSearch:
 
     def test_visit_counts_replay_from_recorded_reward_paths(self):
         # Replaying the per-round reward paths must reconstruct every node's
-        # visit count exactly: each proper prefix of a path gets one visit.
+        # visit count exactly: each proper prefix of a path gets one visit,
+        # and so does the path itself when it addresses a terminal node.
         trace, generator, verifier = self._bundle([3, 4, 5, 6], noise=0.7, seed=33)
         result = run_search(trace.problem, generator, verifier, make_config(max_rounds_R=24))
         expected: dict[tuple[int, ...], int] = {}
         for record in result.rounds:
             assert record.error is None
-            for cut in range(len(record.reward_path_indices)):
-                prefix = record.reward_path_indices[:cut]
-                expected[prefix] = expected.get(prefix, 0) + 1
+            path = record.reward_path_indices
+            rewarded = result.root
+            for index in path:
+                rewarded = rewarded.children[index]
+            for cut in range(len(path) + rewarded.terminal):
+                expected[path[:cut]] = expected.get(path[:cut], 0) + 1
 
         def walk(node, address):
             assert node.visit_count == expected.get(address, 0), address
@@ -420,17 +437,91 @@ class TestRunSearch:
         assert result.root.q_value == reward
         assert result.rollouts[0].node_reward == reward
 
-    def test_terminal_revisit_rounds_keep_counting(self):
-        # A 2-step noise-free chain is fully built in 2 rounds; later rounds
-        # re-evaluate the terminal line and still bump ancestor visits.
+    def test_terminal_revisit_rounds_keep_counting(self, all_rounds):
+        # A 2-step noise-free chain is fully built in 2 rounds, and the search
+        # stops there. Without the stop, later rounds re-evaluate the terminal
+        # line and still bump its visits and its ancestors'.
         trace, generator, verifier = self._bundle([5, 6])
-        result = run_search(trace.problem, generator, verifier, make_config(max_rounds_R=10))
+        cfg = make_config(max_rounds_R=10)
+        stopped = run_search(trace.problem, generator, verifier, cfg)
+        assert (len(stopped.rounds), stopped.root.visit_count, stopped.open_nodes) == (2, 2, 0)
+        with all_rounds:
+            result = run_search(trace.problem, generator, verifier, cfg)
         assert result.root.visit_count == 10
+        assert result.root.children[0].children[0].visit_count == 9
         assert len(result.rollouts) == 10
+        assert result.rollouts[:2] == stopped.rollouts
         revisit = result.rollouts[-1]
         assert revisit.expansion_index == 2
         assert revisit.complete
         assert revisit.u_value == pytest.approx(0.5)
+        assert revisit.steps == stopped.rollouts[-1].steps
+
+    def test_every_final_sibling_is_simulated(self):
+        # The root's expansion yields three distinct final steps. The
+        # simulated one takes a visit, so UCT moves on to its siblings instead
+        # of re-selecting the lowest-index unvisited one in every round.
+        trace, generator, verifier = self._bundle([5], noise=1.0)
+        result = run_search(trace.problem, generator, verifier, make_config(max_rounds_R=8))
+        finals = {child.state for child in result.root.children}
+        assert len(finals) == 3 and all(child.terminal for child in result.root.children)
+        assert {rollout.steps for rollout in result.rollouts} == finals
+        assert [child.visit_count for child in result.root.children] == [1, 1, 1]
+        assert len(result.rounds) == 3
+
+    def test_one_empty_expansion_costs_one_round(self):
+        # Problem 2 of the shipped corpus; its first expansion below the root
+        # comes back empty. That node becomes a dead end that is never
+        # selected again, so only its own round is lost.
+        cfg = load_config(SHIPPED_CONFIG)
+        corpus = build_corpus(cfg.synthetic)
+        inner = ScriptedGenerator(corpus, branch_noise=cfg.synthetic.branch_noise,
+                                  noise_deltas=cfg.synthetic.noise_deltas,
+                                  seed=cfg.search.rng_seed)
+        emptied = []
+
+        class EmptyOnce:
+            def generate(self, problem, state, count):
+                if state and count > 1 and not emptied:
+                    emptied.append(state)
+                    return []
+                return inner.generate(problem, state, count)
+
+        result = run_search(corpus[2].problem, EmptyOnce(), ExactVerifier(corpus), cfg.search)
+        errors = [r.error for r in result.rounds if r.error]
+        assert errors == ["expansion produced no children"]
+        assert len(emptied) == 1
+        assert len(result.rollouts) == len(result.rounds) - 1
+        assert result.open_nodes == 0
+
+    def test_empty_root_expansion_ends_the_search(self):
+        trace, _, verifier = self._bundle([5, 6])
+
+        class Empty:
+            def generate(self, problem, state, count):
+                return []
+
+        result = run_search(trace.problem, Empty(), verifier, make_config(max_rounds_R=8))
+        assert [r.error for r in result.rounds] == ["expansion produced no children"]
+        assert result.rollouts == []
+        assert result.root.dead_end
+
+    def test_node_with_only_dead_end_children_is_a_dead_end(self):
+        # The root's only child expands to nothing, so the root is a dead end
+        # too and nothing is left to search.
+        trace, generator, verifier = self._bundle([5, 6, 7])
+
+        class EmptyBelowRoot:
+            def generate(self, problem, state, count):
+                if state and count > 1:
+                    return []
+                return generator.generate(problem, state, count)
+
+        result = run_search(trace.problem, EmptyBelowRoot(), verifier,
+                            make_config(max_rounds_R=8))
+        assert len(result.rounds) == 2
+        assert result.root.children[0].dead_end and result.root.dead_end
+        assert result.open_nodes == 0
 
     def test_incomplete_rollouts_flagged(self):
         trace, generator, verifier = self._bundle([1, 2, 3, 4, 5])

@@ -1,16 +1,22 @@
-"""Property tests: the fast labelling and answer-equality paths against their
-reference definitions, with exact equality and no tolerance."""
+"""Property tests: the fast labelling and answer-equality paths, and the
+early-stopped search, against their reference definitions, with exact
+equality and no tolerance."""
 
-from hypothesis import given, settings
+import math
+
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from treeprm.backends.synthetic import ExactVerifier, ScriptedGenerator
 from treeprm.domain import answers_equal, normalize_answer, parse_rational
+from treeprm.mcts import SearchConfig, run_search
 from treeprm.rewards import (
     UnlabeledStepError,
     aggregate,
     labelled_steps,
     step_label,
 )
+from treeprm.synthetic import trace_from_values
 
 deterministic = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -99,3 +105,42 @@ def test_answers_equal_matches_the_full_comparison(pair):
     a, b = pair
     assert answers_equal(a, b) == reference_answers_equal(a, b)
     assert answers_equal(b, a) == reference_answers_equal(b, a)
+
+
+def distinct_rollouts(rollouts):
+    """The first rollout of each (steps, verifications), in order."""
+    first = {}
+    for rollout in rollouts:
+        first.setdefault((rollout.steps, rollout.verifications), rollout)
+    return list(first.values())
+
+
+@st.composite
+def searches(draw):
+    """A small trace with planted errors, a noisy generator and a search config."""
+    values = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=4))
+    positions = draw(st.sets(st.integers(min_value=1, max_value=len(values))))
+    error_plan = tuple((position, draw(st.sampled_from((10, -30)))) for position in
+                       sorted(positions))
+    trace = trace_from_values(values, error_plan=error_plan, problem_id="prop")
+    generator = ScriptedGenerator([trace], branch_noise=draw(st.floats(0.0, 1.0)),
+                                  noise_deltas=draw(st.sampled_from(((7,), (7, -7), (7, -7, 13)))),
+                                  seed=draw(st.integers(0, 2**16)))
+    cfg = SearchConfig(exploration_c=math.sqrt(2), branch_K=draw(st.integers(1, 3)),
+                       decay_gamma=0.9, outcome_beta=0.5,
+                       max_rounds_R=draw(st.integers(1, 40)),
+                       max_depth=draw(st.integers(1, 5)), rng_seed=7)
+    return trace.problem, generator, ExactVerifier([trace]), cfg
+
+
+@settings(deterministic, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(searches())
+def test_stopped_search_finds_the_rollouts_of_all_rounds(all_rounds, search):
+    problem, generator, verifier, cfg = search
+    stopped = run_search(problem, generator, verifier, cfg)
+    with all_rounds:
+        reference = run_search(problem, generator, verifier, cfg)
+    assert distinct_rollouts(stopped.rollouts) == distinct_rollouts(reference.rollouts)
+    assert stopped.root.visit_count == len(stopped.rounds) <= cfg.max_rounds_R
+    assert len(reference.rounds) == cfg.max_rounds_R

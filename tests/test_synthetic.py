@@ -96,6 +96,18 @@ class TestScriptedGenerate:
         )
         assert [stated_value(c) for c in candidates] == [130, 140, 120]
 
+    def test_equal_totals_share_one_step(self, clean_trace):
+        state = clean_trace.trajectory.steps[:1]
+        candidates = scripted_generate(state, clean_trace, 4, 1.0, random.Random(0),
+                                       noise_deltas=(10, -10))
+        assert [stated_value(c) for c in candidates] == [130, 140, 120, 140]
+        assert candidates[3] is candidates[1]
+
+    def test_one_candidate_needs_no_rng(self, clean_trace):
+        state = clean_trace.trajectory.steps[:1]
+        assert scripted_generate(state, clean_trace, 1, 1.0, None) == scripted_generate(
+            state, clean_trace, 1, 1.0, random.Random(0))
+
     def test_exhausted_state_errors(self, clean_trace):
         state = clean_trace.trajectory.steps
         with pytest.raises(TrajectoryExhausted, match="exhausted"):
