@@ -1,11 +1,12 @@
 """Builds rationale-enhanced training data from multi-round search rollouts.
 
 Every distinct rollout of a problem (optimal or not) becomes one candidate
-instance. While parts of the tree are still open, a search round can select a
-line that is already finished; a rollout whose steps and verifications equal
-an earlier round's is skipped, so each line is judged once and
-`BuildReport.rollouts_total` counts distinct rollouts. A
-candidate is dropped for exactly one reason:
+instance. A search round that selects a line it already finished replays it
+and adds no rollout, but a rollout simulated from a deeper node of a line can
+still repeat an earlier one. A rollout whose steps and verifications equal an
+earlier round's is skipped, so each line is judged once and
+`BuildReport.rollouts_total` counts distinct rollouts. A candidate is dropped
+for exactly one reason:
 
   incomplete    -- the rollout never reached a final answer
   unverifiable  -- some step could not be processed by the verifier
@@ -336,6 +337,10 @@ def _build_one(
                            "error": record.error})
     # A candidate depends on the rollout only through its steps and
     # verifications, so a rollout that repeats an earlier one's is judged once.
+    # Replays add no rollout, but rollouts are simulated outside the tree: a
+    # later round that simulates from a deeper node of a line an earlier
+    # rollout walked can sample the same continuation, and a final step's
+    # first visit repeats the earlier rollout that ended on it.
     seen: set[tuple] = set()
     for rollout in result.rollouts:
         key = (rollout.steps, rollout.verifications)

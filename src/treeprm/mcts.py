@@ -11,13 +11,17 @@ expansion-created children, so a node has at most K of them.
 
 A simulated node that is terminal (a final step) takes one visit, like its
 ancestors, so UCT stops treating it as unvisited and moves on to its siblings.
-Rounds whose selection lands on a terminal node (a fully explored line)
-simulate from that node itself: the rollout is the line as it stands, with an
-empty verification window and its outcome flag, and its reward is
-backpropagated again. Such a replay adds no new line, so the search stops as
-soon as no node is open: none is left unexpanded, and every terminal node has
-been visited. A node that expanded to no children is a dead end, and so is a
-node whose children are all dead ends; selection never enters one again.
+The first round whose selection lands on an unvisited terminal node simulates
+from that node itself: the rollout is the line as it stands, with an empty
+verification window and its outcome flag. A later round that selects the same
+terminal node again is a replay. It takes one more visit on the node and
+backpropagates the node's q to its ancestors. That q is the reward of the
+node's first visit, because no round backpropagates into a terminal node. A
+replay simulates nothing and records no rollout. It adds no new line, so the
+search stops as soon as no node is open: none is left unexpanded, and every
+terminal node has been visited. A node that expanded to no children is a dead
+end, and so is a node whose children are all dead ends; selection never
+enters one again.
 """
 
 from __future__ import annotations
@@ -153,9 +157,10 @@ class RoundRecord:
 
     reward_path_indices addresses the rewarded node as child indices from the
     root; every proper prefix of it received one visit this round, and so did
-    the rewarded node itself when it is terminal. An aborted
-    round has no reward path and sets error; a finished round's rollout, with
-    its reward, is in `SearchResult.rollouts`.
+    the rewarded node itself when it is terminal. An aborted round has no
+    reward path and sets error. A round that simulated has its rollout, with
+    its reward, in `SearchResult.rollouts`; a replay of a visited terminal
+    node adds none, and its reward is that node's q.
     """
 
     round_index: int
@@ -165,7 +170,8 @@ class RoundRecord:
 
 @dataclass
 class SearchResult:
-    """The tree, one rollout per finished round, and one record per round run.
+    """The tree, one rollout per round that simulated, and one record per round
+    run. Aborted rounds and replays of a visited terminal node add no rollout.
 
     open_nodes counts the non-terminal nodes not yet expanded plus the terminal
     nodes not yet visited; the empty root starts open.
@@ -203,20 +209,30 @@ def best_index(scores: Sequence[float]) -> int:
 
 
 def select_leaf(root: TreeNode, cfg: SearchConfig) -> list[TreeNode]:
-    """Descend by maximal UCT while nodes are fully expanded and non-terminal.
+    """Descend by maximal UCT while the node has children.
 
-    Dead-end children are never chosen. Ties break to the lowest child index.
-    Returns the root-to-leaf path.
+    Only an expanded non-terminal node has children. Dead-end children are
+    never chosen unless all siblings are dead ends. Ties break to the lowest
+    child index. Each child's score is `uct_score`'s expression, with the
+    parent's log taken once per level. Returns the root-to-leaf path.
     """
+    c = cfg.exploration_c
     path = [root]
     node = root
-    while node.fully_expanded and not node.terminal and node.children:
-        scores = [
-            -inf if child.dead_end
-            else uct_score(child.q_value, node.visit_count, child.visit_count, cfg.exploration_c)
-            for child in node.children
-        ]
-        node = node.children[best_index(scores)]
+    while node.children:
+        # A node takes its first visit no later than its children do, so an
+        # unvisited node's children all score +inf and never read log_n.
+        log_n = log(node.visit_count) if node.visit_count else 0.0
+        best = node.children[0]
+        best_score = -inf
+        for child in node.children:
+            if child.dead_end:
+                continue
+            visits = child.visit_count
+            score = child.q_value + c * sqrt(log_n / visits) if visits else inf
+            if score > best_score:
+                best, best_score = child, score
+        node = best
         path.append(node)
     return path
 
@@ -371,9 +387,18 @@ def _run_round(
 ) -> RoundRecord:
     path = select_leaf(result.root, cfg)
     leaf = path[-1]
+    # A node's depth is its position on the path.
     if leaf.terminal:
-        # Fully explored line: simulate from the leaf itself (no step is
-        # sampled) and keep credit flowing to its ancestors.
+        if leaf.visit_count:
+            # A replay: the line and its reward are those of the leaf's first
+            # visit, and its q still holds that reward.
+            leaf.visit_count += 1
+            i = len(path) - 1
+            backpropagate([(node, i - d) for d, node in enumerate(path[:-1])],
+                          leaf.q_value, cfg.decay_gamma)
+            return RoundRecord(round_index, tuple(_indices_along(path)))
+        # First visit of a fully explored line: simulate from the leaf itself
+        # (no step is sampled) and credit its ancestors.
         sim_node, path = leaf, path[:-1]
     else:
         children = expand(leaf, problem, generator, verifier, cfg)
@@ -384,7 +409,7 @@ def _run_round(
         sim_node = choose_simulation_child(children)
     sim = simulate(sim_node, problem, generator, verifier, cfg)
 
-    i = sim_node.depth
+    i = len(path)
     window = [res.label for res in sim.extension_results]
     # For complete rollouts len(steps) is T and the window is i+1..T-1. A
     # truncated rollout has no answer step, so every sampled step is in the
@@ -393,17 +418,19 @@ def _run_round(
     u = aggregate(window, sim.final_flag, cfg.outcome_beta, cfg.decay_gamma, i, length)
     reward = node_value(u, sim_node.step_verification.label)
     sim_node.q_value = reward
-    if sim_node.terminal:
-        if sim_node.visit_count == 0:
-            result.open_nodes -= 1
+    terminal = sim_node.terminal
+    if terminal:
+        # Replays returned above, so this is the node's first visit.
+        result.open_nodes -= 1
         sim_node.visit_count += 1
-    backpropagate([(node, i - node.depth) for node in path], reward, cfg.decay_gamma)
+    backpropagate([(node, i - d) for d, node in enumerate(path)], reward, cfg.decay_gamma)
 
     # One verification per non-final step. When the simulated node is itself
-    # a final step (a final child or a revisited line) its verdict stays
-    # tree-internal; the rollout's signal for that step is the outcome flag.
+    # a final step (a final child or a line reached by selection) its verdict
+    # stays tree-internal; the rollout's signal for that step is the outcome
+    # flag.
     tree_part = _tree_part_verifications(path[1:])
-    if sim_node.terminal:
+    if terminal:
         verifications = tree_part
     else:
         verifications = tree_part + (sim_node.step_verification,) + sim.extension_results

@@ -1,4 +1,5 @@
-"""Byte-identical outputs of `synth`, `generate` and `decode` on the shipped config.
+"""Byte-identical outputs of `synth`, `generate` and `decode` on the shipped config,
+and of `inspect` under it and under a deeper search.
 
 Each digest is the sha256 of one file that the command writes for
 `configs/synth.json`. A change that moves any of them changes an output
@@ -7,6 +8,7 @@ same commit and says why in CHANGES.md.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,30 @@ def test_synth_outputs_match_golden_digests(tmp_path, mode):
 @pytest.mark.parametrize(("command", "mode"), sorted(STAGE_GOLDEN))
 def test_stage_outputs_match_golden_digests(tmp_path, command, mode):
     assert _run_digests(tmp_path / "run", command, mode) == STAGE_GOLDEN[command, mode]
+
+
+# `inspect` tree dumps pin every node's q and visit count. Each problem
+# picked here reaches a finished line and selects it again in later rounds.
+INSPECT_GOLDEN = {
+    ("shipped", 0): "c5f0a3cf43be4fed1282f0e79d487ff73225236e75503f83f56462e343ac808b",
+    ("shipped", 14): "98773bed5251b76418e285ccffbf7c2b02c0cd87756e39f14136bb73fb75d71f",
+    ("shipped", 31): "9741f1511044ed8d75d07b30b3bf858d51099baf8ad5e88de0c6a9720caa5426",
+    ("deep", 0): "5a2b422da15684b82e1c3fdad517111b073885d1ecc154771ae22aa940e2a40d",
+    ("deep", 1): "9e17dfcef73c7423deee6ee1ed581071f180e8e55477a576694e3e304dd09935",
+    ("deep", 33): "a193d3f155b6e1fffcfe91637d54970a6415cce303d02c7917c3f312f7c94a60",
+    ("deep", 399): "508d9c392dbbfc40b7bfa40dd0f0a2a641ba7d18e13b607201e0ec6ddfb10c43",
+}
+
+
+@pytest.mark.parametrize(("size", "index"), sorted(INSPECT_GOLDEN))
+def test_inspect_tree_matches_golden_digest(tmp_path, size, index):
+    config = json.loads(SHIPPED_CONFIG.read_text(encoding="utf-8"))
+    if size == "deep":
+        config["synthetic"]["count"] = 400
+        config["search"]["max_rounds_R"] = 64
+    config_path = tmp_path / "synth.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    dump = tmp_path / "tree.txt"
+    assert main(["inspect", "--config", str(config_path), "--problem-index", str(index),
+                 "--output", str(dump)]) == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == INSPECT_GOLDEN[size, index]

@@ -439,8 +439,8 @@ class TestRunSearch:
 
     def test_terminal_revisit_rounds_keep_counting(self, all_rounds):
         # A 2-step noise-free chain is fully built in 2 rounds, and the search
-        # stops there. Without the stop, later rounds re-evaluate the terminal
-        # line and still bump its visits and its ancestors'.
+        # stops there. Without the stop, later rounds replay the terminal line:
+        # they add no rollout but still bump its visits and its ancestors'.
         trace, generator, verifier = self._bundle([5, 6])
         cfg = make_config(max_rounds_R=10)
         stopped = run_search(trace.problem, generator, verifier, cfg)
@@ -448,14 +448,51 @@ class TestRunSearch:
         with all_rounds:
             result = run_search(trace.problem, generator, verifier, cfg)
         assert result.root.visit_count == 10
+        assert len(result.rollouts) == 2
+        assert result.rollouts == stopped.rollouts
+        leaf = result.root.children[0].children[0]
+        assert leaf.visit_count == 9
+        assert leaf.state == stopped.rollouts[-1].steps
+        assert leaf.q_value == stopped.rollouts[-1].node_reward == pytest.approx(1.5)
+
+    def test_replay_rounds_call_no_backend(self, all_rounds):
+        # Once the 2-step chain is built, every backend call raises. The
+        # replays of rounds 3-10 make none: no round records an error, none
+        # adds a rollout, and each still takes its visits.
+        trace, generator, verifier = self._bundle([5, 6])
+
+        class Budget:
+            """Forwards the first `calls` calls to `inner`, then raises."""
+
+            def __init__(self, inner, calls=math.inf):
+                self.inner, self.calls, self.made = inner, calls, 0
+
+            def _spend(self):
+                if self.made >= self.calls:
+                    raise BackendError("backend called after the chain was built")
+                self.made += 1
+
+            def generate(self, problem, state, count):
+                self._spend()
+                return self.inner.generate(problem, state, count)
+
+            def verify(self, problem, step, state):
+                self._spend()
+                return self.inner.verify(problem, step, state)
+
+        cfg = make_config(max_rounds_R=10)
+        counting_generator, counting_verifier = Budget(generator), Budget(verifier)
+        stopped = run_search(trace.problem, counting_generator, counting_verifier, cfg)
+        assert len(stopped.rounds) == 2
+        with all_rounds:
+            result = run_search(trace.problem, Budget(generator, counting_generator.made),
+                                Budget(verifier, counting_verifier.made), cfg)
+        assert [record.error for record in result.rounds] == [None] * 10
+        assert [record.reward_path_indices for record in result.rounds[2:]] == [(0, 0)] * 8
+        assert result.rollouts == stopped.rollouts
+        assert result.root.visit_count == 10
+        assert result.root.children[0].visit_count == 9
         assert result.root.children[0].children[0].visit_count == 9
-        assert len(result.rollouts) == 10
-        assert result.rollouts[:2] == stopped.rollouts
-        revisit = result.rollouts[-1]
-        assert revisit.expansion_index == 2
-        assert revisit.complete
-        assert revisit.u_value == pytest.approx(0.5)
-        assert revisit.steps == stopped.rollouts[-1].steps
 
     def test_every_final_sibling_is_simulated(self):
         # The root's expansion yields three distinct final steps. The

@@ -1,15 +1,17 @@
-"""Property tests: the fast labelling and answer-equality paths, and the
-early-stopped search, against their reference definitions, with exact
-equality and no tolerance."""
+"""Property tests: the fast labelling, answer-equality and selection paths,
+the early-stopped search and its replays, against their reference
+definitions, with exact equality and no tolerance."""
 
 import math
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from treeprm import mcts
 from treeprm.backends.synthetic import ExactVerifier, ScriptedGenerator
 from treeprm.domain import answers_equal, normalize_answer, parse_rational
-from treeprm.mcts import SearchConfig, run_search
+from treeprm.mcts import SearchConfig, best_index, run_search, uct_score
 from treeprm.rewards import (
     UnlabeledStepError,
     aggregate,
@@ -144,3 +146,62 @@ def test_stopped_search_finds_the_rollouts_of_all_rounds(all_rounds, search):
     assert distinct_rollouts(stopped.rollouts) == distinct_rollouts(reference.rollouts)
     assert stopped.root.visit_count == len(stopped.rounds) <= cfg.max_rounds_R
     assert len(reference.rounds) == cfg.max_rounds_R
+
+
+def reference_select_leaf(root, cfg):
+    """Selection as first written: a score list per level, `uct_score` for
+    each live child and -inf for each dead end, then `best_index`."""
+    path = [root]
+    node = root
+    while node.fully_expanded and not node.terminal and node.children:
+        scores = [
+            -math.inf if child.dead_end
+            else uct_score(child.q_value, node.visit_count, child.visit_count, cfg.exploration_c)
+            for child in node.children
+        ]
+        node = node.children[best_index(scores)]
+        path.append(node)
+    return path
+
+
+@settings(deterministic, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(searches())
+def test_select_leaf_matches_the_reference_descent(all_rounds, search):
+    problem, generator, verifier, cfg = search
+    descents = []
+    select_leaf = mcts.select_leaf
+
+    def checked(root, cfg):
+        expected = reference_select_leaf(root, cfg)
+        path = select_leaf(root, cfg)
+        assert path == expected
+        descents.append(len(path))
+        return path
+
+    with all_rounds, mock.patch.object(mcts, "select_leaf", checked):
+        result = run_search(problem, generator, verifier, cfg)
+    assert len(descents) == len(result.rounds) == cfg.max_rounds_R
+
+
+def terminal_nodes(node):
+    if node.terminal:
+        yield node
+    for child in node.children:
+        yield from terminal_nodes(child)
+
+
+@settings(deterministic, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(searches())
+def test_visited_terminal_q_is_its_first_reward(all_rounds, search):
+    problem, generator, verifier, cfg = search
+    with all_rounds:
+        result = run_search(problem, generator, verifier, cfg)
+    # A rollout simulated from a shallower node can end on the same line
+    # first, with that node's reward; the node's own rollout has its depth.
+    for node in terminal_nodes(result.root):
+        if node.visit_count:
+            first = next(rollout for rollout in result.rollouts if rollout.steps == node.state
+                         and rollout.expansion_index == len(node.state))
+            assert node.q_value == first.node_reward
