@@ -150,37 +150,62 @@ def _generate(cfg: RunConfig, problems, generator, verifier, out: Path) -> Build
     )
 
 
-def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
-    """The decode stage: reward-guided decoding of every problem, then pass@n
-    sampling, both on one pool of `cfg.workers` threads.
+class _ProblemCandidates:
+    """One problem's decode-stage generator: each distinct (state, count) is
+    asked of `policy` once, and every later ask gets the same candidates.
 
-    Writes `decode_results.jsonl` and `decode_log.jsonl` and returns the
-    guided accuracy and pass@1 / pass@n. A pass@n task holds all of one
-    problem's samples in order, so requests that share a body are never sent
-    concurrently.
+    The guided decode and the pass@n samples of one problem walk largely the
+    same states. A synthetic generator returns the same candidates for one
+    state by its seed, and a cached remote one by its cache entries, so
+    sharing the lists changes no output there. Without a cache, a remote
+    generator sends nothing for a repeated state, so the samples share
+    candidate sets as they do on a cached run."""
+
+    def __init__(self, policy):
+        self._policy = policy
+        self._asked: dict = {}
+
+    def generate(self, problem, state, count):
+        key = (state, count)
+        candidates = self._asked.get(key)
+        if candidates is None:
+            candidates = self._asked[key] = self._policy.generate(problem, state, count)
+        return candidates
+
+
+def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
+    """The decode stage: one task per problem on a pool of `cfg.workers`
+    threads, which decodes the problem reward-guided and then draws its
+    `pass_n` samples in order. The task's generator asks each distinct state
+    once (`_ProblemCandidates`) and is dropped with the task, so no lock is
+    taken and what it holds is bounded by one problem. Requests of one
+    problem are never sent concurrently.
+
+    Writes `decode_results.jsonl` and `decode_log.jsonl` after the pool, in
+    problem order, and returns the guided accuracy and pass@1 / pass@n.
     """
     pass_n = cfg.decode.pass_n
+
+    def task(problem):
+        policy = _ProblemCandidates(generator)
+        result = decode(problem, policy, scorer, cfg.decode)
+        return result, [sample_rollout(problem, policy, cfg.decode, s)[1] for s in range(pass_n)]
+
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        results = pool_map(
-            pool, lambda problem: decode(problem, generator, scorer, cfg.decode), problems
-        )
-        write_jsonl(out / "decode_results.jsonl", (
-            {
-                "id": result.problem_id,
-                "correct": result.correct,
-                "complete": result.complete,
-                "final_answer": result.trajectory.final_answer,
-                "steps": [s.action for s in result.trajectory.steps],
-            }
-            for result in results
-        ))
-        write_decode_log(out / "decode_log.jsonl", results)
-        matrix = pool_map(
-            pool,
-            lambda problem: [sample_rollout(problem, generator, cfg.decode, s)[1]
-                             for s in range(pass_n)],
-            problems,
-        )
+        decoded = pool_map(pool, task, problems)
+    results = [result for result, _ in decoded]
+    matrix = [row for _, row in decoded]
+    write_jsonl(out / "decode_results.jsonl", (
+        {
+            "id": result.problem_id,
+            "correct": result.correct,
+            "complete": result.complete,
+            "final_answer": result.trajectory.final_answer,
+            "steps": [s.action for s in result.trajectory.steps],
+        }
+        for result in results
+    ))
+    write_decode_log(out / "decode_log.jsonl", results)
     return {
         "guided_accuracy": sum(r.correct for r in results) / len(results) if results else 0.0,
         "pass_at_1": pass_at_n(matrix, 1) if matrix else 0.0,

@@ -1,10 +1,10 @@
 """Reward-guided greedy decoding and pass@n.
 
 At each position the policy samples N candidate steps, the scorer rates each
-one, and the argmax is taken (ties to the lowest candidate index, which for
-generative +/-1 scorers is part of the external contract). Every decision is
-logged with its full candidate/score lists so the argmax can be re-verified
-from the logs alone.
+distinct one, and the argmax is taken (ties to the lowest candidate index,
+which for generative +/-1 scorers is part of the external contract). Every
+decision is logged with its full candidate/score lists so the argmax can be
+re-verified from the logs alone.
 """
 
 from __future__ import annotations
@@ -66,14 +66,18 @@ def greedy_step(
     scorer: StepScorer,
     cfg: DecodeConfig,
 ) -> tuple[ReasoningStep, StepDecision]:
-    """Sample N candidates, score each, return the argmax and its log record."""
+    """Sample N candidates, score each distinct one once, return the argmax and
+    its log record. Every slot carries its candidate's score, so equal
+    candidates tie and the lowest index among them wins."""
     candidates = policy.generate(problem, state, cfg.candidates_N)
     if not candidates:
         raise DecodeError(f"policy produced no candidates for problem {problem.id}")
     try:
-        scores = [scorer.score(problem, state, candidate) for candidate in candidates]
+        scored = {candidate: scorer.score(problem, state, candidate)
+                  for candidate in dict.fromkeys(candidates)}
     except Exception as err:
         raise DecodeError(f"scorer failed on problem {problem.id}: {err}") from err
+    scores = [scored[candidate] for candidate in candidates]
     best = best_index(scores)
     decision = StepDecision(
         step_index=len(state) + 1,

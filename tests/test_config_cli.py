@@ -3,18 +3,33 @@
 import argparse
 import json
 import re
+import tempfile
+from collections import Counter
 from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treeprm import cli
 from treeprm.backends import BackendConfig
+from treeprm.backends.synthetic import OracleScorer, ScriptedGenerator
 from treeprm.cli import build_parser, main
-from treeprm.config import ConfigError, HttpBackend, Paths, load_config
+from treeprm.config import ConfigError, HttpBackend, Paths, RunConfig, load_config
 from treeprm.dataset import MODES, load_instances
-from treeprm.decoding import DecodeConfig
+from treeprm.decoding import (
+    DecodeConfig,
+    decode,
+    pass_at_n,
+    read_decode_log,
+    sample_rollout,
+    write_decode_log,
+)
+from treeprm.jsonio import read_jsonl
 from treeprm.mcts import SearchConfig
-from treeprm.synthetic import SyntheticCorpusConfig
+from treeprm.synthetic import SyntheticCorpusConfig, trace_from_values
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -508,6 +523,99 @@ class TestCliDecode:
                      "--workers", "3"]) == 0
         assert tree_bytes(out_a) == tree_bytes(out_b)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_decode_generates_each_distinct_state_once_per_problem(self, tmp_path, workers):
+        asked = []
+        original = ScriptedGenerator.generate
+
+        def counting(self, problem, state, count):
+            asked.append((problem.id, state, count))
+            return original(self, problem, state, count)
+
+        config = write_config(tmp_path)
+        with mock.patch.object(ScriptedGenerator, "generate", counting):
+            assert main(["decode", "--config", str(config), "--workers", workers,
+                         "--output", str(tmp_path / "dec")]) == 0
+        repeated = {key: n for key, n in Counter(asked).items() if n > 1}
+        assert repeated == {}
+        assert len({problem_id for problem_id, _, _ in asked}) == 6
+        assert any(len(state) > 1 for _, state, _ in asked)
+
+
+class CountingGenerator:
+    """Delegates to `inner` and records every (problem id, state, count) asked."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked = []
+
+    def generate(self, problem, state, count):
+        self.asked.append((problem.id, state, count))  # list.append is atomic
+        return self.inner.generate(problem, state, count)
+
+
+@st.composite
+def decode_runs(draw):
+    """A few small traces with planted errors, a noisy generator, its oracle
+    scorer and a run config with a drawn decode section and worker count."""
+    traces = []
+    for index in range(draw(st.integers(1, 3))):
+        values = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=4))
+        positions = draw(st.sets(st.integers(min_value=1, max_value=len(values))))
+        error_plan = tuple((position, draw(st.sampled_from((10, -30))))
+                           for position in sorted(positions))
+        traces.append(trace_from_values(values, error_plan=error_plan, problem_id=f"p{index}"))
+    generator = ScriptedGenerator(traces, branch_noise=draw(st.floats(0.0, 1.0)),
+                                  noise_deltas=draw(st.sampled_from(((7,), (7, -7), (-30,)))),
+                                  seed=draw(st.integers(0, 2**16)))
+    cfg = RunConfig(
+        search=SearchConfig(exploration_c=1.0, branch_K=1, decay_gamma=0.9, outcome_beta=0.5,
+                            max_rounds_R=1, max_depth=1, rng_seed=0),
+        decode=DecodeConfig(candidates_N=draw(st.integers(1, 5)),
+                            max_steps=draw(st.integers(1, 6)), pass_n=draw(st.integers(1, 5)),
+                            rng_seed=draw(st.integers(0, 2**16))),
+        paths=Paths(output_dir="unused"),
+        workers=draw(st.integers(1, 2)),
+    )
+    return [trace.problem for trace in traces], generator, OracleScorer(traces), cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(decode_runs())
+def test_decode_stage_matches_decode_and_sample_rollout_called_directly(run):
+    """The decode stage's files, its pass@n matrix and its generator calls,
+    against `decode` and `sample_rollout` called on the bare generator."""
+    problems, generator, scorer, cfg = run
+    counting = CountingGenerator(generator)
+    matrices = []
+
+    def recording_pass_at_n(matrix, n):
+        matrices.append(matrix)
+        return pass_at_n(matrix, n)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "pass_at_n", recording_pass_at_n):
+        out = Path(tmp)
+        summary = cli._decode(cfg, problems, counting, scorer, out)
+        written = [record for _, record in read_jsonl(out / "decode_results.jsonl")]
+        log = read_decode_log(out / "decode_log.jsonl")
+        results = [decode(problem, generator, scorer, cfg.decode) for problem in problems]
+        write_decode_log(out / "reference_log.jsonl", results)
+        reference_log = read_decode_log(out / "reference_log.jsonl")
+    matrix = [[sample_rollout(problem, generator, cfg.decode, s)[1]
+               for s in range(cfg.decode.pass_n)] for problem in problems]
+
+    assert written == [
+        {"id": r.problem_id, "correct": r.correct, "complete": r.complete,
+         "final_answer": r.trajectory.final_answer,
+         "steps": [s.action for s in r.trajectory.steps]}
+        for r in results
+    ]
+    assert log == reference_log
+    assert matrices == [matrix, matrix]
+    assert summary["guided_accuracy"] == sum(r.correct for r in results) / len(results)
+    assert max(Counter(counting.asked).values()) == 1
+
 
 class TestCliEval:
     def test_reference_table_reproduces_anchor_rows(self, tmp_path, capsys):
@@ -685,6 +793,86 @@ class TestCliRemoteBackends:
             outputs.append([(out / f).read_bytes() for f in ("dataset.jsonl", "summary.json")])
         assert outputs[0] == outputs[1]
         assert len(load_instances(tmp_path / "a" / "out" / "dataset.jsonl")) == 3
+
+    @staticmethod
+    def _decode_config(tmp_path, server_url, cache_dir=None):
+        """Remote generator and label-mode scorer for `decode` over two
+        problems, with N=2 candidates and 4 pass@n samples."""
+        problems_file = tmp_path / "problems.jsonl"
+        problems_file.write_text("".join(
+            f'{{"id": "r{i}", "statement": "Add 2 and 3, case {i}.", "gold_answer": "5"}}\n'
+            for i in (1, 2)
+        ), encoding="utf-8")
+
+        def mutate(cfg):
+            del cfg["synthetic"]
+            cfg["decode"].update(candidates_N=2, pass_n=4)
+            cfg["paths"]["problems_file"] = str(problems_file)
+            if cache_dir is not None:
+                cfg["paths"]["cache_dir"] = str(cache_dir)
+            endpoint = {"endpoint_url": f"{server_url}/v1/chat/completions",
+                        "model_name": "fake", "max_retries": 0, "rate_limit_rps": 10000}
+            cfg["backends"] = {"generator": {"kind": "http", **endpoint},
+                               "scorer": {"kind": "http", **endpoint}}
+
+        return write_config(tmp_path, mutate, name=f"decode-{cache_dir is not None}.json")
+
+    @staticmethod
+    def _decode_responder():
+        """Replies that depend on the request body alone, except that the
+        k-th ask of one first-step body gets the sum 5 or 6 as k is even or
+        odd, so the two samples of the first position differ. The scorer
+        rewards a step that keeps the sum 5."""
+        asked = Counter()
+
+        def respond(body):
+            system, user = (message["content"] for message in body["messages"])
+            if system.startswith("You are a process reward model"):
+                candidate = user.split("Candidate next step:")[1]
+                return "\\boxed{+}" if "5" in candidate else "\\boxed{-}"
+            if "(none yet)" in user:
+                asked[user] += 1
+                return f"Objective: add\nAction: 2 + 3 = {5 + (asked[user] - 1) % 2}"
+            total = 5 if "2 + 3 = 5" in user else 6
+            return f"Objective: answer\nAction: Final Answer: {total}"
+
+        return respond
+
+    @staticmethod
+    def _chat_bodies(state, role):
+        return [request["raw"] for request in state.chat_requests
+                if request["body"]["messages"][0]["content"].startswith(role)]
+
+    def test_uncached_decode_asks_each_state_once_per_problem(self, tmp_path, fake_server):
+        fake_server.state.chat_responder = self._decode_responder()
+        uncached = self._decode_config(tmp_path, fake_server.url)
+        assert main(["decode", "--config", str(uncached), "--output", str(tmp_path / "u")]) == 0
+
+        # One state is one generator body: each is sent N=2 times, once per sample index.
+        generated = Counter(self._chat_bodies(fake_server.state, "You are a careful"))
+        assert set(generated.values()) == {2}
+        # Per problem: the first position, and after it "2 + 3 = 5" (the guided
+        # path) and "2 + 3 = 6" (reached by a pass@n sample only).
+        assert len(generated) == 2 * 3
+        # The guided path scores its distinct candidates: "= 5" and "= 6", then
+        # the final step that both of its slots hold.
+        assert len(self._chat_bodies(fake_server.state, "You are a process")) == 2 * 3
+        log = [json.loads(line) for line in
+               (tmp_path / "u" / "decode_log.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [record["candidates"] for record in log] == [
+            ["2 + 3 = 5", "2 + 3 = 6"], ["Final Answer: 5", "Final Answer: 5"]] * 2
+        assert [record["chosen_index"] for record in log] == [0, 0, 0, 0]
+
+        # A cold cached run sends the same requests and writes the same bytes;
+        # a warm rerun sends none.
+        fake_server.state.chat_requests.clear()
+        fake_server.state.chat_responder = self._decode_responder()
+        cached = self._decode_config(tmp_path, fake_server.url, tmp_path / "cache")
+        for name in ("cold", "warm"):
+            assert main(["decode", "--config", str(cached),
+                         "--output", str(tmp_path / name)]) == 0
+            assert tree_bytes(tmp_path / name) == tree_bytes(tmp_path / "u")
+            assert len(fake_server.state.chat_requests) == 2 * 2 * 3 + 2 * 3
 
 
 class TestCliErrors:

@@ -83,6 +83,37 @@ class TestGreedyStep:
                                   decode_cfg(candidates_N=8))
         assert len(decision.candidates) == 8
 
+    def test_equal_candidates_are_scored_once(self):
+        trace, _, _ = bundle([1, 2])
+
+        def step(action):
+            return ReasoningStep(index=1, objective="o", action=action)
+
+        # Equal candidates as one object and as separate equal objects.
+        a, b = step("a"), step("b")
+        slots = [a, b, step("c"), step("b"), a, step("c")]
+        values = {"a": 0.2, "b": 0.9, "c": 0.9}
+
+        class Policy:
+            def generate(self, problem, state, count):
+                return slots
+
+        class CountingScorer:
+            def __init__(self):
+                self.asked = []
+
+            def score(self, problem, state, candidate):
+                self.asked.append(candidate.action)
+                return values[candidate.action]
+
+        scorer = CountingScorer()
+        chosen, decision = greedy_step((), trace.problem, Policy(), scorer,
+                                       decode_cfg(candidates_N=len(slots)))
+        assert scorer.asked == ["a", "b", "c"]
+        assert decision.scores == tuple(values[c.action] for c in slots)
+        assert decision.candidates == ("a", "b", "c", "b", "a", "c")
+        assert decision.chosen_index == 1 and chosen is b  # b and c tie at 0.9
+
     def test_scorer_error_is_decode_error(self):
         trace, policy, _ = bundle([1, 2])
 
@@ -175,3 +206,4 @@ class TestDecodeLog:
             scores = record["scores"]
             best = max(range(len(scores)), key=lambda i: (scores[i], -i))
             assert record["chosen_index"] == best
+
