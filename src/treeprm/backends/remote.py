@@ -10,10 +10,11 @@ in the README.
 Requests go over the standard library's `http.client`, one keep-alive
 connection per endpoint and thread. Every request goes through its host's rate
 limiter, retries transient failures (connection errors, 429, 5xx) with
-exponential backoff, and is served from the content-addressed cache when warm. Each request names the
-reader that turns its reply into what the role uses; a reply is cached only
-once that reader accepts it. The cache memoizes one value per key, so every
-key carries the `kind` of its reader, and the scorer's also its `mode`.
+exponential backoff, and is served from the content-addressed cache when warm.
+Each request names the reader that turns its reply into what the role uses; a
+reply is cached only once that reader accepts it. `_Endpoint.request` derives
+the cache key from what the request sends, led by the `kind` of its reader
+(the scorer's names its `mode`), since the cache memoizes one value per key.
 """
 
 from __future__ import annotations
@@ -176,28 +177,35 @@ class _Endpoint:
             status=last_status,
         )
 
-    def request(self, key_payload: dict, read: Callable[[bytes], _T], method: str = "POST",
-                payload: dict | None = None, params: dict | None = None) -> _T:
-        """`read` of the reply; with a cache, the reply is stored only if
-        `read` accepts it."""
-        key = cache_key(key_payload)
+    def request(self, kind: str, read: Callable[[bytes], _T], payload: dict | None = None,
+                params: dict | None = None, sample_index: int = 0) -> _T:
+        """`read` of the reply to a POST of `payload`, or else to a GET with
+        the query `params`. With a cache, the reply is stored only if `read`
+        accepts it, under the key of `kind` (which names `read`), the sample
+        index and what goes on the wire: the body's values for a POST, the
+        endpoint URL and the query's values for a GET. A POST's key leaves
+        out the URL, so its entries serve any host that takes the same body."""
+        if payload is None:
+            method, sent = "GET", (self.cfg.endpoint_url, *params.values())
+        else:
+            method, sent = "POST", payload.values()
         if self.cache is not None:
             return self.cache.get_or_fetch(
-                key, lambda: self._fetch(method, payload, params), read
+                cache_key((kind, sample_index, *sent)),
+                lambda: self._fetch(method, payload, params), read,
             )
         return read(self._fetch(method, payload, params))
 
-    def chat(self, key_payload: dict, template: PromptTemplate, body: str,
-             read: Callable[[bytes], _T], **extra) -> _T:
+    def chat(self, kind: str, template: PromptTemplate, body: str,
+             read: Callable[[bytes], _T], sample_index: int = 0, **extra) -> _T:
         """One chat completion: the template's preamble as the system message
-        and `body` as the user message, returned through `read`. The cache key
-        adds the template, the temperature and the model to `key_payload`;
-        `extra` joins the POST."""
+        and `body` as the user message, returned through `read`; `extra` joins
+        the POST."""
         cfg = self.cfg
         return self.request(
-            {**key_payload, "template": template.body_template,
-             "temperature": cfg.temperature, "model": cfg.model_name},
+            kind,
             read,
+            sample_index=sample_index,
             payload={
                 "model": cfg.model_name,
                 "messages": [
@@ -227,8 +235,9 @@ class _Endpoint:
 class ChatCompletionGenerator:
     """Samples candidate steps from a chat-completion endpoint.
 
-    Each of the `count` samples is an independent request so the cache can
-    key on (template, problem, state, sample index, temperature, model).
+    Each of the `count` samples is an independent request, and its sample
+    index joins the sent body in its cache key, so equal bodies keep one entry
+    per sample.
     Completions that do not parse into a step are dropped, never padded.
     """
 
@@ -247,15 +256,10 @@ class ChatCompletionGenerator:
         body = self._template.render(
             problem=problem.statement, prior_steps=render_prior_steps(state)
         )
-        actions = [s.action for s in state]
         steps = []
         for sample_index in range(count):
             content = self._endpoint.chat(
-                {"kind": "chat-step", "problem": problem.id, "state": actions,
-                 "sample_index": sample_index},
-                self._template,
-                body,
-                self._endpoint.chat_content,
+                "chat-step", self._template, body, self._endpoint.chat_content, sample_index
             )
             step = parse_step_completion(content, len(state) + 1)
             if step is not None:
@@ -302,26 +306,14 @@ class ToolVerifier:
         self, problem: Problem, step: ReasoningStep, context: StepSequence
     ) -> VerificationResult:
         query = step.action
-        tool_text = self._tool.request(
-            {"kind": "tool", "endpoint": self._tool.cfg.endpoint_url, "query": query},
-            _tool_result,
-            method="GET",
-            params={"query": query},
-        )
+        tool_text = self._tool.request("tool", _tool_result, params={"query": query})
         body = self._template.render(
             problem=problem.statement,
             prior_steps=render_prior_steps(context),
             candidate_step=render_candidate(step),
             tool_response=tool_text,
         )
-        content = self._judger.chat(
-            {"kind": "judge-step", "problem": problem.id,
-             "state": [s.action for s in context], "candidate": step.action,
-             "tool_response": tool_text},
-            self._template,
-            body,
-            self._judger.chat_content,
-        )
+        content = self._judger.chat("judge-step", self._template, body, self._judger.chat_content)
         verdict = parse_verdict_marker(content)
         return VerificationResult(
             label=-1 if verdict is None else verdict,
@@ -364,9 +356,7 @@ class ServedPrmScorer:
         sample_name = f"{problem.id}@{candidate.index}"
         read = self._likelihood_score if self._mode == "likelihood" else self._label_score
         return self._endpoint.chat(
-            {"kind": "score-step", "problem": problem.id,
-             "state": [s.action for s in state], "candidate": candidate.action,
-             "mode": self._mode},
+            f"score-{self._mode}",
             self._template,
             body,
             lambda raw: read(raw, sample_name),
@@ -381,28 +371,27 @@ class ServedPrmScorer:
 
     @staticmethod
     def _likelihood_score(raw: bytes, sample_name: str) -> float:
-        try:
-            body = json.loads(raw.decode("utf-8"))
-            entries = body["choices"][0]["logprobs"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as err:
-            raise BackendError(
-                f"PRM response for sample {sample_name} lacks logprobs: {err}"
-            ) from err
         def canonical(token: str) -> str:
             return token.strip().replace("−", "-")
 
-        verdict_entry = None
-        for entry in entries:
-            if canonical(entry.get("token", "")) in ("+", "-"):
-                verdict_entry = entry
-        if verdict_entry is None:
+        try:
+            body = json.loads(raw.decode("utf-8"))
+            entries = body["choices"][0]["logprobs"]["content"]
+            verdicts = [entry for entry in entries
+                        if canonical(entry.get("token", "")) in ("+", "-")]
+            alternatives = verdicts[-1].get("top_logprobs", []) if verdicts else []
+            probs = {"+": 0.0, "-": 0.0}
+            for alt in alternatives:
+                token = canonical(alt.get("token", ""))
+                if token in probs:
+                    probs[token] = math.exp(alt["logprob"])
+        except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as err:
+            raise BackendError(
+                f"malformed logprobs in PRM response for sample {sample_name}: {err!r}"
+            ) from err
+        if not verdicts:
             raise BackendError(f"no verdict token logprobs for sample {sample_name}")
-        probs = {"+": 0.0, "-": 0.0}
-        for alt in verdict_entry.get("top_logprobs", []):
-            token = canonical(alt.get("token", ""))
-            if token in probs:
-                probs[token] = math.exp(alt["logprob"])
         total = probs["+"] + probs["-"]
-        if total <= 0:
+        if not 0 < total < math.inf:  # also a NaN or infinite logprob
             raise BackendError(f"degenerate verdict likelihoods for sample {sample_name}")
         return (probs["+"] - probs["-"]) / total

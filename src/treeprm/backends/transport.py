@@ -1,8 +1,8 @@
 """Transport plumbing shared by the HTTP backends: response cache, rate limit.
 
-The cache is content-addressed: one file per sha256 of the canonical request
-payload, holding the raw response bytes. A response is stored only once the
-caller's reader accepts it, so a reply the caller cannot read is asked for
+The cache is content-addressed: one file per `cache_key` of the fields a
+request sends, holding the raw response bytes. A response is stored only once
+the caller's reader accepts it, so a reply the caller cannot read is asked for
 again rather than replayed. With a warm cache a pipeline run issues zero
 network requests and reproduces the run that populated it byte for byte.
 Identical concurrent requests are deduplicated in-flight so only one of them
@@ -26,15 +26,15 @@ from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 from urllib.parse import urlsplit
 
-from ..jsonio import canonical_json
 from .base import BackendConfig
 
 _T = TypeVar("_T")
 
 
-def cache_key(payload: dict) -> str:
-    """Stable content hash of a request payload."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+def cache_key(fields: tuple) -> str:
+    """sha256 of the `ascii` text of `fields`, which for strings, numbers and
+    lists and dicts of these (in their order) is a function of the values."""
+    return hashlib.sha256(ascii(fields).encode("ascii")).hexdigest()
 
 
 _MISSING = object()
@@ -47,9 +47,9 @@ class FileResponseCache:
     The memo rests on one rule: a key always names one reader, and that reader
     returns an immutable value (a `str` or a `float` today) that every later
     request for the key shares. The backends keep it by putting the reader's
-    identity in the key: every key carries `kind`, and the scorer's also its
-    `mode`. The scorer's reader also takes a sample name, but only its errors
-    use it, and an error is never memoized.
+    identity in the key: every key starts with its reader's `kind`, and the
+    scorer's kind names its `mode`. The scorer's reader also takes a sample
+    name, but only its errors use it, and an error is never memoized.
     """
 
     def __init__(self, cache_dir: str | Path):

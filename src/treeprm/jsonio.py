@@ -2,8 +2,8 @@
 
 Sorted keys, ASCII escapes and compact separators make the text a function of
 the value alone, so identical runs write identical bytes, and the config hash
-and the response-cache key name equal payloads with equal digests. HTTP
-request bodies use a second set of options (`request_body`).
+names equal semantic configs with equal digests. HTTP request bodies use a
+second set of options (`request_body`).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from treeprm.backends.remote import (
 )
 from treeprm.backends.synthetic import ExactVerifier, OracleScorer, ScriptedGenerator
 from treeprm.backends.templates import PromptTemplate, builtin_template, parse_template
-from treeprm.backends.transport import FileResponseCache, RateLimiter, cache_key, host_limiters
+from treeprm.backends.transport import FileResponseCache, RateLimiter, host_limiters
 from treeprm.config import load_config
 from treeprm.domain import Problem, ReasoningStep
 from treeprm.synthetic import trace_from_values
@@ -119,7 +119,7 @@ def _read_until(cache_dir, key, deadline):
 
 class TestCache:
     def test_concurrent_writer_processes_never_publish_a_torn_entry(self, tmp_path):
-        key = cache_key({"shared": True})
+        key = "shared"
         deadline = time.time() + 2.0
         with multiprocessing.get_context("spawn").Pool(3) as pool:
             writers = [pool.apply_async(_put_until, (tmp_path, key, payload, deadline))
@@ -134,14 +134,10 @@ class TestCache:
 
     def test_round_trip(self, tmp_path):
         cache = FileResponseCache(tmp_path)
-        key = cache_key({"a": 1})
+        key = "a1"
         assert cache.get(key) is None
         cache.put(key, b"payload")
         assert cache.get(key) == b"payload"
-
-    def test_key_is_content_addressed(self):
-        assert cache_key({"a": 1, "b": 2}) == cache_key({"b": 2, "a": 1})
-        assert cache_key({"a": 1}) != cache_key({"a": 2})
 
     def test_inflight_dedup_single_fetch(self, tmp_path):
         """Threads asking for one cold key share one fetch, one read and one value."""
@@ -189,7 +185,7 @@ def _count_file_reads(monkeypatch) -> list:
 
 class TestCacheMemo:
     def test_repeat_key_is_answered_without_a_file_call(self, tmp_path, monkeypatch):
-        key = cache_key({"memo": 1})
+        key = "memo"
         FileResponseCache(tmp_path).put(key, b"warm")
         cache = FileResponseCache(tmp_path)
         reads = _count_file_reads(monkeypatch)
@@ -511,6 +507,37 @@ class TestServedPrmScorer:
         scorer = self._scorer(fake_server, tmp_path, mode="likelihood")
         step = ReasoningStep(index=1, objective="o", action="a")
         assert scorer.score(PROBLEM, (), step) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("entries", [
+        [{"token": "+", "top_logprobs": [{"token": "+"}]}],
+        [{"token": "+", "top_logprobs": [{"token": "+", "logprob": "high"}]}],
+        [{"token": "+", "top_logprobs": [{"token": "+", "logprob": 1000.0}]}],
+        [{"token": "+", "top_logprobs": [{"token": "+", "logprob": math.nan}]}],
+        [{"token": "+", "top_logprobs": [{"token": "+", "logprob": math.inf}]}],
+        [{"token": "+", "top_logprobs": ["+"]}],
+        [{"token": "+", "top_logprobs": None}],
+        [{"token": "+", "top_logprobs": {"token": "+"}}],
+        ["+"],
+        [{"token": 5}],
+        {"token": "+"},
+        7,
+    ], ids=["no-logprob", "text-logprob", "overflowing-logprob", "nan-logprob",
+            "infinite-logprob", "text-alternative", "null-alternatives",
+            "object-alternatives", "text-entry", "number-token", "object-content",
+            "number-content"])
+    def test_malformed_likelihood_reply_is_an_uncached_error_naming_sample(
+            self, fake_server, tmp_path, entries):
+        fake_server.state.raw_chat_responder = lambda body: {"choices": [{
+            "message": {"role": "assistant", "content": "\\boxed{+}"},
+            "logprobs": {"content": entries},
+        }]}
+        scorer = self._scorer(fake_server, tmp_path, mode="likelihood")
+        step = ReasoningStep(index=3, objective="o", action="a")
+        for _ in range(2):
+            with pytest.raises(BackendError, match="q1@3"):
+                scorer.score(PROBLEM, (), step)
+        assert fake_server.state.request_count == 2
+        assert list((tmp_path / "cache").iterdir()) == []
 
 
 class TestSyntheticBackends:
