@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .backends import (
@@ -37,10 +36,10 @@ from .dataset import (
     BuildReport,
     build_dataset,
     load_problems,
-    pool_map,
+    run_in_order,
     write_problems,
 )
-from .decoding import decode, pass_at_n, sample_rollout, write_decode_log
+from .decoding import decode, decode_log_records, pass_at_n, sample_rollout
 from .evaluation import (
     AnnotatedSample,
     EvalReport,
@@ -57,7 +56,7 @@ from .evaluation import (
     write_annotated,
     write_predictions,
 )
-from .jsonio import canonical_json, write_json, write_jsonl
+from .jsonio import canonical_json, jsonl_writer, write_json
 from .mcts import export_tree, run_search
 from .synthetic import SyntheticTrace, build_corpus, oracle_labels
 
@@ -181,33 +180,41 @@ def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
     taken and what it holds is bounded by one problem. Requests of one
     problem are never sent concurrently.
 
-    Writes `decode_results.jsonl` and `decode_log.jsonl` after the pool, in
-    problem order, and returns the guided accuracy and pass@1 / pass@n.
+    Writes a problem's lines of `decode_results.jsonl` and `decode_log.jsonl`
+    once it and every earlier problem are done, so both files are in problem
+    order, and keeps only each problem's `correct` flag and pass@n row. The
+    first failing problem in problem order ends the stage with its error
+    (`run_in_order`); the files then hold the problems before it. Returns
+    the guided accuracy and pass@1 / pass@n.
     """
     pass_n = cfg.decode.pass_n
+    correct: list[bool] = []
+    matrix: list[list[bool]] = []
 
     def task(problem):
         policy = _ProblemCandidates(generator)
         result = decode(problem, policy, scorer, cfg.decode)
         return result, [sample_rollout(problem, policy, cfg.decode, s)[1] for s in range(pass_n)]
 
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        decoded = pool_map(pool, task, problems)
-    results = [result for result, _ in decoded]
-    matrix = [row for _, row in decoded]
-    write_jsonl(out / "decode_results.jsonl", (
-        {
+    def emit(decoded) -> None:
+        result, row = decoded
+        write_result({
             "id": result.problem_id,
             "correct": result.correct,
             "complete": result.complete,
             "final_answer": result.trajectory.final_answer,
             "steps": [s.action for s in result.trajectory.steps],
-        }
-        for result in results
-    ))
-    write_decode_log(out / "decode_log.jsonl", results)
+        })
+        for record in decode_log_records(result):
+            write_log(record)
+        correct.append(result.correct)
+        matrix.append(row)
+
+    with jsonl_writer(out / "decode_results.jsonl") as write_result, \
+            jsonl_writer(out / "decode_log.jsonl") as write_log:
+        run_in_order(task, problems, emit, cfg.workers)
     return {
-        "guided_accuracy": sum(r.correct for r in results) / len(results) if results else 0.0,
+        "guided_accuracy": sum(correct) / len(correct) if correct else 0.0,
         "pass_at_1": pass_at_n(matrix, 1) if matrix else 0.0,
         f"pass_at_{pass_n}": pass_at_n(matrix, pass_n) if matrix else 0.0,
     }

@@ -27,17 +27,21 @@ therefore dropped, and each such flip is logged with its u+v value in the
 build report.
 
 Instances serialize one per line as versioned canonical JSON (sorted keys,
-ASCII escapes), so identical builds are byte-identical.
+ASCII escapes), so identical builds are byte-identical. A build writes each
+problem's instances as soon as it and every earlier problem are done
+(`run_in_order`) and keeps only counts, so its memory does not grow with the
+instances it keeps.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import Executor, ThreadPoolExecutor, wait
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__ as PIPELINE_VERSION
 from .backends.base import StepGenerator, StepVerifier
@@ -48,7 +52,7 @@ from .domain import (
     normalize_answer,
     parse_verdict_marker,
 )
-from .jsonio import canonical_json, load_jsonl, read_jsonl, write_jsonl
+from .jsonio import canonical_json, jsonl_writer, load_jsonl, read_jsonl, write_jsonl
 from .mcts import RolloutOutcome, SearchConfig, run_search
 from .rewards import labelled_steps
 
@@ -278,7 +282,9 @@ def instance_from_record(record: dict) -> TrainingInstance:
 
 @dataclass
 class BuildReport:
-    """What a build did: kept/dropped bookkeeping plus audit logs."""
+    """What a build did: kept and dropped counts, the flip log and the
+    per-problem errors. The kept instances themselves are in the dataset
+    file only; `load_instances` reads them back."""
 
     problems_total: int = 0
     rollouts_total: int = 0
@@ -286,7 +292,6 @@ class BuildReport:
     dropped: dict[str, int] = field(default_factory=dict)
     flip_events: list[FlipEvent] = field(default_factory=list)
     problem_errors: list[dict] = field(default_factory=list)
-    instances: list[TrainingInstance] = field(default_factory=list)
 
     @property
     def dropped_total(self) -> int:
@@ -369,14 +374,57 @@ def _build_one(
     return instances, drops, flips, errors, len(seen)
 
 
-def pool_map(pool: Executor, fn: Callable, items: Iterable) -> list:
-    """`list(pool.map(fn, items))`, except that the calling thread sleeps until
-    every task is done. Waking it for each result makes it contend with the
-    workers for the interpreter lock once per task, which slowed a one-worker
-    build of 100 synth-deep problems by 9-17%."""
-    futures = [pool.submit(fn, item) for item in items]
-    wait(futures)
-    return [future.result() for future in futures]
+def run_in_order(fn: Callable, items: Iterable, emit: Callable[[Any], None],
+                 workers: int) -> None:
+    """Run `fn(item)` for every item on a pool of `workers` threads and pass
+    each result to `emit` in item order. The worker that finishes the next
+    item in order emits it, and then every finished item after it that was
+    waiting, under one lock; so only results that finished ahead of an
+    earlier, slower item are held, never all of them.
+
+    The calling thread sleeps until every task is done. Waking it for each
+    result makes it contend with the workers for the interpreter lock once
+    per task, which slowed a one-worker build of 100 synth-deep problems by
+    9-17%.
+
+    Emitting stops at the first item whose task or `emit` raises, so what was
+    emitted is the items before it, and tasks not yet started are skipped;
+    that exception is raised once the pool drains."""
+    lock = threading.Lock()
+    waiting: dict[int, tuple[bool, Any]] = {}
+    next_index = 0
+    failure: list[BaseException] = []
+
+    def run(index: int, item) -> None:
+        nonlocal next_index
+        if failure:  # nothing after the failed item is emitted
+            return
+        try:
+            outcome = (True, fn(item))
+        except BaseException as err:  # noqa: BLE001 - raised in order after the drain
+            outcome = (False, err)
+        with lock:
+            if failure:
+                return
+            waiting[index] = outcome
+            while next_index in waiting:
+                ok, value = waiting.pop(next_index)
+                if ok:
+                    try:
+                        emit(value)
+                    except BaseException as err:  # noqa: BLE001 - as above
+                        ok, value = False, err
+                if not ok:
+                    failure.append(value)
+                    waiting.clear()
+                    return
+                next_index += 1
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for index, item in enumerate(items):
+            pool.submit(run, index, item)
+    if failure:
+        raise failure[0]
 
 
 def build_dataset(
@@ -384,19 +432,21 @@ def build_dataset(
     generator: StepGenerator,
     verifier: StepVerifier,
     search_cfg: SearchConfig,
-    output_path: str | Path | None = None,
+    output_path: str | Path,
     *,
     mode: str = "hybrid",
     config_hash: str = "",
     workers: int = 1,
 ) -> BuildReport:
-    """Search every problem, convert its distinct rollouts, filter, and emit
-    instances labelled in `mode`. Provenance takes its seed from `search_cfg`
-    and records `config_hash`.
+    """Search every problem, convert its distinct rollouts, filter, and write
+    the instances labelled in `mode` to `output_path`. Provenance takes its
+    seed from `search_cfg` and records `config_hash`.
 
-    Problems run on a pool of `workers` threads; output order is always the
-    given problem order. A failing problem is recorded and skipped, never
-    fatal; an unknown mode fails before any problem runs.
+    Problems run on a pool of `workers` threads. A problem's instances are
+    written once it and every earlier problem are done, so the file is always
+    in the given problem order and no instance outlives its write. A failing
+    problem is recorded and skipped, never fatal; an unknown mode fails
+    before the file is opened or any problem runs.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
@@ -408,20 +458,19 @@ def build_dataset(
         except Exception as err:  # noqa: BLE001 - per-problem isolation is the contract
             return [], {}, [], [{"problem_id": problem.id, "error": str(err)}], 0
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = pool_map(pool, task, problems)
-
-    for instances, drops, flips, errors, rollout_count in results:
-        report.instances.extend(instances)
+    def emit(result) -> None:
+        instances, drops, flips, errors, rollout_count = result
+        for instance in instances:
+            write(instance)
+        report.kept += len(instances)
         for reason, count in drops.items():
             report.dropped[reason] = report.dropped.get(reason, 0) + count
         report.flip_events.extend(flips)
         report.problem_errors.extend(errors)
         report.rollouts_total += rollout_count
-    report.kept = len(report.instances)
 
-    if output_path is not None:
-        write_jsonl(output_path, report.instances, serialize_instance)
+    with jsonl_writer(output_path, serialize_instance) as write:
+        run_in_order(task, problems, emit, workers)
     return report
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .backends.base import StepGenerator, StepScorer
 from .domain import Problem, ReasoningStep, Trajectory, answers_equal, extract_final_answer
@@ -162,19 +162,21 @@ def pass_at_n(per_sample_correctness: Sequence[Sequence[bool]], n: int) -> float
     return hits / len(per_sample_correctness)
 
 
-def write_decode_log(path: str | Path, results: Sequence[DecodeResult]) -> None:
-    """Line-delimited audit log: one record per decoded step."""
-    write_jsonl(path, (
-        {
+def decode_log_records(result: DecodeResult) -> Iterator[dict]:
+    """The decode log records of one result: one per decoded step."""
+    for decision in result.decisions:
+        yield {
             "problem_id": result.problem_id,
             "step_index": decision.step_index,
             "candidates": decision.candidates,
             "scores": decision.scores,
             "chosen_index": decision.chosen_index,
         }
-        for result in results
-        for decision in result.decisions
-    ))
+
+
+def write_decode_log(path: str | Path, results: Sequence[DecodeResult]) -> None:
+    """Line-delimited audit log: one record per decoded step."""
+    write_jsonl(path, (record for result in results for record in decode_log_records(result)))
 
 
 def read_decode_log(path: str | Path) -> list[dict]:

@@ -9,6 +9,7 @@ second set of options (`request_body`).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -29,15 +30,25 @@ def request_body(payload: Any) -> bytes:
     return canonical_json(payload, _REQUEST).encode("utf-8")
 
 
+@contextmanager
+def jsonl_writer(
+    path: str | Path, encode: Callable[[Any], str] = canonical_json
+) -> Iterator[Callable[[Any], None]]:
+    """Replace `path` and yield `write(record)`, which appends the encoded
+    record as one `\\n`-terminated line."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="\n") as handle:
+        yield lambda record: handle.write(encode(record) + "\n")
+
+
 def write_jsonl(
     path: str | Path, records: Iterable, encode: Callable[[Any], str] = canonical_json
 ) -> None:
     """Replace `path` with one encoded record per `\\n`-terminated line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
+    with jsonl_writer(path, encode) as write:
         for record in records:
-            handle.write(encode(record) + "\n")
+            write(record)
 
 
 def write_json(path: str | Path, value: Any) -> None:

@@ -20,6 +20,7 @@ from treeprm.dataset import (
     SchemaVersionError,
     TrainingInstance,
     build_dataset,
+    load_instances,
     parse_instance,
     serialize_instance,
 )
@@ -276,7 +277,7 @@ def test_criterion_6_dataset_fidelity(tmp_path):
             assert event.u_plus_v != 0.0
 
         agree = total = 0
-        for instance in report.instances:
+        for instance in load_instances(out):
             a, t = _oracle_agreement(instance, traces[instance.provenance.problem_id])
             agree += a
             total += t
@@ -305,28 +306,27 @@ def test_criterion_7_ablation_mode_contracts(tmp_path):
         traces = {trace.problem.id: trace for trace in corpus}
         cfg = search_config(max_rounds_R=6, max_depth=12, rng_seed=701)
 
-        reports = {}
         for mode in ("hybrid", "step_only", "outcome_only", "no_rationale"):
             generator = ScriptedGenerator(corpus, branch_noise=0.25,
                                           noise_deltas=(9, -9), seed=701)
             verifier = ExactVerifier(corpus)
-            reports[mode] = build_dataset(
+            build_dataset(
                 problems, generator, verifier, cfg, tmp_path / f"{mode}.jsonl",
                 mode=mode, config_hash="accept7",
             )
 
-        def keyed(report):
+        def keyed(mode):
             return {
                 (i.provenance.problem_id, i.provenance.rollout_index): i
-                for i in report.instances
+                for i in load_instances(tmp_path / f"{mode}.jsonl")
             }
 
-        outcome_only = keyed(reports["outcome_only"])
+        outcome_only = keyed("outcome_only")
         assert outcome_only
         for instance in outcome_only.values():
             assert all(label == instance.outcome_flag for label in instance.labels)
 
-        step_only = keyed(reports["step_only"])
+        step_only = keyed("step_only")
         assert step_only
         mixed = 0
         for instance in step_only.values():
@@ -337,8 +337,8 @@ def test_criterion_7_ablation_mode_contracts(tmp_path):
                 mixed += 1
         assert mixed > 0  # the contract is exercised on genuinely mixed rollouts
 
-        hybrid = keyed(reports["hybrid"])
-        no_rationale = keyed(reports["no_rationale"])
+        hybrid = keyed("hybrid")
+        no_rationale = keyed("no_rationale")
         assert set(no_rationale) == set(hybrid)
         assert set(hybrid) <= set(step_only)
         for key, bare in no_rationale.items():

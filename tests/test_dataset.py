@@ -4,7 +4,6 @@ import json
 import math
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -32,7 +31,7 @@ from treeprm.dataset import (
     load_instances,
     load_problems,
     parse_instance,
-    pool_map,
+    run_in_order,
     serialize_instance,
     tree_id_for,
 )
@@ -252,7 +251,7 @@ class TestBuildDataset:
         _, pooled = self._build(tmp_path, "pooled.jsonl", workers=4)
         assert serial.read_bytes() == pooled.read_bytes()
 
-    def test_pool_map_keeps_item_order_and_raises_the_first_failure(self):
+    def test_run_in_order_keeps_item_order_and_raises_the_first_failure(self):
         second_done = threading.Event()
 
         def task(item):
@@ -264,14 +263,33 @@ class TestBuildDataset:
                 raise ValueError(f"item {item}")
             return item * 10
 
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            assert pool_map(pool, task, [0, 1]) == [0, 10]
-            with pytest.raises(ValueError, match="item 2"):
-                pool_map(pool, task, [1, 2, 3])
+        emitted = []
+        run_in_order(task, [0, 1], emitted.append, workers=2)
+        assert emitted == [0, 10]
+        emitted.clear()
+        with pytest.raises(ValueError, match="item 2"):
+            run_in_order(task, [1, 2, 3], emitted.append, workers=2)
+        assert emitted == [10]
+
+    def test_run_in_order_stops_at_a_failing_emit_and_skips_later_items(self):
+        started, emitted = [], []
+
+        def task(item):
+            started.append(item)
+            return item
+
+        def emit(value):
+            if value == 1:
+                raise OSError("disk full")
+            emitted.append(value)
+
+        with pytest.raises(OSError, match="disk full"):
+            run_in_order(task, range(4), emit, workers=1)
+        assert (started, emitted) == ([0, 1], [0])
 
     def test_provenance_fields(self, tmp_path):
-        report, _ = self._build(tmp_path)
-        instance = report.instances[0]
+        _, out = self._build(tmp_path)
+        instance = load_instances(out)[0]
         assert instance.provenance.config_hash == "beef"
         assert instance.provenance.rng_seed == 5
         assert instance.provenance.problem_id in {"b1", "b2", "b3"}
@@ -328,7 +346,7 @@ class TestBuildDataset:
         # Without branch noise each problem has one line, found in its first round.
         assert report.kept == report.rollouts_total == 200
         # Clean chains: every emitted label matches the all-positive ground truth.
-        for instance in report.instances:
+        for instance in load_instances(tmp_path / "clean.jsonl"):
             assert set(instance.labels) == {1}
             assert instance.outcome_flag == 1
 
@@ -451,7 +469,7 @@ class TestDistinctRollouts:
         assert report.problem_errors == []
         assert report.kept + report.dropped_total == report.rollouts_total
         assert report.kept == len({
-            (i.provenance.problem_id, i.steps, i.labels) for i in report.instances
+            (i.provenance.problem_id, i.steps, i.labels) for i in load_instances(out)
         })
 
 
@@ -505,7 +523,8 @@ class TestMalformedChatReply:
         verifier = ToolVerifier(tool, chat, builtin_template("judger"), cache=cache)
         problem = Problem("r0", "Add the numbers 12, 20, 11 in order.", "43")
         report = build_dataset([problem], generator, verifier,
-                               search_cfg(max_rounds_R=6, max_depth=3, rng_seed=7))
+                               search_cfg(max_rounds_R=6, max_depth=3, rng_seed=7),
+                               tmp_path / "dataset.jsonl")
 
         assert [(e["problem_id"], e["round"]) for e in report.problem_errors] == [("r0", 1)]
         assert report.problem_errors[0]["error"] == (

@@ -15,9 +15,6 @@ SRC = ROOT / "src"
 KEPT_UNREFERENCED = {
     "treeprm/rewards.py:step_label":
         "the per-index reference that the labelling tests hold labelled_steps to",
-    "treeprm/dataset.py:load_instances":
-        "reads back the format serialize_instance writes; the dataset and CLI "
-        "tests read outputs with it",
 }
 
 
