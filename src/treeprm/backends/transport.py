@@ -8,6 +8,13 @@ network requests and reproduces the run that populated it byte for byte.
 Identical concurrent requests are deduplicated in-flight so only one of them
 hits the network.
 
+A warm entry costs one `os.open`, `os.read` until end of file, and one
+`os.close` on a string path; a miss is the `FileNotFoundError` of the open.
+Each file call releases the interpreter lock, and the worker threads of a
+stage hand it over at each one, so the read path makes no call it can do
+without: no pathlib object, and no buffered file whose set-up adds `fstat`,
+`isatty` and seek calls to every read.
+
 Each cache instance also keeps in memory the value its reader returned for
 every key it has answered, so a later request for that key reads no file
 (`FileResponseCache` states the rule that makes this sound). A command builds
@@ -18,6 +25,7 @@ without `paths.cache_dir` has no cache and so no memo.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import threading
@@ -38,6 +46,11 @@ def cache_key(fields: tuple) -> str:
 
 
 _MISSING = object()
+_BINARY = getattr(os, "O_BINARY", 0)
+_READ_FLAGS = os.O_RDONLY | _BINARY
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _BINARY
+# Most entries fit one read; a larger one takes one read per chunk.
+_READ_CHUNK = 64 * 1024
 
 
 class FileResponseCache:
@@ -55,31 +68,42 @@ class FileResponseCache:
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self._prefix = os.path.join(self.cache_dir, "")
         self._master = threading.Lock()
         self._inflight: dict[str, threading.Event] = {}
         self._memo: dict[str, object] = {}
 
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.bin"
-
     def get(self, key: str) -> bytes | None:
-        # One read, no exists() probe: every file call releases the
-        # interpreter lock, and worker threads hand it over at each one.
+        # No exists() probe and no buffered file: each extra file call is one
+        # more interpreter-lock handover between the worker threads.
         try:
-            return self._path(key).read_bytes()
+            fd = os.open(self._prefix + key + ".bin", _READ_FLAGS)
         except FileNotFoundError:
             return None
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        return b"".join(chunks)
 
     def put(self, key: str, data: bytes) -> None:
         """Publish atomically: each writer (process and thread) fills its own
         temp file, so concurrent writers never tear an entry."""
-        path = self._path(key)
-        tmp = path.with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
+        tmp = f"{self._prefix}{key}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+            fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
+            os.replace(tmp, self._prefix + key + ".bin")
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
             raise
 
     def get_or_fetch(

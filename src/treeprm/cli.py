@@ -308,17 +308,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_synth(args) -> int:
-    cfg = _load_cfg(args)
-    if cfg.synthetic is None:
-        raise ConfigError("synth requires a [synthetic] corpus section")
-    out = _outdir(cfg, args.output)
-    traces = build_corpus(cfg.synthetic)
-    problems = [trace.problem for trace in traces]
-    backends = _build_backends(cfg, traces, ("generator", "verifier", "scorer"))
-
-    write_problems(out / "problems.jsonl", problems)
-
+def _synth_eval(traces: list[SyntheticTrace], out: Path) -> EvalReport:
+    """Write the corpus's gold annotations and its oracle's first-error
+    predictions, then score them. Only the report outlives the call, so
+    neither list is held through the generate and decode stages."""
     annotations = [
         AnnotatedSample(
             sample_id=trace.problem.id,
@@ -337,7 +330,22 @@ def cmd_synth(args) -> int:
         for trace in traces
     ]
     write_predictions(out / "predictions.jsonl", predictions)
-    eval_report, _ = _eval(predictions, annotations, out, "exact-verifier", "synthetic")
+    report, _ = _eval(predictions, annotations, out, "exact-verifier", "synthetic")
+    return report
+
+
+def cmd_synth(args) -> int:
+    cfg = _load_cfg(args)
+    if cfg.synthetic is None:
+        raise ConfigError("synth requires a [synthetic] corpus section")
+    out = _outdir(cfg, args.output)
+    traces = build_corpus(cfg.synthetic)
+    problems = [trace.problem for trace in traces]
+    backends = _build_backends(cfg, traces, ("generator", "verifier", "scorer"))
+
+    write_problems(out / "problems.jsonl", problems)
+
+    eval_report = _synth_eval(traces, out)
 
     build_report = _generate(cfg, problems, backends["generator"], backends["verifier"], out)
     write_json(out / "dataset_summary.json", build_report.summary_dict())

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import multiprocessing
+import os
 import re
 import threading
 import time
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from treeprm import cli
+from treeprm.backends import transport
 from treeprm.backends.base import BackendConfig, BackendError
 from treeprm.backends.remote import (
     ChatCompletionGenerator,
@@ -171,15 +173,78 @@ class TestCache:
         assert len(reads) == 1
 
 
+class TestCacheFiles:
+    def test_entry_longer_than_one_read_chunk_round_trips(self, tmp_path):
+        payload = bytes(range(256)) * 800
+        assert len(payload) == 200 * 1024 > transport._READ_CHUNK
+        FileResponseCache(tmp_path).put("big", payload)
+        assert FileResponseCache(tmp_path).get("big") == payload
+
+    def test_empty_entry_is_a_hit(self, tmp_path):
+        FileResponseCache(tmp_path).put("empty", b"")
+        cache = FileResponseCache(tmp_path)
+        assert cache.get("empty") == b""
+        assert cache.get_or_fetch("empty", lambda: pytest.fail("fetched"), bytes.decode) == ""
+
+    def test_short_writes_still_publish_the_whole_entry(self, tmp_path, monkeypatch):
+        payload = b"0123456789" * 10
+        original, writes = os.write, []
+
+        def at_most_seven(fd, data):
+            writes.append(1)
+            return original(fd, bytes(data[:7]))
+
+        monkeypatch.setattr(os, "write", at_most_seven)
+        FileResponseCache(tmp_path).put("k", payload)
+        monkeypatch.undo()
+        assert len(writes) == -(-len(payload) // 7)
+        assert FileResponseCache(tmp_path).get("k") == payload
+        assert [p.name for p in tmp_path.iterdir()] == ["k.bin"]
+
+    def test_failed_write_leaves_no_file_and_reraises(self, tmp_path, monkeypatch):
+        cache = FileResponseCache(tmp_path)
+
+        def disk_full(fd, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "write", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            cache.put("k", b"payload")
+        assert list(tmp_path.iterdir()) == []
+        assert cache.get("k") is None
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_hits_misses_and_puts_leave_no_open_descriptor(self, tmp_path, monkeypatch):
+        cache = FileResponseCache(tmp_path)
+        before = len(os.listdir("/proc/self/fd"))
+        for i in range(250):
+            cache.put(f"k{i}", b"x" * i)
+            assert cache.get(f"k{i}") == b"x" * i
+            assert cache.get(f"missing{i}") is None
+            assert cache.get_or_fetch(f"f{i}", lambda: b"v", bytes.decode) == "v"
+
+        def disk_full(fd, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "write", disk_full)
+        with pytest.raises(OSError):
+            cache.put("failed", b"payload")
+        monkeypatch.undo()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
 def _count_file_reads(monkeypatch) -> list:
+    """The names of the `*.bin` cache entries opened from here on."""
     reads = []
-    original = Path.read_bytes
+    original = os.open
 
-    def counted(self):
-        reads.append(self.name)
-        return original(self)
+    def counted(path, *args, **kwargs):
+        name = os.path.basename(path)
+        if name.endswith(".bin"):
+            reads.append(name)
+        return original(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_bytes", counted)
+    monkeypatch.setattr(os, "open", counted)
     return reads
 
 
