@@ -177,8 +177,10 @@ def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
     threads, which decodes the problem reward-guided and then draws its
     `pass_n` samples in order. The task's generator asks each distinct state
     once (`_ProblemCandidates`) and is dropped with the task, so no lock is
-    taken and what it holds is bounded by one problem. Requests of one
-    problem are never sent concurrently.
+    taken and what it holds is bounded by one problem. Only the worker sends
+    the generator's requests, one at a time and in sequential order; the
+    scores of a guided step that the response cache cannot answer are sent
+    together, from the stage's helper threads (`greedy_step`).
 
     Writes a problem's lines of `decode_results.jsonl` and `decode_log.jsonl`
     once it and every earlier problem are done, so both files are in problem

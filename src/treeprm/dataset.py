@@ -45,6 +45,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__ as PIPELINE_VERSION
 from .backends.base import StepGenerator, StepVerifier
+from .backends.transport import HELPER_THREAD_NAME, use_helpers
 from .domain import (
     NORMALIZATION_VERSION,
     Problem,
@@ -389,7 +390,13 @@ def run_in_order(fn: Callable, items: Iterable, emit: Callable[[Any], None],
 
     Emitting stops at the first item whose task or `emit` raises, so what was
     emitted is the items before it, and tasks not yet started are skipped;
-    that exception is raised once the pool drains."""
+    that exception is raised once the pool drains.
+
+    Beside the pool run at most `workers` helper threads, which send the
+    backend calls of a task that miss the response cache while its worker
+    goes on (`transport.Overlap`). The first such call starts them, so a run whose
+    calls the cache or a synthetic backend answers starts none. They are
+    joined before this returns."""
     lock = threading.Lock()
     waiting: dict[int, tuple[bool, Any]] = {}
     next_index = 0
@@ -420,7 +427,9 @@ def run_in_order(fn: Callable, items: Iterable, emit: Callable[[Any], None],
                     return
                 next_index += 1
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    helpers = ThreadPoolExecutor(max_workers=workers, thread_name_prefix=HELPER_THREAD_NAME)
+    with helpers, ThreadPoolExecutor(max_workers=workers, initializer=use_helpers,
+                                     initargs=(helpers,)) as pool:
         for index, item in enumerate(items):
             pool.submit(run, index, item)
     if failure:

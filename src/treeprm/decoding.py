@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .backends.base import StepGenerator, StepScorer
+from .backends.transport import Overlap
 from .domain import Problem, ReasoningStep, Trajectory, answers_equal, extract_final_answer
 from .jsonio import read_jsonl, write_jsonl
 from .mcts import best_index
@@ -68,15 +69,20 @@ def greedy_step(
 ) -> tuple[ReasoningStep, StepDecision]:
     """Sample N candidates, score each distinct one once, return the argmax and
     its log record. Every slot carries its candidate's score, so equal
-    candidates tie and the lowest index among them wins."""
+    candidates tie and the lowest index among them wins. The scores start
+    together (`Overlap`), and the first failure in candidate order is the
+    one reported."""
     candidates = policy.generate(problem, state, cfg.candidates_N)
     if not candidates:
         raise DecodeError(f"policy produced no candidates for problem {problem.id}")
+    distinct = dict.fromkeys(candidates)
     try:
-        scored = {candidate: scorer.score(problem, state, candidate)
-                  for candidate in dict.fromkeys(candidates)}
+        with Overlap() as scoring:
+            for candidate in distinct:
+                scoring.start(scorer.score, problem, state, candidate)
     except Exception as err:
         raise DecodeError(f"scorer failed on problem {problem.id}: {err}") from err
+    scored = dict(zip(distinct, scoring.results))
     scores = [scored[candidate] for candidate in candidates]
     best = best_index(scores)
     decision = StepDecision(

@@ -10,8 +10,18 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
+from treeprm.backends.transport import HELPER_THREAD_NAME
 from treeprm.mcts import SearchResult
 from treeprm.synthetic import trace_from_values
+
+
+@pytest.fixture(autouse=True)
+def no_helper_thread_left():
+    """Fails a test that leaves a request helper thread running: a stage joins
+    its helpers before it returns."""
+    yield
+    alive = [t.name for t in threading.enumerate() if t.name.startswith(HELPER_THREAD_NAME)]
+    assert not alive, f"helper threads still running: {alive}"
 
 
 @pytest.fixture
@@ -44,6 +54,7 @@ class _FakeState:
         self.tool_requests: list[str] = []
         self.tool_paths: list[str] = []
         self.fail_next = 0
+        self.fail_when = lambda body: False  # a POST body answered with HTTP 500
         self.close_after_reply = False  # drop each connection without `Connection: close`
         self.chat_responder = lambda body: "Objective: do nothing\nAction: nothing"
         self.tool_responder = lambda query: f"evaluated({query})"
@@ -87,6 +98,9 @@ class _Handler(BaseHTTPRequestHandler):
                                         "auth": self.headers.get("Authorization"),
                                         "client": self.client_address})
         if self._maybe_fail(state):
+            return
+        if state.fail_when(body):
+            self._respond(b'{"error": "injected"}', status=500)
             return
         if state.raw_chat_responder is not None:
             self._respond(json.dumps(state.raw_chat_responder(body)).encode("utf-8"))
