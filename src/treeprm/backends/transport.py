@@ -22,11 +22,13 @@ one instance (`cli._build_backends`), so the memo lives for one command and is
 never shared across processes; README **Caching** gives its size. A run
 without `paths.cache_dir` has no cache and so no memo.
 
-A stage overlaps a problem's verifier and scorer requests with its next
-ones (`Overlap`). A call first runs in cache-only mode on the problem's
-worker thread, where a request that the cache cannot answer raises
-`CacheMiss` instead of sending; only such a call goes to a helper thread and
-sends from there. So a warm or synthetic call costs no thread hand-over.
+A stage overlaps a problem's requests with its next ones (`Overlap`): the
+verifier and scorer requests of generate and of a guided decode step, and
+decode's pass@n samples with the guided decode. A call first runs in
+cache-only mode on the problem's worker thread, where a request that the
+cache cannot answer raises `CacheMiss` instead of sending; only such a call
+goes to a helper thread and sends from there. So a warm call costs no thread
+hand-over, and a stage with only synthetic backends gets no helpers at all.
 """
 
 from __future__ import annotations
@@ -235,9 +237,10 @@ def cache_only() -> bool:
     return _thread.cache_only
 
 
-def use_helpers(helpers: Executor) -> None:
-    """Let `Overlap` hand this thread's calls that miss the cache to `helpers`.
-    `run_in_order` calls it on each of its worker threads."""
+def use_helpers(helpers: Executor | None) -> None:
+    """Let `Overlap` hand this thread's calls that miss the cache to `helpers`
+    (with None, every call runs as a plain call). `run_in_order` calls it on
+    each of its worker threads."""
     _thread.helpers = helpers
 
 
@@ -247,8 +250,10 @@ class Overlap:
 
     On a thread with helpers (`use_helpers`), a call runs at once in cache-only
     mode, and a call that misses the cache goes to a helper while the thread
-    goes on. Elsewhere every call runs at once, as a plain call. Leaving the
-    block runs on this thread each call that no helper has taken yet, then
+    goes on. Elsewhere every call runs at once, as a plain call; so does a
+    call started inside another call's cache-only try, whose `CacheMiss` then
+    ends that outer try, so that a nested block sends nothing from it. Leaving
+    the block runs on this thread each call that no helper has taken yet, then
     waits for the rest. The first error in call order is raised, ahead of an
     error raised in the block itself, which happened after it; so errors come
     in the order a sequential run meets them.
@@ -266,7 +271,7 @@ class Overlap:
 
     def start(self, call: Callable[..., object], *args) -> None:
         helpers = _thread.helpers
-        if helpers is None:
+        if helpers is None or _thread.cache_only:
             self.results.append(call(*args))
             return
         _thread.cache_only = True
@@ -276,7 +281,7 @@ class Overlap:
         except CacheMiss:
             pass
         finally:
-            _thread.cache_only = False
+            _thread.cache_only = False  # its value before: a nested try ran as a plain call
         self._handed_off.append((len(self.results), helpers.submit(call, *args), call, args))
         self.results.append(None)
 

@@ -39,6 +39,7 @@ import hashlib
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -376,7 +377,7 @@ def _build_one(
 
 
 def run_in_order(fn: Callable, items: Iterable, emit: Callable[[Any], None],
-                 workers: int) -> None:
+                 workers: int, helpers: bool = True) -> None:
     """Run `fn(item)` for every item on a pool of `workers` threads and pass
     each result to `emit` in item order. The worker that finishes the next
     item in order emits it, and then every finished item after it that was
@@ -392,11 +393,12 @@ def run_in_order(fn: Callable, items: Iterable, emit: Callable[[Any], None],
     emitted is the items before it, and tasks not yet started are skipped;
     that exception is raised once the pool drains.
 
-    Beside the pool run at most `workers` helper threads, which send the
-    backend calls of a task that miss the response cache while its worker
-    goes on (`transport.Overlap`). The first such call starts them, so a run whose
-    calls the cache or a synthetic backend answers starts none. They are
-    joined before this returns."""
+    With `helpers`, beside the pool run at most `workers` helper threads,
+    which send the backend calls of a task that miss the response cache while
+    its worker goes on (`transport.Overlap`). The first such call starts them,
+    so a run whose calls the cache answers starts none. They are joined before
+    this returns. Without `helpers` (a stage whose backends are all synthetic,
+    so no call can miss), every call runs as a plain call on its worker."""
     lock = threading.Lock()
     waiting: dict[int, tuple[bool, Any]] = {}
     next_index = 0
@@ -427,9 +429,10 @@ def run_in_order(fn: Callable, items: Iterable, emit: Callable[[Any], None],
                     return
                 next_index += 1
 
-    helpers = ThreadPoolExecutor(max_workers=workers, thread_name_prefix=HELPER_THREAD_NAME)
-    with helpers, ThreadPoolExecutor(max_workers=workers, initializer=use_helpers,
-                                     initargs=(helpers,)) as pool:
+    helper_pool = (ThreadPoolExecutor(max_workers=workers, thread_name_prefix=HELPER_THREAD_NAME)
+                   if helpers else None)
+    with helper_pool or nullcontext(), ThreadPoolExecutor(
+            max_workers=workers, initializer=use_helpers, initargs=(helper_pool,)) as pool:
         for index, item in enumerate(items):
             pool.submit(run, index, item)
     if failure:
@@ -446,6 +449,7 @@ def build_dataset(
     mode: str = "hybrid",
     config_hash: str = "",
     workers: int = 1,
+    helpers: bool = True,
 ) -> BuildReport:
     """Search every problem, convert its distinct rollouts, filter, and write
     the instances labelled in `mode` to `output_path`. Provenance takes its
@@ -455,7 +459,8 @@ def build_dataset(
     written once it and every earlier problem are done, so the file is always
     in the given problem order and no instance outlives its write. A failing
     problem is recorded and skipped, never fatal; an unknown mode fails
-    before the file is opened or any problem runs.
+    before the file is opened or any problem runs. `helpers` is
+    `run_in_order`'s.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
@@ -479,7 +484,7 @@ def build_dataset(
         report.rollouts_total += rollout_count
 
     with jsonl_writer(output_path, serialize_instance) as write:
-        run_in_order(task, problems, emit, workers)
+        run_in_order(task, problems, emit, workers, helpers)
     return report
 
 

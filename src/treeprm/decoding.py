@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .backends.base import StepGenerator, StepScorer
-from .backends.transport import Overlap
+from .backends.transport import CacheMiss, Overlap
 from .domain import Problem, ReasoningStep, Trajectory, answers_equal, extract_final_answer
 from .jsonio import read_jsonl, write_jsonl
 from .mcts import best_index
@@ -71,17 +71,14 @@ def greedy_step(
     its log record. Every slot carries its candidate's score, so equal
     candidates tie and the lowest index among them wins. The scores start
     together (`Overlap`), and the first failure in candidate order is the
-    one reported."""
+    one reported, naming its candidate's position among the distinct ones."""
     candidates = policy.generate(problem, state, cfg.candidates_N)
     if not candidates:
         raise DecodeError(f"policy produced no candidates for problem {problem.id}")
     distinct = dict.fromkeys(candidates)
-    try:
-        with Overlap() as scoring:
-            for candidate in distinct:
-                scoring.start(scorer.score, problem, state, candidate)
-    except Exception as err:
-        raise DecodeError(f"scorer failed on problem {problem.id}: {err}") from err
+    with Overlap() as scoring:
+        for position, candidate in enumerate(distinct, 1):
+            scoring.start(_score, scorer, problem, state, candidate, position, len(distinct))
     scored = dict(zip(distinct, scoring.results))
     scores = [scored[candidate] for candidate in candidates]
     best = best_index(scores)
@@ -92,6 +89,18 @@ def greedy_step(
         chosen_index=best,
     )
     return candidates[best], decision
+
+
+def _score(scorer: StepScorer, problem: Problem, state: tuple[ReasoningStep, ...],
+           candidate: ReasoningStep, position: int, distinct: int) -> float:
+    """The score of the `position`-th of a step's `distinct` candidates."""
+    try:
+        return scorer.score(problem, state, candidate)
+    except CacheMiss:  # not a failure: `Overlap` sends the call from a helper
+        raise
+    except Exception as err:
+        raise DecodeError(f"scorer failed on problem {problem.id} at step {len(state) + 1}, "
+                          f"distinct candidate {position} of {distinct}: {err}") from err
 
 
 def decode(

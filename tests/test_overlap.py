@@ -1,14 +1,14 @@
-"""Remote verifications and scores overlap a problem's next requests.
+"""Remote requests overlap a problem's next requests.
 
-Inside the generate and decode stages, a verifier or scorer call that the
-response cache cannot answer is sent from a helper thread while the problem's
-worker goes on: `simulate` samples step j+1 while step j is verified, and
-`expand` and `greedy_step` start the calls of their distinct candidates
-together. The fake endpoints below hold such a request until the request it
-should overlap has arrived, so stages that send them one after another run
-into the hold's time bound. Outputs, per-role request counts and error
-records stay those of the sequential stages, and a cached or synthetic call
-never leaves its worker.
+Inside the generate and decode stages, a call that the response cache cannot
+answer is sent from a helper thread while the problem's worker goes on:
+`simulate` samples step j+1 while step j is verified, `expand` and
+`greedy_step` start the calls of their distinct candidates together, and
+decode draws a problem's pass@n samples beside its guided decode. The fake
+endpoints below hold such a request until the request it should overlap has
+arrived, so stages that send them one after another run into the hold's time
+bound. Outputs, per-role request counts and error records stay those of the
+sequential stages, and a cached or synthetic call never leaves its worker.
 """
 
 import json
@@ -17,11 +17,13 @@ import sys
 import threading
 import time
 from collections import Counter, defaultdict
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
-from treeprm.backends import remote
+from treeprm import dataset
+from treeprm.backends import ExactVerifier, OracleScorer, remote
 from treeprm.backends.transport import HELPER_THREAD_NAME, CacheMiss, Overlap, cache_only
 from treeprm.cli import main
 from treeprm.dataset import run_in_order
@@ -45,13 +47,24 @@ def _role(body: dict) -> str:
     return next(role for role, preamble in ROLE_PREAMBLES.items() if system.startswith(preamble))
 
 
+def _addends(statement: str) -> list[int]:
+    return [int(value) for value in re.findall(r"\d+", statement.split(" one at")[0])]
+
+
 def _statement(problem_id: str) -> str:
     return f"Add {', '.join(map(str, ADDENDS[problem_id]))} one at a time, keeping a running total."
 
 
+def _on_path(statement: str, prior: str) -> bool:
+    """Whether every step in `prior` states the right running total: the
+    guided decode's path, since the scorer marks only those steps +."""
+    totals = [int(total) for _, total in _STEP_RE.findall(prior)]
+    return totals == list(accumulate(_addends(statement)))[:len(totals)]
+
+
 def _mark(statement: str, prior: str, candidate: str) -> str:
     """+ when the candidate states the right running total after `prior`."""
-    addends = [int(value) for value in re.findall(r"\d+", statement.split(" one at")[0])]
+    addends = _addends(statement)
     steps = _STEP_RE.findall(prior)
     index, total = _STEP_RE.match(candidate).groups()
     expected = (int(steps[-1][1]) if steps else 0) + addends[int(index) - 1]
@@ -75,7 +88,11 @@ class RunningSums:
                   step (with one distinct candidate per state, only the
                   simulation sends these; an expansion waits for its own);
       "scorer" -- a scorer request, until the scorer has been asked about
-                  every distinct candidate of the same position.
+                  every distinct candidate of the same position;
+      "generator" -- the generator request for the last position of the
+                  guided decode's path, until a pass@n sample has asked for
+                  a state of the same problem off that path (at the config's
+                  seed every sample leaves that path before its end).
     A wait that runs out is recorded in `timeouts`, and nothing is held after
     it, so a stage that does not overlap still ends.
     """
@@ -97,7 +114,12 @@ class RunningSums:
         statement = _section(user, "Problem")
         role = _role(body)
         if role == "generator":
-            return self._next_step(statement, _section(user, "Steps taken so far"))
+            prior = _section(user, "Steps taken so far")
+            if self.hold == "generator" and _on_path(statement, prior) \
+                    and len(_STEP_RE.findall(prior)) == len(_addends(statement)) - 1:
+                self._wait(lambda: any(asked == statement and not _on_path(asked, before)
+                                       for asked, before in self.asked), prior)
+            return self._next_step(statement, prior)
         if role == "judger":
             prior, candidate = (_section(user, "Steps accepted so far"),
                                 _section(user, "Step under review"))
@@ -120,7 +142,7 @@ class RunningSums:
         return f"\\boxed{{{_mark(statement, prior, candidate)}}}"
 
     def _next_step(self, statement: str, prior: str) -> str:
-        addends = [int(value) for value in re.findall(r"\d+", statement.split(" one at")[0])]
+        addends = _addends(statement)
         steps = _STEP_RE.findall(prior)
         position = len(steps) + 1
         with self.condition:
@@ -134,16 +156,17 @@ class RunningSums:
             self.condition.notify_all()
         return f"Objective: {objective}\nAction: {action}"
 
-    def _wait(self, ready, candidate: str) -> None:
+    def _wait(self, ready, request: str) -> None:
         with self.condition:
             if self.timeouts:
                 return
             self.held += 1
             if not self.condition.wait_for(ready, timeout=HOLD_S):
-                self.timeouts.append(candidate)
+                self.timeouts.append(request)
 
 
-def _config(tmp_path: Path, url: str, judger_retries: int = 0) -> Path:
+def _config(tmp_path: Path, url: str, judger_retries: int = 0,
+            generator_retries: int = 0) -> Path:
     problems = tmp_path / "problems.jsonl"
     problems.write_text("".join(
         json.dumps({"id": problem_id, "statement": _statement(problem_id),
@@ -159,7 +182,7 @@ def _config(tmp_path: Path, url: str, judger_retries: int = 0) -> Path:
         "paths": {"output_dir": str(tmp_path / "out"), "problems_file": str(problems),
                   "cache_dir": str(tmp_path / "cache")},
         "backends": {
-            "generator": {"kind": "http", **chat},
+            "generator": dict(chat, kind="http", max_retries=generator_retries),
             "verifier": {"kind": "http", "tool": tool,
                          "judger": dict(chat, max_retries=judger_retries)},
             "scorer": {"kind": "http", **chat},
@@ -184,7 +207,8 @@ def _role_counts(state) -> dict:
 @pytest.mark.parametrize("command, hold, branching, sent", [
     ("generate", "judger", False, {"generator": 21, "judger": 7, "tool": 7}),
     ("decode", "scorer", True, {"generator": 26, "scorer": 14, "tool": 0}),
-], ids=["generate", "decode"])
+    ("decode", "generator", True, {"generator": 26, "scorer": 14, "tool": 0}),
+], ids=["generate", "decode", "decode-samples"])
 def test_a_stage_overlaps_what_it_sends_and_writes_what_a_warm_rerun_writes(
         tmp_path, fake_server, command, hold, branching, sent):
     endpoints = RunningSums(fake_server.state, hold=hold, branching=branching)
@@ -235,6 +259,24 @@ def test_synth_and_warm_remote_stages_start_no_helper_thread(tmp_path, fake_serv
     assert fake_server.state.request_count == cold_requests
 
 
+def test_a_synth_stage_tries_no_call_on_the_cache_alone(tmp_path, monkeypatch):
+    """No role of `synth` is remote, so its stage workers get no helpers and
+    every verifier and scorer call runs as a plain call, not first as a
+    cache-only try."""
+    tried = []
+    for backend, name in ((ExactVerifier, "verify"), (OracleScorer, "score")):
+        def recording(self, *args, _call=getattr(backend, name)):
+            tried.append(cache_only())
+            return _call(self, *args)
+        monkeypatch.setattr(backend, name, recording)
+    synth = json.loads(SHIPPED_CONFIG.read_text(encoding="utf-8"))
+    synth["synthetic"]["count"] = 4
+    (tmp_path / "synth.json").write_text(json.dumps(synth), encoding="utf-8")
+    assert main(["synth", "--config", str(tmp_path / "synth.json"), "--workers", "2",
+                 "--output", str(tmp_path / "synth")]) == 0
+    assert tried and not any(tried)
+
+
 def _no_helper_and_no_late_request(state) -> None:
     assert not [t for t in threading.enumerate() if t.name.startswith(HELPER_THREAD_NAME)]
     sent = state.request_count
@@ -267,7 +309,31 @@ def test_failures_give_the_records_of_the_sequential_stages(
     assert main(["decode", "--config", str(config), "--output", str(tmp_path / "d")]) == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": "DecodeError",
-        "message": "scorer failed on problem r1: unparseable PRM output for sample r1@1"}
+        "message": "scorer failed on problem r1 at step 1, distinct candidate 2 of 2: "
+                   "unparseable PRM output for sample r1@1"}
+    assert (tmp_path / "d" / "decode_results.jsonl").read_text(encoding="utf-8") == ""
+    _no_helper_and_no_late_request(state)
+
+
+def test_a_generator_failing_on_the_root_state_is_sent_for_once(
+        tmp_path, fake_server, monkeypatch, capsys):
+    """The guided decode and every sample of r1 start from its root state;
+    its failing request is sent max_retries + 1 times in all, and the record
+    is the sequential stage's."""
+    monkeypatch.setattr(remote, "_BACKOFF_BASE_S", 0.0)
+    state = fake_server.state
+    RunningSums(state, branching=True)
+    root = f"Problem:\n{_statement('r1')}\n\nSteps taken so far:\n(none yet)\n"
+    state.fail_when = lambda body: (_role(body) == "generator"
+                                    and root in body["messages"][1]["content"])
+    config = _config(tmp_path, fake_server.url, generator_retries=1)
+
+    assert main(["decode", "--config", str(config), "--output", str(tmp_path / "d")]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "BackendError",
+        "message": f"{fake_server.url}/v1/chat/completions: exhausted 2 attempts; "
+                   "last error: transient HTTP 500"}
+    assert sum(state.fail_when(request["body"]) for request in state.chat_requests) == 2
     assert (tmp_path / "d" / "decode_results.jsonl").read_text(encoding="utf-8") == ""
     _no_helper_and_no_late_request(state)
 
@@ -375,6 +441,42 @@ def test_a_call_no_helper_has_taken_runs_on_the_worker():
     assert results == ["blocker", "blocker", worker]
 
 
+def test_a_block_begun_in_a_cache_only_try_sends_nothing_from_it():
+    """A call that opens its own block runs that block's calls as plain calls
+    while it is tried on the cache alone: a miss there ends the outer try,
+    and the whole call goes to a helper. A block of hits keeps the try in
+    cache-only mode after it."""
+    sent = []
+
+    def send(name):
+        if cache_only():
+            raise CacheMiss
+        sent.append((name, threading.current_thread().name))
+        return name
+
+    def nested():
+        with Overlap() as inner:
+            inner.start(send, "inner")
+        return inner.results[0], send("after")
+
+    def hits():
+        with Overlap() as inner:
+            inner.start(lambda: "cached")
+        return inner.results[0], cache_only()
+
+    def task():
+        with Overlap() as calls:
+            calls.start(nested)
+            calls.start(hits)
+        return calls.results, cache_only()
+
+    results, mode_after = _in_a_stage(task)
+    assert results == [("inner", "after"), ("cached", True)]
+    assert not mode_after
+    assert [name for name, _ in sent] == ["inner", "after"]
+    assert all(thread.startswith(HELPER_THREAD_NAME) for _, thread in sent)
+
+
 def test_outputs_and_requests_do_not_depend_on_workers_under_fast_switching(
         tmp_path, fake_server):
     """More workers (and helpers) than cores, with the interpreter switching
@@ -398,3 +500,36 @@ def test_outputs_and_requests_do_not_depend_on_workers_under_fast_switching(
     finally:
         sys.setswitchinterval(interval)
     assert runs[0] == runs[1]
+
+
+def test_a_cold_decode_writes_the_sequential_reference_under_fast_switching(
+        tmp_path, fake_server, monkeypatch):
+    """A cold decode at one and three workers, with the interpreter switching
+    threads every few microseconds, writes the files and sends the per-role
+    requests of a run with no helper threads and one worker; each generator
+    body goes out exactly candidates_N times."""
+    def cold_decode(name: str, workers: str):
+        fake_server.state.chat_requests.clear()
+        RunningSums(fake_server.state, branching=True)
+        root = tmp_path / name
+        root.mkdir()
+        config = _config(root, fake_server.url)
+        assert main(["decode", "--config", str(config), "--workers", workers,
+                     "--output", str(root / "out")]) == 0
+        bodies = Counter(request["body"]["messages"][1]["content"]
+                         for request in fake_server.state.chat_requests
+                         if _role(request["body"]) == "generator")
+        assert set(bodies.values()) == {2}
+        return _files(root / "out"), _role_counts(fake_server.state)
+
+    with monkeypatch.context() as sequential:
+        sequential.setattr(dataset, "use_helpers", lambda helpers: None)
+        reference = cold_decode("sequential", "1")
+    assert reference[1] == {"generator": 26, "scorer": 14, "tool": 0}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = [cold_decode(workers, workers) for workers in ("1", "3")]
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [reference, reference]

@@ -157,7 +157,8 @@ def test_a_failing_problem_ends_decode_with_the_problems_before_it_written(
                      "--output", str(out)]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err == {"error": "DecodeError",
-                   "message": f"scorer failed on problem {failing}: scorer down"}
+                   "message": f"scorer failed on problem {failing} at step 1, "
+                              "distinct candidate 1 of 1: scorer down"}
     written = [json.loads(line)["id"] for line in
                (out / "decode_results.jsonl").read_text(encoding="utf-8").splitlines()]
     logged = {json.loads(line)["problem_id"] for line in
