@@ -15,9 +15,6 @@ Each request names the reader that turns its reply into what the role uses; a
 reply is cached only once that reader accepts it. `_Endpoint.request` derives
 the cache key from what the request sends, led by the `kind` of its reader
 (the scorer's names its `mode`), since the cache memoizes one value per key.
-A request made in cache-only mode sends nothing: a reply the cache does not
-hold raises `CacheMiss`, so that a stage can send the call from a helper
-thread instead (`transport.Overlap`).
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ import re
 import threading
 import time
 import weakref
-from functools import partial
 from typing import Callable, TypeVar
 from urllib.parse import urlencode, urlsplit
 
@@ -37,7 +33,7 @@ from ..domain import Problem, ReasoningStep, StepSequence, VerificationResult, p
 from ..jsonio import canonical_json, request_body
 from .base import SCORE_MODES, BackendConfig, BackendError
 from .templates import PromptTemplate
-from .transport import CacheMiss, FileResponseCache, RateLimiter, cache_key, cache_only, origin
+from .transport import FileResponseCache, RateLimiter, cache_key, origin
 
 _T = TypeVar("_T")
 
@@ -75,10 +71,6 @@ def parse_step_completion(text: str, index: int) -> ReasoningStep | None:
         action=action,
         is_final=bool(_FINAL_MARKER_RE.search(action)),
     )
-
-
-def _report_miss() -> bytes:
-    raise CacheMiss
 
 
 def _close_all(connections: list[http.client.HTTPConnection]) -> None:
@@ -192,17 +184,17 @@ class _Endpoint:
         accepts it, under the key of `kind` (which names `read`), the sample
         index and what goes on the wire: the body's values for a POST, the
         endpoint URL and the query's values for a GET. A POST's key leaves
-        out the URL, so its entries serve any host that takes the same body.
-        In cache-only mode (`transport.cache_only`) a reply the cache does not
-        hold raises `CacheMiss` instead of being sent for."""
+        out the URL, so its entries serve any host that takes the same body."""
         if payload is None:
             method, sent = "GET", (self.cfg.endpoint_url, *params.values())
         else:
             method, sent = "POST", payload.values()
-        fetch = _report_miss if cache_only() else partial(self._fetch, method, payload, params)
         if self.cache is not None:
-            return self.cache.get_or_fetch(cache_key((kind, sample_index, *sent)), fetch, read)
-        return read(fetch())
+            return self.cache.get_or_fetch(
+                cache_key((kind, sample_index, *sent)),
+                lambda: self._fetch(method, payload, params), read,
+            )
+        return read(self._fetch(method, payload, params))
 
     def chat(self, kind: str, template: PromptTemplate, body: str,
              read: Callable[[bytes], _T], sample_index: int = 0, **extra) -> _T:

@@ -8,12 +8,13 @@ network requests and reproduces the run that populated it byte for byte.
 Identical concurrent requests are deduplicated in-flight so only one of them
 hits the network.
 
-A warm entry costs one `os.open`, `os.read` until end of file, and one
+A warm entry costs one `os.open`, one `os.read` per `_READ_CHUNK` and one
 `os.close` on a string path; a miss is the `FileNotFoundError` of the open.
-Each file call releases the interpreter lock, and the worker threads of a
-stage hand it over at each one, so the read path makes no call it can do
-without: no pathlib object, and no buffered file whose set-up adds `fstat`,
-`isatty` and seek calls to every read.
+Each file call releases the interpreter lock, and the threads of a stage
+hand it over at each one, so the read path makes no call it can do without:
+no pathlib object, no read to find the end of an entry (a read of a regular
+file comes back short only there), and no buffered file whose set-up adds
+`fstat`, `isatty` and seek calls to every read.
 
 Each cache instance also keeps in memory the value its reader returned for
 every key it has answered, so a later request for that key reads no file
@@ -21,14 +22,6 @@ every key it has answered, so a later request for that key reads no file
 one instance (`cli._build_backends`), so the memo lives for one command and is
 never shared across processes; README **Caching** gives its size. A run
 without `paths.cache_dir` has no cache and so no memo.
-
-A stage overlaps a problem's requests with its next ones (`Overlap`): the
-verifier and scorer requests of generate and of a guided decode step, and
-decode's pass@n samples with the guided decode. A call first runs in
-cache-only mode on the problem's worker thread, where a request that the
-cache cannot answer raises `CacheMiss` instead of sending; only such a call
-goes to a helper thread and sends from there. So a warm call costs no thread
-hand-over, and a stage with only synthetic backends gets no helpers at all.
 """
 
 from __future__ import annotations
@@ -39,13 +32,10 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
+from typing import Callable, Iterable, TypeVar
 from urllib.parse import urlsplit
 
 from .base import BackendConfig
-
-if TYPE_CHECKING:  # names for annotations only; `dataset` imports the pool at run time
-    from concurrent.futures import Executor, Future
 
 _T = TypeVar("_T")
 
@@ -95,6 +85,8 @@ class FileResponseCache:
             chunks = []
             while chunk := os.read(fd, _READ_CHUNK):
                 chunks.append(chunk)
+                if len(chunk) < _READ_CHUNK:  # a regular file's end
+                    break
         finally:
             os.close(fd)
         return b"".join(chunks)
@@ -209,104 +201,3 @@ def host_limiters(
         rates[key] = min(rates.get(key, cfg.rate_limit_rps), cfg.rate_limit_rps)
     return {key: RateLimiter(rate, time_fn=time_fn, sleep_fn=sleep_fn)
             for key, rate in rates.items()}
-
-
-# Helper threads are named so, and `run_in_order` joins them before it returns.
-HELPER_THREAD_NAME = "treeprm-request-helper"
-
-
-class CacheMiss(Exception):
-    """Raised instead of sending by a request made in cache-only mode whose
-    reply the cache does not hold. Not a `BackendError`: no caller records it
-    as a failure, because `Overlap.start` always catches it."""
-
-
-class _ThreadState(threading.local):
-    """Per thread: whether a call is being tried on the cache alone, and the
-    pool that `Overlap` hands the calls that miss it to."""
-
-    cache_only = False
-    helpers: Executor | None = None
-
-
-_thread = _ThreadState()
-
-
-def cache_only() -> bool:
-    """True while this thread tries a call on the cache alone."""
-    return _thread.cache_only
-
-
-def use_helpers(helpers: Executor | None) -> None:
-    """Let `Overlap` hand this thread's calls that miss the cache to `helpers`
-    (with None, every call runs as a plain call). `run_in_order` calls it on
-    each of its worker threads."""
-    _thread.helpers = helpers
-
-
-class Overlap:
-    """A `with` block of backend calls begun in order by `start`, whose results
-    are `results`, in the same order, once the block has left.
-
-    On a thread with helpers (`use_helpers`), a call runs at once in cache-only
-    mode, and a call that misses the cache goes to a helper while the thread
-    goes on. Elsewhere every call runs at once, as a plain call; so does a
-    call started inside another call's cache-only try, whose `CacheMiss` then
-    ends that outer try, so that a nested block sends nothing from it. Leaving
-    the block runs on this thread each call that no helper has taken yet, then
-    waits for the rest. The first error in call order is raised, ahead of an
-    error raised in the block itself, which happened after it; so errors come
-    in the order a sequential run meets them.
-    """
-
-    __slots__ = ("results", "_handed_off")
-
-    def __init__(self):
-        self.results: list = []
-        # (index, future, call, args) of each call handed to a helper
-        self._handed_off: list[tuple[int, Future, Callable[..., object], tuple]] = []
-
-    def __enter__(self) -> Overlap:
-        return self
-
-    def start(self, call: Callable[..., object], *args) -> None:
-        helpers = _thread.helpers
-        if helpers is None or _thread.cache_only:
-            self.results.append(call(*args))
-            return
-        _thread.cache_only = True
-        try:
-            self.results.append(call(*args))
-            return
-        except CacheMiss:
-            pass
-        finally:
-            _thread.cache_only = False  # its value before: a nested try ran as a plain call
-        self._handed_off.append((len(self.results), helpers.submit(call, *args), call, args))
-        self.results.append(None)
-
-    def __exit__(self, kind, error, traceback) -> None:
-        if self._handed_off:
-            self._settle()
-
-    def _settle(self) -> None:
-        errors: dict[int, Exception] = {}
-
-        def record(index: int, outcome: Callable[..., object], *args) -> None:
-            try:
-                self.results[index] = outcome(*args)
-            except Exception as err:  # noqa: BLE001 - raised below, in call order
-                errors[index] = err
-
-        # Every call still queued runs here first, so that the calls of this
-        # block that helpers did take go on beside it.
-        waiting = []
-        for index, future, call, args in self._handed_off:
-            if future.cancel():
-                record(index, call, *args)
-            else:
-                waiting.append((index, future))
-        for index, future in waiting:
-            record(index, future.result)
-        if errors:
-            raise errors[min(errors)]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
 from pathlib import Path
 
 from .backends import (
@@ -31,7 +30,6 @@ from .backends import (
     builtin_template,
     host_limiters,
 )
-from .backends.transport import CacheMiss, Overlap, cache_only
 from .config import ConfigError, RunConfig, load_config
 from .dataset import (
     MODES,
@@ -143,22 +141,22 @@ def _stage_inputs(args, roles: tuple[str, ...]):
     return cfg, problems, traces, _build_backends(cfg, traces, roles)
 
 
-def _sends(cfg: RunConfig, roles: tuple[str, ...]) -> bool:
-    """Whether a backend of `roles` is remote, so that one of its calls can
-    miss the response cache and a stage needs helper threads to send it."""
-    return any(cfg.backends.get(role) is not None for role in roles)
+def _stage_threads(cfg: RunConfig, roles: tuple[str, ...]) -> int:
+    """How many problems a stage of `roles` runs at once: `cfg.workers`, or
+    twice that when one of its backends is remote, since a problem then
+    spends most of its time waiting for replies. A problem's own calls run
+    in order on its thread."""
+    remote = any(cfg.backends.get(role) is not None for role in roles)
+    return 2 * cfg.workers if remote else cfg.workers
 
 
 def _generate(cfg: RunConfig, problems, generator, verifier, out: Path) -> BuildReport:
     """The generate stage: search every problem and emit `dataset.jsonl`."""
     return build_dataset(
         problems, generator, verifier, cfg.search, out / "dataset.jsonl",
-        mode=cfg.mode, config_hash=cfg.config_hash, workers=cfg.workers,
-        helpers=_sends(cfg, ("generator", "verifier")),
+        mode=cfg.mode, config_hash=cfg.config_hash,
+        workers=_stage_threads(cfg, ("generator", "verifier")),
     )
-
-
-_ASKING = object()  # the answer slot of a key whose ask is in flight
 
 
 class _ProblemCandidates:
@@ -170,83 +168,30 @@ class _ProblemCandidates:
     state by its seed, and a cached remote one by its cache entries, so
     sharing the lists changes no output there. Without a cache, a remote
     generator sends nothing for a repeated state, so the samples share
-    candidate sets as they do on a cached run.
-
-    The problem's worker and helper threads ask at once, so the asks are
-    single-flight: the first thread to claim a key's answer slot, under the
-    lock, asks `policy`, and later askers wait for its list, or for its
-    error, which they share, so a failing state is sent for once. A
-    `CacheMiss` is not kept: the slot is dropped and the next asker asks
-    again. A cache-only try that finds the key in flight raises `CacheMiss`
-    rather than wait, which keeps the worker free for the guided decode. A
-    thread that asks `policy` asks nothing else meanwhile, so no two threads
-    wait for each other. An endpoint may vary its reply to one body by how
-    often that body came (as the fake servers of the tests and the benchmark
-    do); each key is still sent by one thread with its sample indices in
-    order, so outputs and request counts do not depend on which thread asks.
-    A key that is answered costs one dict lookup and takes no lock.
-    """
+    candidate sets as they do on a cached run. Only the problem's own
+    thread asks, so no lock is taken."""
 
     def __init__(self, policy):
         self._policy = policy
-        self._lock = threading.Lock()
-        self._answered = threading.Condition(self._lock)
-        self._waiting = 0  # threads waiting for an answer; none on a synthetic run
-        # key -> [its candidates, its error, or _ASKING]
         self._asked: dict = {}
 
     def generate(self, problem, state, count):
         key = (state, count)
-        while True:
-            slot = self._asked.get(key)
-            if slot is None:
-                claim = [_ASKING]
-                with self._lock:
-                    slot = self._asked.setdefault(key, claim)
-                if slot is claim:
-                    break
-            if slot[0] is _ASKING:
-                if cache_only():
-                    raise CacheMiss
-                with self._answered:
-                    self._waiting += 1
-                    self._answered.wait_for(lambda: slot[0] is not _ASKING)
-                    self._waiting -= 1
-            answer = slot[0]
-            if isinstance(answer, Exception):
-                raise answer
-            if answer is not None:  # None: its asker's cache-only try missed
-                return answer
-        try:
-            slot[0] = self._policy.generate(problem, state, count)
-        except CacheMiss:
-            raise
-        except Exception as err:
-            slot[0] = err
-            raise
-        finally:
-            with self._lock:
-                if slot[0] is _ASKING:
-                    del self._asked[key]
-                    slot[0] = None
-                if self._waiting:
-                    self._answered.notify_all()
-        return slot[0]
+        candidates = self._asked.get(key)
+        if candidates is None:
+            candidates = self._asked[key] = self._policy.generate(problem, state, count)
+        return candidates
 
 
 def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
-    """The decode stage: one task per problem on a pool of `cfg.workers`
-    threads, which starts the problem's `pass_n` samples and then decodes it
-    reward-guided. A sample that the response cache cannot answer runs on
-    one of the stage's helper threads beside the guided decode (`Overlap`);
-    the rest run on the worker, as do the scores of a guided step that no
-    helper has taken (`greedy_step`). The task's generator asks each distinct
-    state once, whichever thread asks first (`_ProblemCandidates`), and is
-    dropped with the task, so what it holds is bounded by one problem.
-
-    A failing problem reports the error the sequential task meets first: the
-    guided decode's, or else the lowest-numbered failing sample's. Once the
-    guided decode has failed, no sample still queued starts.
+    """The decode stage: one task per problem on the stage's threads
+    (`_stage_threads`), which decodes the problem reward-guided and then
+    draws its `pass_n` samples in order. The task's generator asks each
+    distinct state once (`_ProblemCandidates`) and is dropped with the task,
+    so what it holds is bounded by one problem. Requests of one problem are
+    never sent concurrently, and a failing problem reports the first error
+    its task meets: the guided decode's, else the lowest-numbered failing
+    sample's.
 
     Writes a problem's lines of `decode_results.jsonl` and `decode_log.jsonl`
     once it and every earlier problem are done, so both files are in problem
@@ -261,32 +206,8 @@ def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
 
     def task(problem):
         policy = _ProblemCandidates(generator)
-        guided_failed = []
-
-        def sample(index):
-            """The sample's `correct` flag, or the error it met, which is
-            raised only after the guided decode has succeeded."""
-            if guided_failed:
-                return None
-            try:
-                return sample_rollout(problem, policy, cfg.decode, index)[1]
-            except CacheMiss:  # not a failure: `Overlap` sends the sample from a helper
-                raise
-            except Exception as err:  # noqa: BLE001 - raised below, in sample order
-                return err
-
-        with Overlap() as samples:
-            for index in range(pass_n):
-                samples.start(sample, index)
-            try:
-                result = decode(problem, policy, scorer, cfg.decode)
-            except BaseException:
-                guided_failed.append(True)
-                raise
-        for outcome in samples.results:
-            if isinstance(outcome, Exception):
-                raise outcome
-        return result, samples.results
+        result = decode(problem, policy, scorer, cfg.decode)
+        return result, [sample_rollout(problem, policy, cfg.decode, s)[1] for s in range(pass_n)]
 
     def emit(decoded) -> None:
         result, row = decoded
@@ -304,7 +225,7 @@ def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
 
     with jsonl_writer(out / "decode_results.jsonl") as write_result, \
             jsonl_writer(out / "decode_log.jsonl") as write_log:
-        run_in_order(task, problems, emit, cfg.workers, _sends(cfg, ("generator", "scorer")))
+        run_in_order(task, problems, emit, _stage_threads(cfg, ("generator", "scorer")))
     return {
         "guided_accuracy": sum(correct) / len(correct) if correct else 0.0,
         "pass_at_1": pass_at_n(matrix, 1) if matrix else 0.0,

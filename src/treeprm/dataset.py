@@ -38,15 +38,12 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__ as PIPELINE_VERSION
 from .backends.base import StepGenerator, StepVerifier
-from .backends.transport import HELPER_THREAD_NAME, use_helpers
 from .domain import (
     NORMALIZATION_VERSION,
     Problem,
@@ -376,41 +373,56 @@ def _build_one(
     return instances, drops, flips, errors, len(seen)
 
 
-def run_in_order(fn: Callable, items: Iterable, emit: Callable[[Any], None],
-                 workers: int, helpers: bool = True) -> None:
-    """Run `fn(item)` for every item on a pool of `workers` threads and pass
-    each result to `emit` in item order. The worker that finishes the next
-    item in order emits it, and then every finished item after it that was
-    waiting, under one lock; so only results that finished ahead of an
-    earlier, slower item are held, never all of them.
+# `run_in_order` names its threads so, and joins them before it returns.
+STAGE_THREAD_NAME = "treeprm-stage"
 
-    The calling thread sleeps until every task is done. Waking it for each
-    result makes it contend with the workers for the interpreter lock once
-    per task, which slowed a one-worker build of 100 synth-deep problems by
-    9-17%.
+
+def run_in_order(fn: Callable, items: Iterable, emit: Callable[[Any], None],
+                 workers: int) -> None:
+    """Run `fn(item)` for every item on `workers` threads and pass each result
+    to `emit` in item order. A thread takes its next item from one shared
+    feed only when its last task is done, so nothing is held for an item
+    that no thread has taken. The thread that finishes the next item in
+    order emits it, and then every finished item after it that was waiting,
+    under one lock; so only results that finished ahead of an earlier,
+    slower item are held, never all of them.
+
+    The calling thread sleeps in `join` until every thread is done. Waking it
+    for each result makes it contend with the workers for the interpreter
+    lock once per task, which slowed a one-worker build of 100 synth-deep
+    problems by 9-17%.
 
     Emitting stops at the first item whose task or `emit` raises, so what was
-    emitted is the items before it, and tasks not yet started are skipped;
-    that exception is raised once the pool drains.
-
-    With `helpers`, beside the pool run at most `workers` helper threads,
-    which send the backend calls of a task that miss the response cache while
-    its worker goes on (`transport.Overlap`). The first such call starts them,
-    so a run whose calls the cache answers starts none. They are joined before
-    this returns. Without `helpers` (a stage whose backends are all synthetic,
-    so no call can miss), every call runs as a plain call on its worker."""
+    emitted is the items before it, and no thread takes another item; that
+    exception is raised once every thread is done. An error from iterating
+    `items` ends the feed, and is raised once every item taken before it has
+    been emitted."""
+    feed = enumerate(items)
+    feed_lock = threading.Lock()
     lock = threading.Lock()
     waiting: dict[int, tuple[bool, Any]] = {}
     next_index = 0
     failure: list[BaseException] = []
+    feed_error: list[BaseException] = []
+
+    def take() -> tuple[int, Any] | None:
+        """The next (index, item), or None once the feed is done or an item
+        has failed: nothing after the failed item is emitted."""
+        with feed_lock:
+            if failure or feed_error:
+                return None
+            try:
+                return next(feed, None)
+            except BaseException as err:  # noqa: BLE001 - raised after the join
+                feed_error.append(err)
+                return None
 
     def run(index: int, item) -> None:
+        # A frame of its own, so that nothing of this item outlives its emit.
         nonlocal next_index
-        if failure:  # nothing after the failed item is emitted
-            return
         try:
             outcome = (True, fn(item))
-        except BaseException as err:  # noqa: BLE001 - raised in order after the drain
+        except BaseException as err:  # noqa: BLE001 - raised in order after the join
             outcome = (False, err)
         with lock:
             if failure:
@@ -429,14 +441,18 @@ def run_in_order(fn: Callable, items: Iterable, emit: Callable[[Any], None],
                     return
                 next_index += 1
 
-    helper_pool = (ThreadPoolExecutor(max_workers=workers, thread_name_prefix=HELPER_THREAD_NAME)
-                   if helpers else None)
-    with helper_pool or nullcontext(), ThreadPoolExecutor(
-            max_workers=workers, initializer=use_helpers, initargs=(helper_pool,)) as pool:
-        for index, item in enumerate(items):
-            pool.submit(run, index, item)
-    if failure:
-        raise failure[0]
+    def work() -> None:
+        while (taken := take()) is not None:
+            run(*taken)
+
+    threads = [threading.Thread(target=work, name=f"{STAGE_THREAD_NAME}-{number}")
+               for number in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failure or feed_error:
+        raise (failure or feed_error)[0]
 
 
 def build_dataset(
@@ -449,18 +465,16 @@ def build_dataset(
     mode: str = "hybrid",
     config_hash: str = "",
     workers: int = 1,
-    helpers: bool = True,
 ) -> BuildReport:
     """Search every problem, convert its distinct rollouts, filter, and write
     the instances labelled in `mode` to `output_path`. Provenance takes its
     seed from `search_cfg` and records `config_hash`.
 
-    Problems run on a pool of `workers` threads. A problem's instances are
-    written once it and every earlier problem are done, so the file is always
-    in the given problem order and no instance outlives its write. A failing
-    problem is recorded and skipped, never fatal; an unknown mode fails
-    before the file is opened or any problem runs. `helpers` is
-    `run_in_order`'s.
+    Problems run on `workers` threads (`run_in_order`). A problem's
+    instances are written once it and every earlier problem are done, so the
+    file is always in the given problem order and no instance outlives its
+    write. A failing problem is recorded and skipped, never fatal; an
+    unknown mode fails before the file is opened or any problem runs.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
@@ -484,7 +498,7 @@ def build_dataset(
         report.rollouts_total += rollout_count
 
     with jsonl_writer(output_path, serialize_instance) as write:
-        run_in_order(task, problems, emit, workers, helpers)
+        run_in_order(task, problems, emit, workers)
     return report
 
 

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .backends.base import StepGenerator, StepScorer
-from .backends.transport import CacheMiss, Overlap
 from .domain import Problem, ReasoningStep, Trajectory, answers_equal, extract_final_answer
 from .jsonio import read_jsonl, write_jsonl
 from .mcts import best_index
@@ -69,17 +68,15 @@ def greedy_step(
 ) -> tuple[ReasoningStep, StepDecision]:
     """Sample N candidates, score each distinct one once, return the argmax and
     its log record. Every slot carries its candidate's score, so equal
-    candidates tie and the lowest index among them wins. The scores start
-    together (`Overlap`), and the first failure in candidate order is the
-    one reported, naming its candidate's position among the distinct ones."""
+    candidates tie and the lowest index among them wins. The distinct
+    candidates are scored in order, and a failure names its candidate's
+    position among them."""
     candidates = policy.generate(problem, state, cfg.candidates_N)
     if not candidates:
         raise DecodeError(f"policy produced no candidates for problem {problem.id}")
     distinct = dict.fromkeys(candidates)
-    with Overlap() as scoring:
-        for position, candidate in enumerate(distinct, 1):
-            scoring.start(_score, scorer, problem, state, candidate, position, len(distinct))
-    scored = dict(zip(distinct, scoring.results))
+    scored = {candidate: _score(scorer, problem, state, candidate, position, len(distinct))
+              for position, candidate in enumerate(distinct, 1)}
     scores = [scored[candidate] for candidate in candidates]
     best = best_index(scores)
     decision = StepDecision(
@@ -96,8 +93,6 @@ def _score(scorer: StepScorer, problem: Problem, state: tuple[ReasoningStep, ...
     """The score of the `position`-th of a step's `distinct` candidates."""
     try:
         return scorer.score(problem, state, candidate)
-    except CacheMiss:  # not a failure: `Overlap` sends the call from a helper
-        raise
     except Exception as err:
         raise DecodeError(f"scorer failed on problem {problem.id} at step {len(state) + 1}, "
                           f"distinct candidate {position} of {distinct}: {err}") from err

@@ -4,15 +4,7 @@ Each round: descend by UCT through fully expanded nodes, expand the selected
 leaf with K generated candidate steps (each distinct one verified), simulate
 a complete rollout from the best-verified new child, aggregate the rollout
 into a scalar reward, and propagate it up the selection path with temporal
-decay.
-
-Verifications overlap other requests of the same problem (`Overlap`). Inside
-a stage, a verification that the response cache cannot answer is sent from a
-helper thread: `expand` starts those of its distinct candidates together, and
-`simulate` samples step j+1 while step j is verified. The generator's
-requests stay in their sequential order on the problem's own thread, and
-results and the first error are used in sequential order, so the search does
-not depend on the overlap.
+decay. Every backend call of a search runs in order on the calling thread.
 
 Simulation is tree-external: rollout continuations are recorded as
 RolloutOutcome values, not grafted onto the tree. The tree only ever holds
@@ -41,7 +33,6 @@ from math import inf, log, sqrt
 from typing import NamedTuple, Sequence
 
 from .backends.base import BackendError, StepGenerator, StepVerifier
-from .backends.transport import Overlap
 from .domain import (
     Problem,
     ReasoningStep,
@@ -271,9 +262,7 @@ def expand(
         if key not in seen:
             seen.add(key)
             distinct.append(candidate)
-    with Overlap() as verified:
-        for step in distinct:
-            verified.start(verifier.verify, problem, step, node.state)
+    verified = [(step, verifier.verify(problem, step, node.state)) for step in distinct]
     children = [
         TreeNode(
             state=node.state + (step,),
@@ -281,7 +270,7 @@ def expand(
             q_value=float(result.label),
             step_verification=result,
         )
-        for step, result in zip(distinct, verified.results)
+        for step, result in verified
     ]
     node.children.extend(children)
     node.mark_expanded()
@@ -308,28 +297,25 @@ def simulate(
     cfg: SearchConfig,
 ) -> SimulationResult:
     """Extend the node's state one sampled step at a time until a final step
-    or max_depth. Each intermediate step's verification starts as the step
-    appears, and the next step is sampled without waiting for it (`Overlap`);
-    all of them are done before this returns. The final step is judged by
-    comparing its declared answer with the gold answer. A truncated rollout
-    is flagged incomplete with final_flag -1.
+    or max_depth. Intermediate steps are verified as they appear; the final
+    step is judged by comparing its declared answer with the gold answer.
+    A truncated rollout is flagged incomplete with final_flag -1.
     """
     steps = list(node.state)
-    with Overlap() as verified:
-        while not (steps and steps[-1].is_final) and len(steps) < cfg.max_depth:
-            sampled = generator.generate(problem, tuple(steps), 1)
-            if not sampled:
-                raise BackendError("generator returned no continuation during simulation")
-            step = sampled[0]
-            if not step.is_final:
-                verified.start(verifier.verify, problem, step, tuple(steps))
-            steps.append(step)
-    results = tuple(verified.results)
-    if not (steps and steps[-1].is_final):
-        return SimulationResult(tuple(steps), results, False, None, -1)
+    results: list[VerificationResult] = []
+    while not (steps and steps[-1].is_final):
+        if len(steps) >= cfg.max_depth:
+            return SimulationResult(tuple(steps), tuple(results), False, None, -1)
+        sampled = generator.generate(problem, tuple(steps), 1)
+        if not sampled:
+            raise BackendError("generator returned no continuation during simulation")
+        step = sampled[0]
+        if not step.is_final:
+            results.append(verifier.verify(problem, step, tuple(steps)))
+        steps.append(step)
     final_answer = extract_final_answer(steps[-1])
     flag = 1 if answers_equal(final_answer, problem.gold_answer) else -1
-    return SimulationResult(tuple(steps), results, True, final_answer, flag)
+    return SimulationResult(tuple(steps), tuple(results), True, final_answer, flag)
 
 
 def backpropagate(

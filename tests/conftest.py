@@ -10,18 +10,18 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
-from treeprm.backends.transport import HELPER_THREAD_NAME
+from treeprm.dataset import STAGE_THREAD_NAME
 from treeprm.mcts import SearchResult
 from treeprm.synthetic import trace_from_values
 
 
 @pytest.fixture(autouse=True)
-def no_helper_thread_left():
-    """Fails a test that leaves a request helper thread running: a stage joins
-    its helpers before it returns."""
+def no_stage_thread_left():
+    """Fails a test that leaves a stage thread running: a stage joins its
+    threads before it returns."""
     yield
-    alive = [t.name for t in threading.enumerate() if t.name.startswith(HELPER_THREAD_NAME)]
-    assert not alive, f"helper threads still running: {alive}"
+    alive = [t.name for t in threading.enumerate() if t.name.startswith(STAGE_THREAD_NAME)]
+    assert not alive, f"stage threads still running: {alive}"
 
 
 @pytest.fixture

@@ -180,6 +180,18 @@ class TestCacheFiles:
         FileResponseCache(tmp_path).put("big", payload)
         assert FileResponseCache(tmp_path).get("big") == payload
 
+    def test_an_entry_shorter_than_one_read_chunk_takes_one_read(self, tmp_path, monkeypatch):
+        FileResponseCache(tmp_path).put("k", b"reply")
+        original, reads = os.read, []
+
+        def counted(fd, size):
+            reads.append(size)
+            return original(fd, size)
+
+        monkeypatch.setattr(os, "read", counted)
+        assert FileResponseCache(tmp_path).get("k") == b"reply"
+        assert len(reads) == 1
+
     def test_empty_entry_is_a_hit(self, tmp_path):
         FileResponseCache(tmp_path).put("empty", b"")
         cache = FileResponseCache(tmp_path)

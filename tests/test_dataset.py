@@ -4,6 +4,7 @@ import json
 import math
 import re
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -286,6 +287,39 @@ class TestBuildDataset:
         with pytest.raises(OSError, match="disk full"):
             run_in_order(task, range(4), emit, workers=1)
         assert (started, emitted) == ([0, 1], [0])
+
+    def test_run_in_order_takes_one_item_per_thread_ahead_of_the_emit_point(self):
+        workers, pulled, seen = 3, 0, []
+
+        def items():
+            nonlocal pulled
+            for item in range(10):
+                pulled += 1
+                yield item
+
+        # Its action runs while every thread's first task is held in it.
+        all_started = threading.Barrier(workers, action=lambda: seen.append(pulled), timeout=10)
+
+        def task(item):
+            if item < workers:
+                time.sleep(0.1)  # time for a feed that reads ahead to do so
+                all_started.wait()
+            return item
+
+        emitted = []
+        run_in_order(task, items(), emitted.append, workers)
+        assert seen == [workers]
+        assert emitted == list(range(10))
+
+    def test_run_in_order_raises_a_feed_error_after_the_items_before_it(self):
+        def items():
+            yield from (0, 1)
+            raise KeyError("feed")
+
+        emitted = []
+        with pytest.raises(KeyError, match="feed"):
+            run_in_order(lambda item: item * 10, items(), emitted.append, workers=2)
+        assert emitted == [0, 10]
 
     def test_provenance_fields(self, tmp_path):
         _, out = self._build(tmp_path)
