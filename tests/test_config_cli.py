@@ -375,6 +375,31 @@ class TestConfigHash:
         assert cfg.with_overrides(seed=7).config_hash == cfg.config_hash  # the file's seed
 
 
+class TestStageThreads:
+    """A stage runs `workers` problems at once, or twice that when one of its
+    own roles is remote."""
+
+    REMOTE = {
+        "generator": {"kind": "http", "endpoint_url": "http://g"},
+        "verifier": {"kind": "http", "tool": {"endpoint_url": "http://t"},
+                     "judger": {"endpoint_url": "http://j"}},
+        "scorer": {"kind": "http", "endpoint_url": "http://s"},
+    }
+
+    @pytest.mark.parametrize("remote, roles, threads", [
+        ((), ("generator", "verifier"), 3),
+        (("verifier",), ("generator", "verifier"), 6),
+        (("generator", "scorer"), ("generator", "scorer"), 6),
+        (("scorer",), ("generator", "verifier"), 3),
+    ], ids=["synthetic", "one-role-remote", "all-roles-remote", "another-stages-role-remote"])
+    def test_stage_threads(self, tmp_path, remote, roles, threads):
+        def backends(cfg):
+            cfg["backends"] = {role: self.REMOTE[role] for role in remote}
+            cfg["workers"] = 3
+
+        assert cli._stage_threads(load_config(write_config(tmp_path, backends)), roles) == threads
+
+
 class TestCliSurface:
     def test_readme_usage_block_lists_each_subcommands_long_options(self):
         section = README.read_text(encoding="utf-8").split("\n## CLI\n")[1]

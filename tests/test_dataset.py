@@ -311,6 +311,19 @@ class TestBuildDataset:
         assert seen == [workers]
         assert emitted == list(range(10))
 
+    def test_run_in_order_with_more_threads_than_items_runs_each_item_once(self):
+        ran = []
+
+        def task(item):
+            ran.append(item)
+            return item * 10
+
+        emitted = []
+        run_in_order(task, [0, 1], emitted.append, workers=4)
+        assert (sorted(ran), emitted) == ([0, 1], [0, 10])
+        run_in_order(task, [], emitted.append, workers=3)
+        assert (sorted(ran), emitted) == ([0, 1], [0, 10])
+
     def test_run_in_order_raises_a_feed_error_after_the_items_before_it(self):
         def items():
             yield from (0, 1)

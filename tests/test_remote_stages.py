@@ -223,6 +223,37 @@ def test_a_synth_stage_runs_workers_problems_at_once(tmp_path, monkeypatch):
     assert started == stage_threads * 2  # generate's, then decode's
 
 
+def test_a_remote_stage_starts_twice_workers_threads_cold_and_warm(
+        tmp_path, fake_server, monkeypatch):
+    """Every role of these stages is remote, so each starts `2 * --workers`
+    threads, also when a warm cache answers all of its calls."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        if thread.name.startswith(STAGE_THREAD_NAME):
+            started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    RunningSums(fake_server.state, branching=True)
+    config = _config(tmp_path, fake_server.url, problems=FOUR_PROBLEMS)
+    stage_threads = [f"{STAGE_THREAD_NAME}-{number}" for number in range(4)]
+
+    def run(output: str) -> int:
+        for command in ("generate", "decode"):
+            assert main([command, "--config", str(config), "--workers", "2",
+                         "--output", str(tmp_path / output)]) == 0
+            assert started == stage_threads
+            started.clear()
+        return fake_server.state.request_count
+
+    cold_requests = run("cold")
+    assert cold_requests > 0
+    assert run("warm") == cold_requests
+    assert _files(tmp_path / "warm") == _files(tmp_path / "cold")
+
+
 def _no_stage_thread_and_no_late_request(state) -> None:
     assert not [t for t in threading.enumerate() if t.name.startswith(STAGE_THREAD_NAME)]
     sent = state.request_count
