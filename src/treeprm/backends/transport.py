@@ -1,33 +1,32 @@
 """Transport plumbing shared by the HTTP backends: response cache, rate limit.
 
-The cache is content-addressed: one file per `cache_key` of the fields a
-request sends, holding the raw response bytes. A response is stored only once
-the caller's reader accepts it, so a reply the caller cannot read is asked for
-again rather than replayed. With a warm cache a pipeline run issues zero
-network requests and reproduces the run that populated it byte for byte.
+The cache is content-addressed: each reply is stored under the `cache_key` of
+the fields its request sends, as raw response bytes. A response is stored
+only once the caller's reader accepts it, so a reply the caller cannot read is
+asked for again rather than replayed. With a warm cache a pipeline run issues
+zero network requests and reproduces the run that populated it byte for byte.
 Identical concurrent requests are deduplicated in-flight so only one of them
 hits the network.
 
-A warm entry costs one `os.open`, one `os.read` per `_READ_CHUNK` and one
-`os.close` on a string path; a miss is the `FileNotFoundError` of the open.
-Each file call releases the interpreter lock, and the threads of a stage
-hand it over at each one, so the read path makes no call it can do without:
-no pathlib object, no read to find the end of an entry (a read of a regular
-file comes back short only there), and no buffered file whose set-up adds
-`fstat`, `isatty` and seek calls to every read.
+Replies live in append-only logs, one per cache instance, so storing one
+creates no file: `FileResponseCache` gives the record framing and the rules
+that make a log safe to read while its writer appends. A warm entry costs one
+`os.open`, one `os.pread` and one `os.close` on a string path; a miss is a
+dict lookup.
 
 Each cache instance also keeps in memory the value its reader returned for
 every key it has answered, so a later request for that key reads no file
 (`FileResponseCache` states the rule that makes this sound). A command builds
-one instance (`cli._build_backends`), so the memo lives for one command and is
-never shared across processes; README **Caching** gives its size. A run
-without `paths.cache_dir` has no cache and so no memo.
+one instance (`cli._build_backends`), so the memo and the log it writes live
+for one command and are never shared across processes; README **Caching**
+gives their sizes. A run without `paths.cache_dir` has no cache and so no memo.
 """
 
 from __future__ import annotations
 
-import contextlib
+import errno
 import hashlib
+import itertools
 import os
 import threading
 import time
@@ -47,16 +46,33 @@ def cache_key(fields: tuple) -> str:
 
 
 _MISSING = object()
-_BINARY = getattr(os, "O_BINARY", 0)
-_READ_FLAGS = os.O_RDONLY | _BINARY
-_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _BINARY
-# Most entries fit one read; a larger one takes one read per chunk.
-_READ_CHUNK = 64 * 1024
+_APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+# An index entry packs (log number, body offset, body length) into one int,
+# which takes about a third of the memory of a tuple of the three.
+_FIELD_BITS = 40
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+# Indexing reads a log this many bytes at a time, and skips any body that
+# runs past a read without reading it.
+_SCAN_CHUNK = 64 * 1024
+_log_serial = itertools.count()
 
 
 class FileResponseCache:
     """On-disk response store keyed by content hash, with in-flight dedup and
     an in-process memo of what each key's reader returned.
+
+    Each instance appends the replies it stores to its own log,
+    `<cache_dir>/<start ns>-<pid>-<serial>.log`, created at its first `put`.
+    A record is the header `"<key> <length>\\n"` and then the raw reply, and
+    goes out in one `write` of an `O_APPEND` descriptor. Since only its
+    instance writes a log, records never interleave. A write that fails or
+    comes back short is cut back off the log, so nothing is ever written after
+    a torn record. At construction the instance indexes every complete record
+    of every other log, in name order (the order their commands started), and
+    a later record of a key replaces an earlier one. An incomplete last record
+    (one still being written, or one cut short by a crash) is skipped. A miss
+    inside the in-flight slot indexes what other logs gained since, which is
+    how a reply another process stored is found.
 
     The memo rests on one rule: a key always names one reader, and that reader
     returns an immutable value (a `str` or a `float` today) that every later
@@ -73,41 +89,110 @@ class FileResponseCache:
         self._master = threading.Lock()
         self._inflight: dict[str, threading.Event] = {}
         self._memo: dict[str, object] = {}
+        # Guards the own log's appends and the indexing of the others.
+        self._log_lock = threading.Lock()
+        self._index: dict[str, int] = {}
+        self._logs: list[str] = []  # the path of each log number
+        self._indexed: dict[str, list[int]] = {}  # other log -> [number, bytes indexed]
+        self._open_log()
+        self._refresh()
+
+    def _open_log(self) -> None:
+        """Name a new own log after the clock, so that it sorts after the logs
+        of the instances made before it."""
+        self._log = f"{self._prefix}{time.time_ns()}-{os.getpid()}-{next(_log_serial)}.log"
+        self._log_number = len(self._logs)
+        self._logs.append(self._log)
 
     def get(self, key: str) -> bytes | None:
-        # No exists() probe and no buffered file: each extra file call is one
-        # more interpreter-lock handover between the worker threads.
+        entry = self._index.get(key)
+        if entry is None:
+            return None
+        length = entry & _FIELD_MASK
         try:
-            fd = os.open(self._prefix + key + ".bin", _READ_FLAGS)
-        except FileNotFoundError:
+            fd = os.open(self._logs[entry >> 2 * _FIELD_BITS], os.O_RDONLY)
+        except FileNotFoundError:  # the log was removed since it was indexed
             return None
         try:
-            chunks = []
-            while chunk := os.read(fd, _READ_CHUNK):
-                chunks.append(chunk)
-                if len(chunk) < _READ_CHUNK:  # a regular file's end
-                    break
+            data = os.pread(fd, length, entry >> _FIELD_BITS & _FIELD_MASK)
         finally:
             os.close(fd)
-        return b"".join(chunks)
+        return data if len(data) == length else None
 
     def put(self, key: str, data: bytes) -> None:
-        """Publish atomically: each writer (process and thread) fills its own
-        temp file, so concurrent writers never tear an entry."""
-        tmp = f"{self._prefix}{key}.{os.getpid()}.{threading.get_ident()}.tmp"
-        try:
-            fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+        """Append one record to this instance's log and index it. A failed or
+        short write leaves the log as it was and raises."""
+        header = b"%s %d\n" % (key.encode(), len(data))
+        record = header + data
+        with self._log_lock:
+            fd = os.open(self._log, _APPEND_FLAGS, 0o666)
             try:
-                view = memoryview(data)
-                while view:
-                    view = view[os.write(fd, view):]
+                start = os.fstat(fd).st_size
+                try:
+                    written = os.write(fd, record)
+                    if written != len(record):
+                        raise OSError(errno.EIO, f"wrote {written} of {len(record)} bytes",
+                                      self._log)
+                except BaseException:
+                    try:
+                        os.ftruncate(fd, start)
+                    except OSError:  # the torn record stays: append nothing after it
+                        self._open_log()
+                    raise
             finally:
                 os.close(fd)
-            os.replace(tmp, self._prefix + key + ".bin")
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-            raise
+            self._index[key] = self._entry(self._log_number, start + len(header), len(data))
+
+    @staticmethod
+    def _entry(number: int, offset: int, length: int) -> int:
+        return (number << _FIELD_BITS | offset) << _FIELD_BITS | length
+
+    def _refresh(self) -> None:
+        """Index the records that other logs gained since the last call."""
+        with self._log_lock:
+            for name in sorted(n for n in os.listdir(self.cache_dir) if n.endswith(".log")):
+                path = self._prefix + name
+                if path == self._log:
+                    continue
+                try:
+                    size = os.stat(path).st_size
+                except FileNotFoundError:
+                    continue
+                state = self._indexed.get(path)
+                if state is None:
+                    state = self._indexed[path] = [len(self._logs), 0]
+                    self._logs.append(path)
+                if size > state[1]:
+                    state[1] = self._scan(state[0], path, state[1], size)
+
+    def _scan(self, number: int, path: str, pos: int, size: int) -> int:
+        """Index the complete records of log `number` from byte `pos` up to
+        `size`, and return where the first incomplete one starts."""
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except FileNotFoundError:
+            return pos
+        try:
+            while pos < size:
+                data = os.pread(fd, min(_SCAN_CHUNK, size - pos), pos)
+                at = 0
+                while (newline := data.find(b"\n", at)) >= 0:
+                    key, _, length = data[at:newline].rpartition(b" ")
+                    if not length.isdigit():  # not a record of this format
+                        return pos + at
+                    body = pos + newline + 1
+                    end = body + int(length)
+                    if end > size:
+                        return pos + at
+                    self._index[key.decode(errors="replace")] = self._entry(
+                        number, body, int(length))
+                    at = end - pos
+                if at == 0:  # a torn header
+                    return pos
+                pos += at
+            return pos
+        finally:
+            os.close(fd)
 
     def get_or_fetch(
         self, key: str, fetch: Callable[[], bytes],
@@ -123,9 +208,9 @@ class FileResponseCache:
             value = memo.get(key, _MISSING)
             if value is not _MISSING:
                 return value
-            # A warm entry is read before taking the in-flight slot, which
+            # An indexed entry is read before taking the in-flight slot, which
             # saves an event and two lock round trips per key; a cold key
-            # pays one more file probe inside the slot.
+            # looks at the other logs again inside the slot.
             data = self.get(key)
             if data is not None:
                 value = memo[key] = read(data)
@@ -137,6 +222,7 @@ class FileResponseCache:
                     break
             waiter.wait()
         try:
+            self._refresh()
             data = self.get(key)
             if data is not None:
                 value = read(data)

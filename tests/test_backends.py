@@ -6,11 +6,14 @@ import math
 import multiprocessing
 import os
 import re
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeprm import cli
 from treeprm.backends import transport
@@ -96,23 +99,50 @@ class TestParseStepCompletion:
 
 
 _TORN_PAYLOADS = (b"a" * (1 << 18), b"b" * (1 << 19))
-# Each worker does at least this much however late it starts, so a slow
-# worker start-up cannot leave a side with nothing to check.
-_MIN_OPS = 50
+# Puts per writer process, and reads the reader makes at least.
+_PUTS = 50
+_SYNC_TIMEOUT_S = 60
 
 
-def _put_until(cache_dir, key, payload, deadline):
-    cache, puts = FileResponseCache(cache_dir), 0
-    while puts < _MIN_OPS or time.time() < deadline:
+def _log_records(cache_dir) -> list[tuple[str, bytes]]:
+    """(key, reply) of every record of every log in `cache_dir`, in name order."""
+    records = []
+    for log in sorted(Path(cache_dir).glob("*.log")):
+        data, pos = log.read_bytes(), 0
+        while pos < len(data):
+            newline = data.index(b"\n", pos)
+            key, length = data[pos:newline].decode().split(" ")
+            pos = newline + 1 + int(length)
+            records.append((key, data[newline + 1:pos]))
+        assert pos == len(data), f"{log.name} ends inside a record"
+    return records
+
+
+def _wait_for(path: Path) -> None:
+    deadline = time.time() + _SYNC_TIMEOUT_S
+    while not path.exists():
+        assert time.time() < deadline, f"{path.name} never appeared"
+        time.sleep(0.001)
+
+
+def _put_count(cache_dir, sync_dir, key, payload):
+    """`_PUTS` puts of `payload`, started once the reader reads."""
+    _wait_for(Path(sync_dir) / "reading")
+    cache = FileResponseCache(cache_dir)
+    for _ in range(_PUTS):
         cache.put(key, payload)
-        puts += 1
-    return puts
+    (Path(sync_dir) / f"done-{len(payload)}").touch()
 
 
-def _read_until(cache_dir, key, deadline):
-    cache, reads, torn = FileResponseCache(cache_dir), 0, 0
-    while reads < _MIN_OPS or time.time() < deadline:
-        data = cache.get(key)
+def _read_while_writing(cache_dir, sync_dir, key):
+    """Reads through a fresh instance each time, which indexes the logs as
+    they are, until both writers are done and at least `_PUTS` reads hit."""
+    done = [Path(sync_dir) / f"done-{len(payload)}" for payload in _TORN_PAYLOADS]
+    (Path(sync_dir) / "reading").touch()
+    deadline, reads, torn = time.time() + _SYNC_TIMEOUT_S, 0, 0
+    while reads < _PUTS or not all(path.exists() for path in done):
+        assert time.time() < deadline, "the writers never finished"
+        data = FileResponseCache(cache_dir).get(key)
         if data is not None:
             reads += 1
             torn += data not in _TORN_PAYLOADS
@@ -121,18 +151,20 @@ def _read_until(cache_dir, key, deadline):
 
 class TestCache:
     def test_concurrent_writer_processes_never_publish_a_torn_entry(self, tmp_path):
-        key = "shared"
-        deadline = time.time() + 2.0
+        key, cache_dir, sync_dir = "shared", tmp_path / "cache", tmp_path / "sync"
+        sync_dir.mkdir()
         with multiprocessing.get_context("spawn").Pool(3) as pool:
-            writers = [pool.apply_async(_put_until, (tmp_path, key, payload, deadline))
+            writers = [pool.apply_async(_put_count, (cache_dir, sync_dir, key, payload))
                        for payload in _TORN_PAYLOADS]
-            reader = pool.apply_async(_read_until, (tmp_path, key, deadline))
+            reader = pool.apply_async(_read_while_writing, (cache_dir, sync_dir, key))
             for writer in writers:
-                writer.get(timeout=30)
-            reads, torn = reader.get(timeout=30)
+                writer.get(timeout=2 * _SYNC_TIMEOUT_S)
+            reads, torn = reader.get(timeout=2 * _SYNC_TIMEOUT_S)
         assert torn == 0, f"{torn} of {reads} reads returned a torn entry"
-        assert FileResponseCache(tmp_path).get(key) in _TORN_PAYLOADS
-        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.bin"]
+        assert FileResponseCache(cache_dir).get(key) in _TORN_PAYLOADS
+        assert len(list(cache_dir.iterdir())) == 2
+        assert sorted(_log_records(cache_dir)) == sorted(
+            (key, payload) for payload in _TORN_PAYLOADS for _ in range(_PUTS))
 
     def test_round_trip(self, tmp_path):
         cache = FileResponseCache(tmp_path)
@@ -172,25 +204,61 @@ class TestCache:
         assert len(calls) == 1
         assert len(reads) == 1
 
+    def test_a_reply_another_instance_stores_later_is_found_on_a_miss(self, tmp_path):
+        reader = FileResponseCache(tmp_path)
+        FileResponseCache(tmp_path).put("k", b"from the other")
+        assert reader.get_or_fetch("k", lambda: pytest.fail("fetched"), bytes.decode) \
+            == "from the other"
+        assert reader.get("k") == b"from the other"
+
+
+_KEYS = ("0a", "1b", "2c", "shared")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=2, max_value=3),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=2), st.sampled_from(_KEYS),
+                          st.binary(max_size=40)), max_size=30))
+def test_a_fresh_instance_reads_the_last_record_of_each_key_in_log_order(count, puts):
+    with tempfile.TemporaryDirectory() as cache_dir:
+        caches = [FileResponseCache(cache_dir) for _ in range(count)]
+        for which, key, value in puts:
+            caches[which % count].put(key, value)
+        expected = {}
+        for which in sorted(range(count), key=lambda i: caches[i]._log):
+            expected.update((key, value) for i, key, value in puts if i % count == which)
+        fresh = FileResponseCache(cache_dir)
+        assert {key: fresh.get(key) for key in _KEYS} == \
+            {key: expected.get(key) for key in _KEYS}
+
 
 class TestCacheFiles:
-    def test_entry_longer_than_one_read_chunk_round_trips(self, tmp_path):
+    def test_entry_longer_than_one_scan_chunk_round_trips(self, tmp_path):
         payload = bytes(range(256)) * 800
-        assert len(payload) == 200 * 1024 > transport._READ_CHUNK
-        FileResponseCache(tmp_path).put("big", payload)
-        assert FileResponseCache(tmp_path).get("big") == payload
+        assert len(payload) == 200 * 1024 > transport._SCAN_CHUNK
+        cache = FileResponseCache(tmp_path)
+        for key, data in (("small", b"before"), ("big", payload), ("after", b"tail")):
+            cache.put(key, data)
+        fresh = FileResponseCache(tmp_path)
+        assert [fresh.get(key) for key in ("small", "big", "after")] == \
+            [b"before", payload, b"tail"]
 
-    def test_an_entry_shorter_than_one_read_chunk_takes_one_read(self, tmp_path, monkeypatch):
+    def test_a_hit_takes_one_open_one_pread_and_one_close(self, tmp_path, monkeypatch):
         FileResponseCache(tmp_path).put("k", b"reply")
-        original, reads = os.read, []
+        cache = FileResponseCache(tmp_path)
+        calls = []
 
-        def counted(fd, size):
-            reads.append(size)
-            return original(fd, size)
+        def counted(name, original):
+            def call(*args):
+                calls.append(name)
+                return original(*args)
+            return call
 
-        monkeypatch.setattr(os, "read", counted)
-        assert FileResponseCache(tmp_path).get("k") == b"reply"
-        assert len(reads) == 1
+        for name in ("open", "pread", "read", "close", "fstat", "stat", "listdir"):
+            monkeypatch.setattr(os, name, counted(name, getattr(os, name)))
+        assert cache.get("k") == b"reply"
+        assert cache.get("missing") is None
+        assert calls == ["open", "pread", "close"]
 
     def test_empty_entry_is_a_hit(self, tmp_path):
         FileResponseCache(tmp_path).put("empty", b"")
@@ -198,32 +266,52 @@ class TestCacheFiles:
         assert cache.get("empty") == b""
         assert cache.get_or_fetch("empty", lambda: pytest.fail("fetched"), bytes.decode) == ""
 
-    def test_short_writes_still_publish_the_whole_entry(self, tmp_path, monkeypatch):
-        payload = b"0123456789" * 10
+    @pytest.mark.parametrize("cut", [3, len("cut 7\n") + 2], ids=["in-header", "in-body"])
+    def test_a_torn_last_record_is_skipped_and_fetched_again(self, tmp_path, cut):
+        torn = b"cut 7\ntorn in"[:cut]
+        writer = FileResponseCache(tmp_path)
+        for key in ("a", "b"):
+            writer.put(key, key.encode() * 3)
+        (log,) = tmp_path.iterdir()
+        whole = log.read_bytes()
+        with log.open("ab") as tail:
+            tail.write(torn)
+        cache = FileResponseCache(tmp_path)
+        assert [cache.get(key) for key in ("a", "b", "cut")] == [b"aaa", b"bbb", None]
+        # As after a failed put, the writer cuts the torn record off and goes on.
+        os.truncate(log, len(whole))
+        writer.put("c", b"ccc")
+        assert cache.get_or_fetch("c", lambda: pytest.fail("fetched"), bytes.decode) == "ccc"
+        assert cache.get_or_fetch("cut", lambda: b"fetched", bytes.decode) == "fetched"
+        assert FileResponseCache(tmp_path).get("cut") == b"fetched"
+        assert log.read_bytes() == whole + b"c 3\nccc"
+
+    @pytest.mark.parametrize("failure", ["disk-full", "short"])
+    def test_a_failed_put_leaves_the_log_as_it_was_and_raises(
+            self, tmp_path, monkeypatch, failure):
+        cache = FileResponseCache(tmp_path)
+        cache.put("kept", b"payload")
+        (log,) = tmp_path.iterdir()
+        before = log.read_bytes()
         original, writes = os.write, []
+
+        def disk_full(fd, data):
+            raise OSError(28, "No space left on device")
 
         def at_most_seven(fd, data):
             writes.append(1)
             return original(fd, bytes(data[:7]))
 
-        monkeypatch.setattr(os, "write", at_most_seven)
-        FileResponseCache(tmp_path).put("k", payload)
+        monkeypatch.setattr(os, "write", disk_full if failure == "disk-full" else at_most_seven)
+        with pytest.raises(OSError, match="No space left" if failure == "disk-full" else "7 of"):
+            cache.put("k", b"0123456789" * 10)
         monkeypatch.undo()
-        assert len(writes) == -(-len(payload) // 7)
-        assert FileResponseCache(tmp_path).get("k") == payload
-        assert [p.name for p in tmp_path.iterdir()] == ["k.bin"]
-
-    def test_failed_write_leaves_no_file_and_reraises(self, tmp_path, monkeypatch):
-        cache = FileResponseCache(tmp_path)
-
-        def disk_full(fd, data):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(os, "write", disk_full)
-        with pytest.raises(OSError, match="No space left"):
-            cache.put("k", b"payload")
-        assert list(tmp_path.iterdir()) == []
+        assert len(writes) == (failure == "short")
+        assert log.read_bytes() == before
         assert cache.get("k") is None
+        assert FileResponseCache(tmp_path).get("k") is None
+        cache.put("k", b"after")
+        assert _log_records(tmp_path) == [("kept", b"payload"), ("k", b"after")]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_hits_misses_and_puts_leave_no_open_descriptor(self, tmp_path, monkeypatch):
@@ -246,13 +334,13 @@ class TestCacheFiles:
 
 
 def _count_file_reads(monkeypatch) -> list:
-    """The names of the `*.bin` cache entries opened from here on."""
+    """The names of the `*.log` cache logs opened from here on."""
     reads = []
     original = os.open
 
     def counted(path, *args, **kwargs):
         name = os.path.basename(path)
-        if name.endswith(".bin"):
+        if name.endswith(".log"):
             reads.append(name)
         return original(path, *args, **kwargs)
 
@@ -264,14 +352,15 @@ class TestCacheMemo:
     def test_repeat_key_is_answered_without_a_file_call(self, tmp_path, monkeypatch):
         key = "memo"
         FileResponseCache(tmp_path).put(key, b"warm")
+        (log,) = tmp_path.iterdir()
         cache = FileResponseCache(tmp_path)
         reads = _count_file_reads(monkeypatch)
         first = cache.get_or_fetch(key, lambda: pytest.fail("fetched"), bytes.decode)
-        (tmp_path / f"{key}.bin").unlink()
+        log.unlink()
         second = cache.get_or_fetch(key, lambda: pytest.fail("fetched"), bytes.decode)
         assert first == "warm"
         assert second is first
-        assert reads == [f"{key}.bin"]
+        assert reads == [log.name]
 
     def test_fetched_value_is_memoized_after_its_put(self, tmp_path, monkeypatch):
         cache = FileResponseCache(tmp_path)
@@ -279,7 +368,8 @@ class TestCacheMemo:
         reads = _count_file_reads(monkeypatch)
         assert cache.get_or_fetch("k", lambda: pytest.fail("fetched"), float) is first
         assert reads == []
-        assert (tmp_path / "k.bin").read_bytes() == b"2.5"
+        (log,) = tmp_path.iterdir()
+        assert log.read_bytes() == b"k 3\n2.5"
 
     def test_rejected_reply_is_neither_stored_nor_memoized(self, tmp_path):
         cache = FileResponseCache(tmp_path)
@@ -320,11 +410,13 @@ class TestCacheMemo:
     def test_a_second_instance_on_the_directory_reads_from_disk(self, tmp_path, monkeypatch):
         first = FileResponseCache(tmp_path)
         assert first.get_or_fetch("k", lambda: b"stored", bytes.decode) == "stored"
+        (log,) = tmp_path.iterdir()
         reads = _count_file_reads(monkeypatch)
         second = FileResponseCache(tmp_path)
         assert second.get_or_fetch("k", lambda: pytest.fail("fetched"), bytes.decode) == "stored"
-        assert reads == ["k.bin"]
-        (tmp_path / "k.bin").unlink()
+        # One open to index the log, one to read the entry.
+        assert reads == [log.name, log.name]
+        log.unlink()
         third = FileResponseCache(tmp_path)
         assert third.get_or_fetch("k", lambda: b"again", bytes.decode) == "again"
 

@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import shutil
 import tempfile
 from collections import Counter
 from dataclasses import MISSING, asdict, fields, replace
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from treeprm import cli
 from treeprm.backends import BackendConfig
 from treeprm.backends.synthetic import OracleScorer, ScriptedGenerator
+from treeprm.backends.transport import FileResponseCache
 from treeprm.cli import build_parser, main
 from treeprm.config import ConfigError, HttpBackend, Paths, RunConfig, load_config
 from treeprm.dataset import MODES, load_instances
@@ -898,6 +900,43 @@ class TestCliRemoteBackends:
                          "--output", str(tmp_path / name)]) == 0
             assert tree_bytes(tmp_path / name) == tree_bytes(tmp_path / "u")
             assert len(fake_server.state.chat_requests) == 2 * 2 * 3 + 2 * 3
+
+
+    def test_a_cache_of_old_bin_entries_is_not_read(self, tmp_path, fake_server):
+        """A directory of `<key>.bin` entries, the cache's layout before its
+        logs, reads as empty: generate and decode over it send the requests of
+        a cold run and write its bytes."""
+        state = fake_server.state
+        cache = tmp_path / "cache"
+        (tmp_path / "gen").mkdir()
+        (tmp_path / "dec").mkdir()
+        generate = self._remote_config(tmp_path / "gen", fake_server.url)
+        decode = self._decode_config(tmp_path / "dec", fake_server.url, cache)
+        cfg = json.loads(generate.read_text(encoding="utf-8"))
+        cfg["paths"]["cache_dir"] = str(cache)
+        generate.write_text(json.dumps(cfg), encoding="utf-8")
+        runs = []
+        for name in ("cold", "old"):
+            state.chat_requests.clear()
+            state.tool_requests.clear()
+            state.chat_responder = self._responder
+            assert main(["generate", "--config", str(generate),
+                         "--output", str(tmp_path / name / "generate")]) == 0
+            state.chat_responder = self._decode_responder()
+            assert main(["decode", "--config", str(decode),
+                         "--output", str(tmp_path / name / "decode")]) == 0
+            roles = Counter(request["body"]["messages"][0]["content"].split(".")[0]
+                            for request in state.chat_requests)
+            runs.append((roles, len(state.tool_requests), tree_bytes(tmp_path / name)))
+            if name == "cold":
+                stored = FileResponseCache(cache)
+                entries = {key: stored.get(key) for key in stored._index}
+                shutil.rmtree(cache)
+                cache.mkdir()
+                for key, data in entries.items():
+                    (cache / f"{key}.bin").write_bytes(data)
+        assert len(runs[0][0]) == 3 and runs[0][1] > 0
+        assert runs[1] == runs[0]
 
 
 class TestCliErrors:

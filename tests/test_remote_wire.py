@@ -20,7 +20,6 @@ import sys
 import tempfile
 import threading
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -139,7 +138,9 @@ def test_request_bodies_and_cache_names_are_pinned(fake_server, tmp_path):
 
     tool_key = cache_key(("tool", 0, f"{fake_server.url}/tool", "Final Answer: 5"))
     keys = GENERATOR_KEYS + [tool_key, JUDGER_KEY, SCORER_LABEL_KEY, SCORER_LIKELIHOOD_KEY]
-    assert sorted(p.name for p in cache_dir.iterdir()) == sorted(f"{k}.bin" for k in keys)
+    (log,) = cache_dir.iterdir()
+    assert log.suffix == ".log"
+    assert sorted(FileResponseCache(cache_dir)._index) == sorted(keys)
 
 
 def test_warm_cache_replays_every_role_without_requests(fake_server, tmp_path):
@@ -205,8 +206,8 @@ def test_prompts_that_differ_anywhere_keep_their_own_replies(
             for call in calls]
     assert cold == [1, -1]
     assert len(answered) == 2 and answered[0] != answered[1]
-    tool_files = 1 if role == "verify" else 0
-    assert len(list(tmp_path.iterdir())) == 2 + tool_files
+    tool_entries = 1 if role == "verify" else 0
+    assert len(FileResponseCache(tmp_path)._index) == 2 + tool_entries
 
     warm = [_verdict(role, _call(role, fake_server.url, FileResponseCache(tmp_path), call))
             for call in calls]
@@ -248,7 +249,7 @@ def test_two_calls_share_an_entry_exactly_when_they_send_the_same_bytes(
         cache = FileResponseCache(cache_dir)
         for call in calls:
             _call(role, fake_server.url, cache, call)
-        assert len(list(Path(cache_dir).iterdir())) == len(chat_entries) + len(tool_entries)
+        assert len(FileResponseCache(cache_dir)._index) == len(chat_entries) + len(tool_entries)
 
 
 def test_post_body_is_json_dumps_without_nan_as_utf8(fake_server):
