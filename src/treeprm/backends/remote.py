@@ -7,8 +7,11 @@ Wire format is the widespread chat-completion schema: POST a JSON body with
 endpoint taking the query as a ``query`` parameter. Exact shapes are pinned
 in the README.
 
-Requests go over the standard library's `http.client`, one keep-alive
-connection per endpoint and thread. Every request goes through its host's rate
+Requests go over a minimal HTTP/1.1 client of this module, one keep-alive
+connection per endpoint and thread: a request's line, head and body go out in
+one write, and its reply is read through the connection's one buffered reader,
+framed by `Content-Length`, by chunked transfer coding or else by the
+connection closing. Every request goes through its host's rate
 limiter, retries transient failures (connection errors, 429, 5xx) with
 exponential backoff, and is served from the content-addressed cache when warm.
 Each request names the reader that turns its reply into what the role uses; a
@@ -19,10 +22,11 @@ the cache key from what the request sends, led by the `kind` of its reader
 
 from __future__ import annotations
 
-import http.client
+import functools
 import json
 import math
 import re
+import socket
 import threading
 import time
 import weakref
@@ -43,6 +47,7 @@ _BACKOFF_BASE_S = 0.5
 _OBJECTIVE_RE = re.compile(r"^objective\s*:\s*(.+)$", re.IGNORECASE | re.MULTILINE)
 _ACTION_RE = re.compile(r"^action\s*:\s*(.*)$", re.IGNORECASE | re.MULTILINE)
 _FINAL_MARKER_RE = re.compile(r"final answer\s*[:=]", re.IGNORECASE)
+_UNSAFE_TARGET_RE = re.compile(r"[\x00-\x20\x7f]")  # would break the request line
 
 
 def render_prior_steps(state: StepSequence) -> str:
@@ -73,7 +78,137 @@ def parse_step_completion(text: str, index: int) -> ReasoningStep | None:
     )
 
 
-def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+_MAX_LINE = 65536  # the longest status, header or chunk-size line read
+_MAX_HEADERS = 100
+
+
+class _BadReply(OSError):
+    """A reply that breaks HTTP/1.1 framing; retried like a failed connection."""
+
+
+@functools.cache
+def _tls_context():
+    import ssl  # only runs that speak https load it
+
+    return ssl.create_default_context()
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection, opened on first use and again after
+    `close`: a socket and one buffered reader over it."""
+
+    def __init__(self, host: str, port: int, tls: bool, timeout_s: float):
+        self._address, self._tls, self._timeout_s = (host, port), tls, timeout_s
+        self.sock: socket.socket | None = None
+        self._reader = None
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self._reader.close()
+            self.sock.close()
+            self.sock = self._reader = None
+
+    def send(self, request: bytes) -> bytes:
+        """Writes `request` in one `sendall` and returns the reply's status
+        line. A connection that the server closed before it replied raises
+        ConnectionResetError."""
+        if self.sock is None:
+            sock = socket.create_connection(self._address, self._timeout_s)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls:
+                sock = _tls_context().wrap_socket(sock, server_hostname=self._address[0])
+            self.sock, self._reader = sock, sock.makefile("rb")
+        self.sock.sendall(request)
+        line = self._line()
+        if not line:
+            raise ConnectionResetError("connection closed before a status line")
+        return line
+
+    def reply(self, line: bytes) -> tuple[int, bytes]:
+        """The status and body of the reply that `line` starts; interim 1xx
+        replies are skipped. The socket closes after a reply that says
+        `Connection: close`, an HTTP/1.0 reply and a body that the closing
+        connection ends."""
+        while True:
+            version, status = _status(line)
+            headers = self._headers()
+            if status >= 200:
+                break
+            line = self._line()
+        keep_alive = version != b"HTTP/1.0" and b"close" not in headers.get(b"connection", b"")
+        if status in (204, 304):
+            body = b""
+        elif headers.get(b"transfer-encoding") == b"chunked":
+            body = self._chunked()
+        elif b"content-length" in headers:
+            body = self._exactly(_number(headers[b"content-length"], 10))
+        else:
+            body, keep_alive = self._reader.read(), False
+        if not keep_alive:
+            self.close()
+        return status, body
+
+    def _line(self) -> bytes:
+        line = self._reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _BadReply(f"reply line longer than {_MAX_LINE} bytes")
+        return line
+
+    def _headers(self) -> dict[bytes, bytes]:
+        """The header fields up to the blank line, by lower-case name; values
+        are lower-case too, since only framing headers are read."""
+        headers = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self._line()
+            if line in (b"\r\n", b"\n"):
+                return headers
+            if not line:
+                raise _BadReply("reply cut short in its head")
+            name, colon, value = line.partition(b":")
+            if not colon:
+                raise _BadReply(f"malformed header line {line[:80]!r}")
+            headers[name.strip().lower()] = value.strip().lower()
+        raise _BadReply(f"more than {_MAX_HEADERS} header fields")
+
+    def _exactly(self, size: int) -> bytes:
+        data = self._reader.read(size)
+        if len(data) < size:
+            raise _BadReply(f"reply cut short: {len(data)} of {size} bytes")
+        return data
+
+    def _chunked(self) -> bytes:
+        parts = []
+        while size := _number(self._line().split(b";", 1)[0], 16):
+            parts.append(self._exactly(size))
+            if self._exactly(2) != b"\r\n":
+                raise _BadReply("chunk data not followed by CRLF")
+        while self._line() not in (b"\r\n", b"\n", b""):  # trailer fields
+            pass
+        return b"".join(parts)
+
+
+def _status(line: bytes) -> tuple[bytes, int]:
+    """The HTTP version and status code of a status line."""
+    version, _, rest = line.partition(b" ")
+    code = rest[:3]
+    if (not version.startswith(b"HTTP/1.") or not code.isdigit() or code < b"100"
+            or rest[3:4].strip()):
+        raise _BadReply(f"bad status line {line[:80]!r}")
+    return version, int(code)
+
+
+def _number(text: bytes, base: int) -> int:
+    """A non-negative framing number: a length or a chunk size."""
+    text = text.strip()
+    if text.isalnum():  # no sign, space or underscore, which int() takes
+        try:
+            return int(text, base)
+        except ValueError:
+            pass
+    raise _BadReply(f"bad length {text[:80]!r}")
+
+
+def _close_all(connections: list[_Connection]) -> None:
     for connection in connections:
         connection.close()
 
@@ -95,61 +230,75 @@ class _Endpoint:
         self.cfg = cfg
         self.cache = cache
         url = urlsplit(cfg.endpoint_url)
-        self._connection_class = (
-            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
-        )
-        self._host, self._port = url.hostname, url.port or self._connection_class.default_port
+        self._tls = url.scheme == "https"
+        default_port = 443 if self._tls else 80
+        self._host, self._port = url.hostname, url.port or default_port
+        host = f"[{self._host}]" if ":" in self._host else self._host
+        if self._port != default_port:
+            host += f":{self._port}"
+        self._fixed_head = f"Host: {host}\r\nAccept-Encoding: identity\r\n"
         self._target = url.path or "/"
         self._query = url.query
         if self._query:
             self._target += "?" + self._query
+        if _UNSAFE_TARGET_RE.search(self._target):
+            raise ValueError(f"endpoint URL holds a space or control character: "
+                             f"{cfg.endpoint_url!r}")
         self._local = threading.local()
         # Every thread's connection, closed when the endpoint goes away.
-        self._connections: list[http.client.HTTPConnection] = []
+        self._connections: list[_Connection] = []
         weakref.finalize(self, _close_all, self._connections)
         self._limiter = (RateLimiter(cfg.rate_limit_rps, sleep_fn=sleep_fn) if limiters is None
                          else limiters[origin(cfg.endpoint_url)])
         self._sleep = sleep_fn
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        token = self.cfg.auth_token()
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        return headers
-
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = self._local.connection = self._connection_class(
-                self._host, self._port, timeout=self.cfg.timeout_s
+            connection = self._local.connection = _Connection(
+                self._host, self._port, self._tls, self.cfg.timeout_s
             )
             self._connections.append(connection)
         return connection
 
+    def _request(self, method: str, target: str, payload: dict | None) -> bytes:
+        """The bytes of one request: its line, head and JSON body."""
+        head = f"{method} {target} HTTP/1.1\r\n{self._fixed_head}"
+        body = b""
+        if payload is not None:
+            body = request_body(payload)
+            head += f"Content-Length: {len(body)}\r\n"
+        head += "Content-Type: application/json\r\n"
+        token = self.cfg.auth_token()
+        if token:
+            if "\r" in token or "\n" in token:
+                raise ValueError(f"{self.cfg.auth_token_env_var} holds a line break")
+            head += f"Authorization: Bearer {token}\r\n"
+        return (head + "\r\n").encode("latin-1") + body
+
     def _send(self, method: str, payload: dict | None, params: dict | None) -> tuple[int, bytes]:
         """One exchange on this thread's connection: the reply's status and body.
 
-        A kept-alive connection that the server has closed in the meantime
-        fails with a reset, a broken pipe or no status line at all; the request
-        then goes once more, at once, on a new connection."""
+        The request goes out in one write, and the reply is read through the
+        connection's buffered reader. A kept-alive connection that the server
+        has closed in the meantime fails with a reset, a broken pipe or no
+        status line at all; the request then goes once more, at once, on a new
+        connection. A reply that breaks its framing raises an OSError, as a
+        failed connection does."""
         target = self._target
         if params:
             target += ("&" if self._query else "?") + urlencode(params, doseq=True)
-        body = None if payload is None else request_body(payload)
-        headers = self._headers()
+        request = self._request(method, target, payload)
         connection = self._connection()
         reused = connection.sock is not None
         try:
-            connection.request(method, target, body, headers)
-            response = connection.getresponse()
-        except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected included
+            line = connection.send(request)
+        except (ConnectionResetError, BrokenPipeError):
             if not reused:
                 raise
             connection.close()
-            connection.request(method, target, body, headers)
-            response = connection.getresponse()
-        return response.status, response.read()
+            line = connection.send(request)
+        return connection.reply(line)
 
     def _fetch(self, method: str, payload: dict | None, params: dict | None) -> bytes:
         last_error: str = "no attempt made"
@@ -160,7 +309,7 @@ class _Endpoint:
             self._limiter.acquire()
             try:
                 status, content = self._send(method, payload, params)
-            except (OSError, http.client.HTTPException) as err:
+            except OSError as err:
                 self._connection().close()
                 last_error = f"request failed: {err}"
                 continue

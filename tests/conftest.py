@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from unittest import mock
 from urllib.parse import parse_qs, urlparse
@@ -60,6 +61,9 @@ class _FakeState:
         self.tool_responder = lambda query: f"evaluated({query})"
         self.raw_tool_responder = None  # overrides tool_responder with the whole reply text
         self.raw_chat_responder = None  # overrides chat_responder with a full JSON body
+        # Given the reply body, the pieces of a hand-framed reply that replaces
+        # the handler's own; each goes out in its own write after a pause.
+        self.raw_reply = None
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -70,11 +74,16 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _respond(self, payload: bytes, status: int = 200):
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        if self.server.state.raw_reply is not None:
+            for piece in self.server.state.raw_reply(payload):
+                time.sleep(0.002)
+                self.wfile.write(piece)
+        else:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
         if self.server.state.close_after_reply:
             self.close_connection = True
 

@@ -1,10 +1,13 @@
 """Every module-level import, private definition and public name under `src/`
 is used, every import is of the standard library or treeprm, and every name
 the bench tracer rebinds exists: refactors leave stale ones. The package and
-its metadata name one version."""
+its metadata name one version. Loading the CLI leaves the standard library's
+HTTP client, its header parser and TLS unloaded."""
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -236,3 +239,14 @@ def test_package_version_matches_pyproject():
 
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert treeprm.__version__ == pyproject["project"]["version"]
+
+
+def test_the_cli_loads_no_http_client_header_parser_or_tls():
+    """The remote backends speak HTTP/1.1 themselves and import `ssl` only at
+    their first https connect, so a synth run loads none of these."""
+    code = ("import sys, treeprm.cli\n"
+            "print([m for m in ('http.client', 'email.parser', 'ssl') if m in sys.modules])")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "[]"

@@ -11,11 +11,15 @@ step objective, a statement or a system preamble each get their own entry.
 
 The client's connection handling is pinned here too: the raw body bytes, a
 tool URL that carries a query, one connection per thread, a kept-alive
-connection the server dropped, and TLS failures.
+connection the server dropped, and TLS failures. So is its HTTP/1.1: the
+exact head lines of a GET and a POST (recorded from the standard library's
+`http.client`, which the client replaced), one write per request, each way
+a reply is framed and when it ends the connection, and broken replies.
 """
 
 import json
 import math
+import socket
 import sys
 import tempfile
 import threading
@@ -26,7 +30,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from treeprm.backends.base import BackendConfig, BackendError
-from treeprm.backends.remote import ChatCompletionGenerator, ServedPrmScorer, ToolVerifier
+from treeprm.backends.remote import (
+    ChatCompletionGenerator,
+    ServedPrmScorer,
+    ToolVerifier,
+    _Endpoint,
+)
 from treeprm.backends.templates import PromptTemplate
 from treeprm.backends.transport import FileResponseCache, cache_key
 from treeprm.domain import Problem, ReasoningStep, parse_verdict_marker
@@ -324,3 +333,209 @@ def test_each_thread_keeps_one_connection_per_endpoint(fake_server):
     assert answers == [5] * 6
     assert fake_server.state.request_count == 30
     assert len({request["client"] for request in fake_server.state.chat_requests}) == 6
+
+
+class _RawServer:
+    """A bare socket server that records each request as it arrives: its
+    head lines and its body. It serves each connection on its own thread and
+    answers every request with one canned reply framed by `Content-Length`,
+    which serves as the tool's reply and as a chat reply."""
+
+    def __init__(self):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.url = f"http://127.0.0.1:{self.port}"
+        self.requests: list[tuple[list[str], bytes]] = []
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn):
+        reply = json.dumps({"result": "evaluated(Final Answer: 5)", **_reply({})}).encode()
+        reply = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                 b"Content-Length: %d\r\n\r\n" % len(reply) + reply)
+        with conn, conn.makefile("rb") as reader:
+            while request_line := reader.readline():
+                lines = [request_line.decode("latin-1").rstrip("\r\n")]
+                while field := reader.readline().decode("latin-1").rstrip("\r\n"):
+                    lines.append(field)
+                length = [int(h.split(":")[1]) for h in lines if h.startswith("Content-Length:")]
+                self.requests.append((lines, reader.read(length[0]) if length else b""))
+                conn.sendall(reply)
+
+    def close(self):
+        self.listener.close()
+
+
+@pytest.fixture
+def raw_server():
+    server = _RawServer()
+    yield server
+    server.close()
+
+
+@pytest.fixture
+def client_writes(monkeypatch, raw_server):
+    """Every `sendall` that a socket connected to `raw_server` makes."""
+    writes = []
+    real = socket.socket.sendall
+
+    def recording(sock, data, *args):
+        if sock.getpeername()[1] == raw_server.port:
+            writes.append(bytes(data))
+        return real(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", recording)
+    return writes
+
+
+def _verify_with_token(url, monkeypatch):
+    monkeypatch.setenv("TREEPRM_TEST_TOKEN", "secret-token")
+    token = {"auth_token_env_var": "TREEPRM_TEST_TOKEN"}
+    chat = _cfg(f"{url}/v1/chat/completions", **token)
+    ToolVerifier(_cfg(f"{url}/tool", **token), chat, JUDGER_T).verify(PROBLEM, CANDIDATE, STATE)
+
+
+def test_request_heads_are_pinned(raw_server, monkeypatch):
+    """The exact head lines of a GET and a POST, in order, with a token."""
+    _verify_with_token(raw_server.url, monkeypatch)
+    host = f"Host: 127.0.0.1:{raw_server.port}"
+    (tool_head, tool_body), (judge_head, judge_body) = raw_server.requests
+    assert tool_head == [
+        "GET /tool?query=Final+Answer%3A+5 HTTP/1.1",
+        host,
+        "Accept-Encoding: identity",
+        "Content-Type: application/json",
+        "Authorization: Bearer secret-token",
+    ]
+    assert tool_body == b""
+    assert judge_head == [
+        "POST /v1/chat/completions HTTP/1.1",
+        host,
+        "Accept-Encoding: identity",
+        f"Content-Length: {len(judge_body)}",
+        "Content-Type: application/json",
+        "Authorization: Bearer secret-token",
+    ]
+    assert json.loads(judge_body) == _chat_body("test-model", "judge-role", JUDGER_USER, 0.7)
+
+
+@pytest.mark.parametrize("url, host", [
+    ("http://example.com/v1", "example.com"),
+    ("http://example.com:80/v1", "example.com"),
+    ("https://example.com/v1", "example.com"),
+    ("https://example.com:8443/v1", "example.com:8443"),
+    ("http://[::1]:8000/v1", "[::1]:8000"),
+])
+def test_the_host_line_names_a_port_only_off_the_scheme_default(url, host):
+    head = _Endpoint(_cfg(url))._request("GET", "/v1", None).decode().split("\r\n")
+    assert head[1] == f"Host: {host}"
+
+
+def test_a_token_or_url_that_would_break_the_head_is_refused(monkeypatch):
+    monkeypatch.setenv("TREEPRM_TEST_TOKEN", "secret\r\nX-Injected: 1")
+    endpoint = _Endpoint(_cfg("http://127.0.0.1:1/v1", auth_token_env_var="TREEPRM_TEST_TOKEN"))
+    with pytest.raises(ValueError, match="TREEPRM_TEST_TOKEN holds a line break"):
+        endpoint._request("POST", "/v1", {"n": 1})
+    with pytest.raises(ValueError, match="space or control character"):
+        _Endpoint(_cfg("http://127.0.0.1:1/v1/chat completions"))
+
+
+def test_each_request_goes_out_in_one_write(raw_server, client_writes, monkeypatch):
+    for _ in range(2):
+        _verify_with_token(raw_server.url, monkeypatch)
+    assert len(raw_server.requests) == 4
+    assert len(client_writes) == 4
+    for write, (head, body) in zip(client_writes, raw_server.requests):
+        assert write == "\r\n".join([*head, "", ""]).encode() + body
+
+
+def _pieces(wire: bytes, size: int = 7) -> list[bytes]:
+    """`wire` cut every `size` bytes, so that lines, chunk sizes, chunk data
+    and CRLFs each straddle the client's reads."""
+    return [wire[start:start + size] for start in range(0, len(wire), size)]
+
+
+def _chunked(payload: bytes) -> list[bytes]:
+    first, rest = payload[:10], payload[10:]
+    return _pieces(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                   + b"%x;name=value\r\n%s\r\n" % (len(first), first)
+                   + b"%X\r\n%s\r\n" % (len(rest), rest)
+                   + b"0\r\nX-Trailer: t\r\n\r\n")
+
+
+def _sized(head: bytes, extra: int = 0):
+    """A reply with `head` (the status line and any fields) framed by a
+    `Content-Length` `extra` bytes longer than the body."""
+    return lambda payload: [head + b"\r\nContent-Length: %d\r\n\r\n" % (len(payload) + extra),
+                            payload]
+
+
+def _generate_twice(fake_server, sleeps, **overrides):
+    """Two samples on one thread, with any backoff's sleeps put in `sleeps`."""
+    fake_server.state.raw_chat_responder = _reply
+    generator = ChatCompletionGenerator(
+        _cfg(f"{fake_server.url}/v1/chat/completions", rate_limit_rps=1e6, **overrides),
+        GENERATOR_T, sleep_fn=sleeps.append,
+    )
+    return generator.generate(PROBLEM, STATE, 2)
+
+
+def _connections(fake_server) -> int:
+    return len({request["client"] for request in fake_server.state.chat_requests})
+
+
+@pytest.mark.parametrize("raw_reply", [
+    _chunked,
+    _sized(b"HTTP/1.1 200 OK"),
+    _sized(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Type: application/json"),
+], ids=["chunked-straddling-reads", "content-length", "after-interim-100"])
+def test_a_framed_reply_keeps_the_connection(fake_server, raw_reply):
+    fake_server.state.raw_reply = raw_reply
+    sleeps = []
+    steps = _generate_twice(fake_server, sleeps)
+    assert [step.action for step in steps] == ["2 + 3 = 5 \\boxed{+}"] * 2
+    assert fake_server.state.request_count == 2 and sleeps == []
+    assert _connections(fake_server) == 1
+
+
+@pytest.mark.parametrize("raw_reply, server_closes", [
+    (_sized(b"HTTP/1.1 200 OK\r\nConnection: close"), False),
+    (_sized(b"HTTP/1.0 200 OK"), False),
+    (lambda payload: [b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n", payload],
+     True),
+], ids=["connection-close", "http-1.0", "close-delimited"])
+def test_a_reply_that_ends_the_connection_is_read_whole_and_the_next_opens_a_new_one(
+        fake_server, raw_reply, server_closes):
+    """The server keeps the first two kinds open, so a client that kept them
+    would send its second request on the first connection."""
+    fake_server.state.raw_reply = raw_reply
+    fake_server.state.close_after_reply = server_closes
+    sleeps = []
+    steps = _generate_twice(fake_server, sleeps)
+    assert [step.action for step in steps] == ["2 + 3 = 5 \\boxed{+}"] * 2
+    assert fake_server.state.request_count == 2 and sleeps == []
+    assert _connections(fake_server) == 2
+
+
+@pytest.mark.parametrize("raw_reply, fault", [
+    (lambda payload: [b"garbage\r\n\r\n"], "bad status line"),
+    (_sized(b"HTTP/1.1 200 OK", extra=10), "reply cut short"),
+    (lambda payload: [b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n"],
+     "bad length"),
+], ids=["garbage-status-line", "body-cut-short", "bad-chunk-size"])
+def test_a_broken_reply_is_a_retryable_request_failure(fake_server, raw_reply, fault):
+    fake_server.state.raw_reply = raw_reply
+    fake_server.state.close_after_reply = True
+    sleeps = []
+    with pytest.raises(BackendError,
+                       match=f"exhausted 2 attempts; last error: request failed: {fault}"):
+        _generate_twice(fake_server, sleeps, max_retries=1)
+    assert sleeps == [0.5]
+    assert fake_server.state.request_count == 2
