@@ -208,8 +208,8 @@ def _number(text: bytes, base: int) -> int:
     raise _BadReply(f"bad length {text[:80]!r}")
 
 
-def _close_all(connections: list[_Connection]) -> None:
-    for connection in connections:
+def _close_all(connections: weakref.WeakSet) -> None:
+    for connection in list(connections):
         connection.close()
 
 
@@ -217,7 +217,8 @@ class _Endpoint:
     """One remote endpoint with its limiter, retry policy, and cache.
 
     Each thread that sends to the endpoint keeps one keep-alive connection to
-    it, reopened after any failed exchange.
+    it, reopened after any failed exchange and closed once the thread is
+    gone, so a stage's connections close when the stage ends.
     """
 
     def __init__(
@@ -245,8 +246,9 @@ class _Endpoint:
             raise ValueError(f"endpoint URL holds a space or control character: "
                              f"{cfg.endpoint_url!r}")
         self._local = threading.local()
-        # Every thread's connection, closed when the endpoint goes away.
-        self._connections: list[_Connection] = []
+        # The connections of the threads still alive, closed when the
+        # endpoint goes away; a thread's own closes when it ends.
+        self._connections: weakref.WeakSet[_Connection] = weakref.WeakSet()
         weakref.finalize(self, _close_all, self._connections)
         self._limiter = (RateLimiter(cfg.rate_limit_rps, sleep_fn=sleep_fn) if limiters is None
                          else limiters[origin(cfg.endpoint_url)])
@@ -258,7 +260,10 @@ class _Endpoint:
             connection = self._local.connection = _Connection(
                 self._host, self._port, self._tls, self.cfg.timeout_s
             )
-            self._connections.append(connection)
+            self._connections.add(connection)
+            # A stage's threads end with the stage, so their idle sockets are
+            # closed then rather than when the endpoint goes away.
+            weakref.finalize(threading.current_thread(), connection.close)
         return connection
 
     def _request(self, method: str, target: str, payload: dict | None) -> bytes:

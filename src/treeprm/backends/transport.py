@@ -10,9 +10,10 @@ hits the network.
 
 Replies live in append-only logs, one per cache instance, so storing one
 creates no file: `FileResponseCache` gives the record framing and the rules
-that make a log safe to read while its writer appends. A warm entry costs one
-`os.open`, one `os.pread` and one `os.close` on a string path; a miss is a
-dict lookup.
+that make a log safe to read while its writer appends. A log's whole records
+are read into memory at its first hit, so a later warm entry is one slice of
+those bytes: it makes no system call and so never releases the interpreter
+lock. A miss is a dict lookup.
 
 Each cache instance also keeps in memory the value its reader returned for
 every key it has answered, so a later request for that key reads no file
@@ -74,6 +75,11 @@ class FileResponseCache:
     inside the in-flight slot indexes what other logs gained since, which is
     how a reply another process stored is found.
 
+    A hit slices the entry out of the bytes of its log's whole records, read
+    (one `open`, `pread` and `close`, so no descriptor is kept) at the log's
+    first hit and read again when an entry lies past their end, because the
+    log grew since. A log shorter than an entry (or gone) gives a miss.
+
     The memo rests on one rule: a key always names one reader, and that reader
     returns an immutable value (a `str` or a `float` today) that every later
     request for the key shares. The backends keep it by putting the reader's
@@ -93,7 +99,9 @@ class FileResponseCache:
         self._log_lock = threading.Lock()
         self._index: dict[str, int] = {}
         self._logs: list[str] = []  # the path of each log number
-        self._indexed: dict[str, list[int]] = {}  # other log -> [number, bytes indexed]
+        self._complete: list[int] = []  # the bytes of whole records in each log
+        self._numbers: dict[str, int] = {}  # other log -> its number
+        self._read: dict[int, bytes] = {}  # log number -> its whole records at the latest read
         self._open_log()
         self._refresh()
 
@@ -103,21 +111,40 @@ class FileResponseCache:
         self._log = f"{self._prefix}{time.time_ns()}-{os.getpid()}-{next(_log_serial)}.log"
         self._log_number = len(self._logs)
         self._logs.append(self._log)
+        self._complete.append(0)
 
     def get(self, key: str) -> bytes | None:
+        """The indexed reply of `key`, sliced out of the bytes read from its
+        log; None when the key is not indexed or its log no longer holds it."""
         entry = self._index.get(key)
         if entry is None:
             return None
-        length = entry & _FIELD_MASK
+        number = entry >> 2 * _FIELD_BITS
+        start = entry >> _FIELD_BITS & _FIELD_MASK
+        end = start + (entry & _FIELD_MASK)
+        data = self._read.get(number)
+        if data is None or end > len(data):  # not read yet, or the log grew
+            data = self._read_log(number, end)
+            if end > len(data):
+                return None
+        return data[start:end]
+
+    def _read_log(self, number: int, end: int) -> bytes:
+        """The whole records of log `number` as indexed now, kept for later
+        hits; fewer bytes when the log was cut short, none when it is gone.
+        A torn last record is not read: its writer cuts it off before it
+        appends again, so those bytes do not last. Every byte before `end`,
+        the end of an indexed entry, belongs to a whole record, also while
+        `_refresh` has indexed the entry but not yet counted its record."""
         try:
-            fd = os.open(self._logs[entry >> 2 * _FIELD_BITS], os.O_RDONLY)
+            fd = os.open(self._logs[number], os.O_RDONLY)
         except FileNotFoundError:  # the log was removed since it was indexed
-            return None
+            return b""
         try:
-            data = os.pread(fd, length, entry >> _FIELD_BITS & _FIELD_MASK)
+            data = self._read[number] = os.pread(fd, max(end, self._complete[number]), 0)
         finally:
             os.close(fd)
-        return data if len(data) == length else None
+        return data
 
     def put(self, key: str, data: bytes) -> None:
         """Append one record to this instance's log and index it. A failed or
@@ -142,6 +169,7 @@ class FileResponseCache:
             finally:
                 os.close(fd)
             self._index[key] = self._entry(self._log_number, start + len(header), len(data))
+            self._complete[self._log_number] = start + len(record)
 
     @staticmethod
     def _entry(number: int, offset: int, length: int) -> int:
@@ -158,12 +186,14 @@ class FileResponseCache:
                     size = os.stat(path).st_size
                 except FileNotFoundError:
                     continue
-                state = self._indexed.get(path)
-                if state is None:
-                    state = self._indexed[path] = [len(self._logs), 0]
+                number = self._numbers.get(path)
+                if number is None:
+                    number = self._numbers[path] = len(self._logs)
                     self._logs.append(path)
-                if size > state[1]:
-                    state[1] = self._scan(state[0], path, state[1], size)
+                    self._complete.append(0)
+                if size > self._complete[number]:
+                    self._complete[number] = self._scan(
+                        number, path, self._complete[number], size)
 
     def _scan(self, number: int, path: str, pos: int, size: int) -> int:
         """Index the complete records of log `number` from byte `pos` up to

@@ -143,11 +143,13 @@ def _stage_inputs(args, roles: tuple[str, ...]):
 
 def _stage_threads(cfg: RunConfig, roles: tuple[str, ...]) -> int:
     """How many problems a stage of `roles` runs at once: `cfg.workers`, or
-    twice that when one of its backends is remote, since a problem then
-    spends most of its time waiting for replies. A problem's own calls run
-    in order on its thread."""
+    three times that when one of its backends is remote, since a problem then
+    spends most of its time waiting for replies. Not more, because each
+    thread opens its own connection and a server with a short listen
+    backlog stalls a larger burst of connects (README **Connections**). A
+    problem's own calls run in order on its thread."""
     remote = any(cfg.backends.get(role) is not None for role in roles)
-    return 2 * cfg.workers if remote else cfg.workers
+    return 3 * cfg.workers if remote else cfg.workers
 
 
 def _generate(cfg: RunConfig, problems, generator, verifier, out: Path) -> BuildReport:

@@ -31,6 +31,11 @@ from treeprm.config import load_config
 from treeprm.domain import Problem, ReasoningStep
 from treeprm.synthetic import trace_from_values
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 PROBLEM = Problem(id="q1", statement="Add 2 and 3.", gold_answer="5")
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -243,22 +248,62 @@ class TestCacheFiles:
         assert [fresh.get(key) for key in ("small", "big", "after")] == \
             [b"before", payload, b"tail"]
 
-    def test_a_hit_takes_one_open_one_pread_and_one_close(self, tmp_path, monkeypatch):
+    def test_a_logs_first_hit_reads_it_and_later_hits_make_no_os_call(
+            self, tmp_path, monkeypatch):
+        writer = FileResponseCache(tmp_path)
+        writer.put("k", b"reply")
+        writer.put("j", b"other")
+        cache = FileResponseCache(tmp_path)
+        calls = _count_os_calls(monkeypatch)
+        assert cache.get("k") == b"reply"
+        assert calls == ["open", "pread", "close"]
+        calls.clear()
+        assert [cache.get("j"), cache.get("k"), cache.get("missing")] == [b"other", b"reply", None]
+        assert calls == []
+
+    def test_an_entry_appended_after_the_log_was_read_is_read_again_after_the_refresh(
+            self, tmp_path, monkeypatch):
+        writer = FileResponseCache(tmp_path)
+        writer.put("a", b"first")
+        cache = FileResponseCache(tmp_path)
+        assert cache.get("a") == b"first"
+        writer.put("b", b"appended later")
+        assert cache.get("b") is None  # not indexed yet
+        cache._refresh()
+        calls = _count_os_calls(monkeypatch)
+        assert cache.get("b") == b"appended later"
+        assert calls == ["open", "pread", "close"]  # the log is read again
+        calls.clear()
+        assert [cache.get("a"), cache.get("b")] == [b"first", b"appended later"]
+        assert calls == []
+
+    def test_an_entry_indexed_before_its_record_is_counted_is_a_hit(self, tmp_path):
+        """`_refresh` indexes a log's records before it counts how many bytes
+        of whole records the log holds; a hit read in between still holds the
+        entry."""
         FileResponseCache(tmp_path).put("k", b"reply")
         cache = FileResponseCache(tmp_path)
-        calls = []
-
-        def counted(name, original):
-            def call(*args):
-                calls.append(name)
-                return original(*args)
-            return call
-
-        for name in ("open", "pread", "read", "close", "fstat", "stat", "listdir"):
-            monkeypatch.setattr(os, name, counted(name, getattr(os, name)))
+        cache._complete = [0] * len(cache._complete)
         assert cache.get("k") == b"reply"
-        assert cache.get("missing") is None
-        assert calls == ["open", "pread", "close"]
+
+    def test_a_log_removed_before_its_first_hit_is_a_miss(self, tmp_path):
+        FileResponseCache(tmp_path).put("k", b"gone")
+        cache = FileResponseCache(tmp_path)
+        (log,) = tmp_path.iterdir()
+        log.unlink()
+        assert cache.get("k") is None
+        assert cache.get_or_fetch("k", lambda: b"fetched", bytes.decode) == "fetched"
+
+    def test_a_log_cut_short_of_an_indexed_entry_before_its_first_hit_is_a_miss(self, tmp_path):
+        writer = FileResponseCache(tmp_path)
+        writer.put("a", b"whole")
+        writer.put("b", b"cut short")
+        cache = FileResponseCache(tmp_path)
+        (log,) = tmp_path.iterdir()
+        os.truncate(log, log.stat().st_size - 2)
+        assert cache.get("b") is None
+        assert cache.get("a") == b"whole"
+        assert cache.get("b") is None
 
     def test_empty_entry_is_a_hit(self, tmp_path):
         FileResponseCache(tmp_path).put("empty", b"")
@@ -331,6 +376,39 @@ class TestCacheFiles:
             cache.put("failed", b"payload")
         monkeypatch.undo()
         assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.skipif(resource is None or not os.path.isdir("/proc/self/fd"),
+                        reason="needs the resource module and /proc/self/fd")
+    def test_hits_from_more_logs_than_the_open_file_limit(self, tmp_path):
+        """Every log read for a hit is closed again, so a warm cache of more
+        logs than this process may keep open answers from all of them."""
+        for i in range(96):
+            FileResponseCache(tmp_path).put(f"k{i}", b"reply %d" % i)
+        cache = FileResponseCache(tmp_path)
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        limit = len(os.listdir("/proc/self/fd")) + 16
+        assert limit < 96 and (hard == resource.RLIM_INFINITY or limit <= hard)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
+        try:
+            replies = [cache.get(f"k{i}") for i in range(96)]
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert replies == [b"reply %d" % i for i in range(96)]
+
+
+def _count_os_calls(monkeypatch) -> list:
+    """The names of the file calls of `os` made from here on."""
+    calls = []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("open", "pread", "read", "close", "fstat", "stat", "listdir"):
+        monkeypatch.setattr(os, name, counted(name, getattr(os, name)))
+    return calls
 
 
 def _count_file_reads(monkeypatch) -> list:

@@ -378,8 +378,8 @@ class TestConfigHash:
 
 
 class TestStageThreads:
-    """A stage runs `workers` problems at once, or twice that when one of its
-    own roles is remote."""
+    """A stage runs `workers` problems at once, or three times that when one
+    of its own roles is remote."""
 
     REMOTE = {
         "generator": {"kind": "http", "endpoint_url": "http://g"},
@@ -390,8 +390,8 @@ class TestStageThreads:
 
     @pytest.mark.parametrize("remote, roles, threads", [
         ((), ("generator", "verifier"), 3),
-        (("verifier",), ("generator", "verifier"), 6),
-        (("generator", "scorer"), ("generator", "scorer"), 6),
+        (("verifier",), ("generator", "verifier"), 9),
+        (("generator", "scorer"), ("generator", "scorer"), 9),
         (("scorer",), ("generator", "verifier"), 3),
     ], ids=["synthetic", "one-role-remote", "all-roles-remote", "another-stages-role-remote"])
     def test_stage_threads(self, tmp_path, remote, roles, threads):

@@ -1,16 +1,18 @@
-"""A stage with a remote backend runs twice `--workers` problems at once.
+"""A stage with a remote backend runs three times `--workers` problems at once.
 
 Each problem's calls run in order on its own stage thread, and the fake
 endpoints below vary a reply only by how many times its body has arrived, so
 the files, the per-role request counts and the error records of a stage do
 not depend on how many problems run at once. One test holds each problem's
-first request until four problems have asked, which a stage that runs fewer
-problems at once runs into the hold's time bound. A stage joins its threads
-and sends nothing after it returns.
+first request until three problems have asked at `--workers 1`, which a stage
+that runs fewer problems at once runs into the hold's time bound. A stage
+joins its threads and sends nothing after it returns, and the sockets of its
+threads are closed by the time the next stage starts.
 """
 
 import json
 import re
+import socket
 import sys
 import threading
 import time
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from treeprm import cli
 from treeprm.backends import remote
 from treeprm.cli import main
 from treeprm.dataset import STAGE_THREAD_NAME
@@ -172,24 +175,28 @@ def _role_counts(state) -> dict:
 
 
 @pytest.mark.parametrize("command", ["generate", "decode"])
-def test_a_remote_stage_runs_twice_workers_problems_at_once(tmp_path, fake_server, command):
-    """At `--workers 2` a cold remote stage has four problems in flight: each
-    one's first generator request is held until all four have asked. It
-    sends the requests and writes the files of a one-worker run, and a warm
-    rerun writes the same files with no request."""
+def test_a_remote_stage_runs_three_times_workers_problems_at_once(
+        tmp_path, fake_server, monkeypatch, command):
+    """At `--workers 1` a cold remote stage has three problems in flight: the
+    first generator request of each is held until three have asked. It
+    sends the requests and writes the files of a stage that runs one problem
+    at a time, and a warm rerun writes the same files with no request."""
     state = fake_server.state
     RunningSums(state, branching=True)
     one = tmp_path / "one"
     one.mkdir()
-    assert main([command, "--config", str(_config(one, fake_server.url, problems=FOUR_PROBLEMS)),
-                 "--workers", "1", "--output", str(one / "out")]) == 0
+    with monkeypatch.context() as sequential:
+        sequential.setattr(cli, "_stage_threads", lambda cfg, roles: 1)
+        assert main([command, "--config",
+                     str(_config(one, fake_server.url, problems=FOUR_PROBLEMS)),
+                     "--output", str(one / "out")]) == 0
     sent = _role_counts(state)
     state.chat_requests.clear()
     state.tool_requests.clear()
 
-    endpoints = RunningSums(state, hold=len(FOUR_PROBLEMS), branching=True)
+    endpoints = RunningSums(state, hold=3, branching=True)
     config = _config(tmp_path, fake_server.url, problems=FOUR_PROBLEMS)
-    assert main([command, "--config", str(config), "--workers", "2",
+    assert main([command, "--config", str(config), "--workers", "1",
                  "--output", str(tmp_path / "cold")]) == 0
     assert endpoints.timeouts == []
     assert endpoints.held == len(FOUR_PROBLEMS)
@@ -197,7 +204,7 @@ def test_a_remote_stage_runs_twice_workers_problems_at_once(tmp_path, fake_serve
     assert _files(tmp_path / "cold") == _files(one / "out")
 
     cold_requests = state.request_count
-    assert main([command, "--config", str(config), "--workers", "2",
+    assert main([command, "--config", str(config), "--workers", "1",
                  "--output", str(tmp_path / "warm")]) == 0
     assert state.request_count == cold_requests
     assert _files(tmp_path / "warm") == _files(tmp_path / "cold")
@@ -223,9 +230,9 @@ def test_a_synth_stage_runs_workers_problems_at_once(tmp_path, monkeypatch):
     assert started == stage_threads * 2  # generate's, then decode's
 
 
-def test_a_remote_stage_starts_twice_workers_threads_cold_and_warm(
+def test_a_remote_stage_starts_three_times_workers_threads_cold_and_warm(
         tmp_path, fake_server, monkeypatch):
-    """Every role of these stages is remote, so each starts `2 * --workers`
+    """Every role of these stages is remote, so each starts `3 * --workers`
     threads, also when a warm cache answers all of its calls."""
     started = []
     start = threading.Thread.start
@@ -238,7 +245,7 @@ def test_a_remote_stage_starts_twice_workers_threads_cold_and_warm(
     monkeypatch.setattr(threading.Thread, "start", recording_start)
     RunningSums(fake_server.state, branching=True)
     config = _config(tmp_path, fake_server.url, problems=FOUR_PROBLEMS)
-    stage_threads = [f"{STAGE_THREAD_NAME}-{number}" for number in range(4)]
+    stage_threads = [f"{STAGE_THREAD_NAME}-{number}" for number in range(6)]
 
     def run(output: str) -> int:
         for command in ("generate", "decode"):
@@ -252,6 +259,43 @@ def test_a_remote_stage_starts_twice_workers_threads_cold_and_warm(
     assert cold_requests > 0
     assert run("warm") == cold_requests
     assert _files(tmp_path / "warm") == _files(tmp_path / "cold")
+
+
+def test_the_generate_stages_sockets_are_closed_before_decode_opens_its_own(
+        tmp_path, fake_server, monkeypatch):
+    """`synth` with a remote generator and scorer runs both stages on one
+    generator endpoint; the sockets that generate's threads opened close
+    when those threads are gone, not when the endpoint goes."""
+    fake_server.state.chat_responder = lambda body: (
+        "Objective: guess\nAction: Final Answer: 0\n\\boxed{+}")
+    opened = []
+    connect = socket.create_connection
+
+    def recording_connect(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(socket, "create_connection", recording_connect)
+    at_decode = []
+    decode = cli._decode
+
+    def recording_decode(*args):
+        at_decode.append([sock.fileno() for sock in opened])
+        return decode(*args)
+
+    monkeypatch.setattr(cli, "_decode", recording_decode)
+    synth = json.loads(SHIPPED_CONFIG.read_text(encoding="utf-8"))
+    synth["synthetic"]["count"] = 6
+    chat = {"kind": "http", "endpoint_url": f"{fake_server.url}/v1/chat/completions",
+            "model_name": "fake", "max_retries": 0, "rate_limit_rps": 10000}
+    synth["backends"] = {"generator": chat, "scorer": chat}
+    (tmp_path / "synth.json").write_text(json.dumps(synth), encoding="utf-8")
+    assert main(["synth", "--config", str(tmp_path / "synth.json"), "--workers", "1",
+                 "--output", str(tmp_path / "synth")]) == 0
+    (generate_sockets,) = at_decode
+    assert generate_sockets and set(generate_sockets) == {-1}
+    assert len(opened) > len(generate_sockets)  # decode opened its own
+    assert {sock.fileno() for sock in opened} == {-1}
 
 
 def _no_stage_thread_and_no_late_request(state) -> None:
