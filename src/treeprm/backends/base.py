@@ -86,3 +86,51 @@ class StepScorer(Protocol):
     ) -> float:
         """Predicted reward for taking `candidate` from `state`."""
         ...
+
+
+class ProblemMemo:
+    """One problem's view of a backend: each distinct question reaches
+    `backend` once, and a repeat gets the first answer with no prompt
+    rendered and no cache key computed. A stage task wraps each backend it
+    uses and drops the memo with the task, so the memo holds one problem's
+    answers and leaves the problem out of its keys. A key is what the reply
+    depends on: (state, sample index) for a generator with a per-sample
+    `samples` call, whose samples of a state are kept in index order, so
+    sample 0 of a K-way expansion is a one-sample simulation's; (state,
+    count) for any other, whose count may seed its randomness; (step,
+    context) for a verifier, and the query for one with a `tool(query)`
+    call; (state, candidate) for a scorer. An ask that raised is asked
+    again. Only the task's thread asks, so no lock is taken."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self._samples = getattr(backend, "samples", None)
+        self._tool = getattr(backend, "tool", None)
+        self._answers: dict = {}
+
+    def _ask(self, key, ask, *args):
+        answer = self._answers.get(key)  # no backend answers None
+        if answer is None:
+            answer = self._answers[key] = ask(*args)
+        return answer
+
+    def generate(self, problem: Problem, state: StepSequence, count: int) -> list[ReasoningStep]:
+        if self._samples is None:
+            return self._ask((state, count), self._backend.generate, problem, state, count)
+        known = self._answers.setdefault(state, [])
+        if len(known) < count:  # a sample's step is kept as it comes, before the next is asked
+            known.extend(self._samples(problem, state, range(len(known), count)))
+        return [step for step in known[:count] if step is not None]
+
+    def verify(self, problem: Problem, step: ReasoningStep,
+               context: StepSequence) -> VerificationResult:
+        verify = self._backend.verify if self._tool is None else self._judge
+        return self._ask((step, context), verify, problem, step, context)
+
+    def _judge(self, problem: Problem, step: ReasoningStep,
+               context: StepSequence) -> VerificationResult:
+        tool_text = self._ask(step.action, self._tool, step.action)
+        return self._backend.judge(problem, step, context, tool_text)
+
+    def score(self, problem: Problem, state: StepSequence, candidate: ReasoningStep) -> float:
+        return self._ask((state, candidate), self._backend.score, problem, state, candidate)

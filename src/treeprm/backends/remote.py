@@ -17,7 +17,8 @@ exponential backoff, and is served from the content-addressed cache when warm.
 Each request names the reader that turns its reply into what the role uses; a
 reply is cached only once that reader accepts it. `_Endpoint.request` derives
 the cache key from what the request sends, led by the `kind` of its reader
-(the scorer's names its `mode`), since the cache memoizes one value per key.
+(the scorer's names its `mode`), so an entry is replayed only to a reader of
+the kind that accepted it.
 """
 
 from __future__ import annotations
@@ -389,9 +390,9 @@ class _Endpoint:
 class ChatCompletionGenerator:
     """Samples candidate steps from a chat-completion endpoint.
 
-    Each of the `count` samples is an independent request, and its sample
-    index joins the sent body in its cache key, so equal bodies keep one entry
-    per sample.
+    Each of the `count` samples is an independent request (`samples`), and
+    its sample index joins the sent body in its cache key, so equal bodies
+    keep one entry per sample.
     Completions that do not parse into a step are dropped, never padded.
     """
 
@@ -407,18 +408,18 @@ class ChatCompletionGenerator:
         self._template = template
 
     def generate(self, problem: Problem, state: StepSequence, count: int) -> list[ReasoningStep]:
-        body = self._template.render(
-            problem=problem.statement, prior_steps=render_prior_steps(state)
-        )
-        steps = []
-        for sample_index in range(count):
-            content = self._endpoint.chat(
-                "chat-step", self._template, body, self._endpoint.chat_content, sample_index
-            )
-            step = parse_step_completion(content, len(state) + 1)
-            if step is not None:
-                steps.append(step)
-        return steps
+        return [step for step in self.samples(problem, state, range(count)) if step is not None]
+
+    def samples(self, problem: Problem, state: StepSequence, indices: range):
+        """The next step after `state` for each sample index, one request
+        each, yielded as its reply comes: None when a completion does not
+        parse."""
+        body = self._template.render(problem=problem.statement,
+                                     prior_steps=render_prior_steps(state))
+        for index in indices:
+            content = self._endpoint.chat("chat-step", self._template, body,
+                                          self._endpoint.chat_content, index)
+            yield parse_step_completion(content, len(state) + 1)
 
 
 def _tool_result(raw: bytes) -> str:
@@ -459,8 +460,15 @@ class ToolVerifier:
     def verify(
         self, problem: Problem, step: ReasoningStep, context: StepSequence
     ) -> VerificationResult:
-        query = step.action
-        tool_text = self._tool.request("tool", _tool_result, params={"query": query})
+        return self.judge(problem, step, context, self.tool(step.action))
+
+    def tool(self, query: str) -> str:
+        """The math tool's answer to `query`, a step's action."""
+        return self._tool.request("tool", _tool_result, params={"query": query})
+
+    def judge(self, problem: Problem, step: ReasoningStep, context: StepSequence,
+              tool_text: str) -> VerificationResult:
+        """The judger's verdict on `step`, given the tool's answer to it."""
         body = self._template.render(
             problem=problem.statement,
             prior_steps=render_prior_steps(context),
@@ -472,7 +480,7 @@ class ToolVerifier:
         return VerificationResult(
             label=-1 if verdict is None else verdict,
             rationale=content,
-            tool_query=query,
+            tool_query=step.action,
             verifiable=verdict is not None,
         )
 

@@ -6,7 +6,8 @@ only once the caller's reader accepts it, so a reply the caller cannot read is
 asked for again rather than replayed. With a warm cache a pipeline run issues
 zero network requests and reproduces the run that populated it byte for byte.
 Identical concurrent requests are deduplicated in-flight so only one of them
-hits the network.
+hits the network. A question repeated within one problem never gets here: the
+stage's per-problem memo (`base.ProblemMemo`) answers it.
 
 Replies live in append-only logs, one per cache instance, so storing one
 creates no file: `FileResponseCache` gives the record framing and the rules
@@ -14,13 +15,6 @@ that make a log safe to read while its writer appends. A log's whole records
 are read into memory at its first hit, so a later warm entry is one slice of
 those bytes: it makes no system call and so never releases the interpreter
 lock. A miss is a dict lookup.
-
-Each cache instance also keeps in memory the value its reader returned for
-every key it has answered, so a later request for that key reads no file
-(`FileResponseCache` states the rule that makes this sound). A command builds
-one instance (`cli._build_backends`), so the memo and the log it writes live
-for one command and are never shared across processes; README **Caching**
-gives their sizes. A run without `paths.cache_dir` has no cache and so no memo.
 """
 
 from __future__ import annotations
@@ -59,8 +53,7 @@ _log_serial = itertools.count()
 
 
 class FileResponseCache:
-    """On-disk response store keyed by content hash, with in-flight dedup and
-    an in-process memo of what each key's reader returned.
+    """On-disk response store keyed by content hash, with in-flight dedup.
 
     Each instance appends the replies it stores to its own log,
     `<cache_dir>/<start ns>-<pid>-<serial>.log`, created at its first `put`.
@@ -79,13 +72,6 @@ class FileResponseCache:
     (one `open`, `pread` and `close`, so no descriptor is kept) at the log's
     first hit and read again when an entry lies past their end, because the
     log grew since. A log shorter than an entry (or gone) gives a miss.
-
-    The memo rests on one rule: a key always names one reader, and that reader
-    returns an immutable value (a `str` or a `float` today) that every later
-    request for the key shares. The backends keep it by putting the reader's
-    identity in the key: every key starts with its reader's `kind`, and the
-    scorer's kind names its `mode`. The scorer's reader also takes a sample
-    name, but only its errors use it, and an error is never memoized.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -93,8 +79,7 @@ class FileResponseCache:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._prefix = os.path.join(self.cache_dir, "")
         self._master = threading.Lock()
-        self._inflight: dict[str, threading.Event] = {}
-        self._memo: dict[str, object] = {}
+        self._inflight: dict[str, _Slot] = {}
         # Guards the own log's appends and the indexing of the others.
         self._log_lock = threading.Lock()
         self._index: dict[str, int] = {}
@@ -229,28 +214,25 @@ class FileResponseCache:
         read: Callable[[bytes], _T] = lambda data: data,
     ) -> _T:
         """`read` of the cached response, fetching it at most once per key even
-        under concurrent identical requests. A fetched response is stored only
-        after `read` returns; an error from `read` leaves the key uncached.
-        What `read` returns is memoized, so a later call for the key on this
-        instance costs one dict lookup."""
-        memo = self._memo
+        under concurrent identical requests: the threads that wait on a
+        key's fetch take the value its `read` returned. A fetched response is
+        stored only after `read` returns; an error from `read` leaves the key
+        uncached, and a waiter then tries again."""
         while True:
-            value = memo.get(key, _MISSING)
-            if value is not _MISSING:
-                return value
             # An indexed entry is read before taking the in-flight slot, which
             # saves an event and two lock round trips per key; a cold key
             # looks at the other logs again inside the slot.
             data = self.get(key)
             if data is not None:
-                value = memo[key] = read(data)
-                return value
+                return read(data)
             with self._master:
-                waiter = self._inflight.get(key)
-                if waiter is None:
-                    self._inflight[key] = threading.Event()
+                slot = self._inflight.get(key)
+                if slot is None:
+                    slot = self._inflight[key] = _Slot()
                     break
-            waiter.wait()
+            slot.wait()
+            if slot.value is not _MISSING:
+                return slot.value
         try:
             self._refresh()
             data = self.get(key)
@@ -260,12 +242,18 @@ class FileResponseCache:
                 data = fetch()
                 value = read(data)
                 self.put(key, data)
-            memo[key] = value
+            slot.value = value
             return value
         finally:
             with self._master:
-                event = self._inflight.pop(key)
-            event.set()
+                del self._inflight[key]
+            slot.set()
+
+
+class _Slot(threading.Event):
+    """A cold key's fetch in flight: set once done, with the value it gave."""
+
+    value = _MISSING
 
 
 class RateLimiter:

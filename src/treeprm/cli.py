@@ -30,6 +30,7 @@ from .backends import (
     builtin_template,
     host_limiters,
 )
+from .backends.base import ProblemMemo
 from .config import ConfigError, RunConfig, load_config
 from .dataset import (
     MODES,
@@ -51,7 +52,6 @@ from .evaluation import (
     recompute_reference_table,
     reference_rows,
     render_score_table,
-    report_to_dict,
     score_samples,
     write_annotated,
     write_predictions,
@@ -161,39 +161,14 @@ def _generate(cfg: RunConfig, problems, generator, verifier, out: Path) -> Build
     )
 
 
-class _ProblemCandidates:
-    """One problem's decode-stage generator: each distinct (state, count) is
-    asked of `policy` once, and every later ask gets the same candidates.
-
-    The guided decode and the pass@n samples of one problem walk largely the
-    same states. A synthetic generator returns the same candidates for one
-    state by its seed, and a cached remote one by its cache entries, so
-    sharing the lists changes no output there. Without a cache, a remote
-    generator sends nothing for a repeated state, so the samples share
-    candidate sets as they do on a cached run. Only the problem's own
-    thread asks, so no lock is taken."""
-
-    def __init__(self, policy):
-        self._policy = policy
-        self._asked: dict = {}
-
-    def generate(self, problem, state, count):
-        key = (state, count)
-        candidates = self._asked.get(key)
-        if candidates is None:
-            candidates = self._asked[key] = self._policy.generate(problem, state, count)
-        return candidates
-
-
 def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
     """The decode stage: one task per problem on the stage's threads
     (`_stage_threads`), which decodes the problem reward-guided and then
-    draws its `pass_n` samples in order. The task's generator asks each
-    distinct state once (`_ProblemCandidates`) and is dropped with the task,
-    so what it holds is bounded by one problem. Requests of one problem are
-    never sent concurrently, and a failing problem reports the first error
-    its task meets: the guided decode's, else the lowest-numbered failing
-    sample's.
+    draws its `pass_n` samples in order, through per-problem memos of the
+    generator and the scorer (`ProblemMemo`), so the samples and the guided
+    decode share candidate sets. Requests of one problem are never sent
+    concurrently, and a failing problem reports the first error its task
+    meets: the guided decode's, else the lowest-numbered failing sample's.
 
     Writes a problem's lines of `decode_results.jsonl` and `decode_log.jsonl`
     once it and every earlier problem are done, so both files are in problem
@@ -207,8 +182,8 @@ def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
     matrix: list[list[bool]] = []
 
     def task(problem):
-        policy = _ProblemCandidates(generator)
-        result = decode(problem, policy, scorer, cfg.decode)
+        policy = ProblemMemo(generator)
+        result = decode(problem, policy, ProblemMemo(scorer), cfg.decode)
         return result, [sample_rollout(problem, policy, cfg.decode, s)[1] for s in range(pass_n)]
 
     def emit(decoded) -> None:
@@ -304,7 +279,7 @@ def _eval(predictions: list[Prediction], annotations: list[AnnotatedSample],
         [(model, benchmark, report.error_accuracy, report.correct_accuracy, report.f1)]
     )
     if out is not None:
-        write_json(out / "eval_report.json", report_to_dict(report))
+        write_json(out / "eval_report.json", vars(report))
         (out / "eval_report.txt").write_text(text, encoding="utf-8")
     return report, text
 
@@ -380,7 +355,7 @@ def cmd_synth(args) -> int:
             "flip_events": len(build_report.flip_events),
         },
         "decode": decoded,
-        "eval": report_to_dict(eval_report),
+        "eval": vars(eval_report),
     }
     write_json(out / "report.json", report)
     lines = [
@@ -412,7 +387,8 @@ def cmd_inspect(args) -> int:
             f"--problem-index {args.problem_index} is out of range for "
             f"{len(problems)} problems"
         )
-    result = run_search(problem, backends["generator"], backends["verifier"], cfg.search)
+    result = run_search(problem, ProblemMemo(backends["generator"]),
+                        ProblemMemo(backends["verifier"]), cfg.search)
     dump = export_tree(result.root)
     if args.output:
         path = Path(args.output)

@@ -138,8 +138,14 @@ def _integers(value, path: str) -> tuple[int, ...]:
 
 def _convert(hint, value, path: str):
     """A JSON value as its field's type. An int field takes only a JSON
-    integer, a float field only a finite JSON number, and pairs and int
-    tuples take lists of integers; any other field takes the value as is."""
+    integer, a float field only a finite JSON number, a str field only a JSON
+    string (an optional one also null), and pairs and int tuples take lists
+    of integers; any other field takes the value as is."""
+    if hint in (str, str | None):
+        if isinstance(value, str) or value is None and hint is not str:
+            return value
+        kind = "a string" if hint is str else "a string or null"
+        raise ConfigError(f"{path} must be {kind}, got {value!r}")
     if hint is int:
         return _integer(value, path)
     if hint is float:
@@ -176,14 +182,12 @@ def _read(cls, section: dict, path: str, skip=()):
 
 def _paths(section: dict, base_dir: Path) -> Paths:
     paths = _read(Paths, section, "paths")
-    if not isinstance(paths.output_dir, str) or not paths.output_dir:
-        raise ConfigError("paths.output_dir must be a non-empty string")
+    for name, value in asdict(paths).items():
+        if value == "":
+            raise ConfigError(f"paths.{name} must be a non-empty string")
 
-    def resolve(value):
-        if value is None:
-            return None
-        path = Path(value)
-        return str(path if path.is_absolute() else base_dir / path)
+    def resolve(value):  # an absolute path replaces base_dir
+        return None if value is None else str(base_dir / value)
 
     problems_file = resolve(paths.problems_file)
     if problems_file is not None and not Path(problems_file).exists():

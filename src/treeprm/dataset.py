@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__ as PIPELINE_VERSION
-from .backends.base import StepGenerator, StepVerifier
+from .backends.base import ProblemMemo, StepGenerator, StepVerifier
 from .domain import (
     NORMALIZATION_VERSION,
     Problem,
@@ -227,7 +227,6 @@ def serialize_instance(instance: TrainingInstance) -> str:
         _check_encodable(f"steps[{i}]", step)
     for i, rationale in enumerate(instance.rationales):
         _check_encodable(f"rationales[{i}]", rationale)
-    provenance = instance.provenance
     record = {
         "schema_version": SCHEMA_VERSION,
         "problem": instance.problem,
@@ -236,15 +235,7 @@ def serialize_instance(instance: TrainingInstance) -> str:
         "rationales": list(instance.rationales),
         "final_answer": instance.final_answer,
         "outcome": instance.outcome_flag,
-        "provenance": {
-            "problem_id": provenance.problem_id,
-            "tree_id": provenance.tree_id,
-            "rollout_index": provenance.rollout_index,
-            "rng_seed": provenance.rng_seed,
-            "config_hash": provenance.config_hash,
-            "pipeline_version": provenance.pipeline_version,
-            "normalization_version": provenance.normalization_version,
-        },
+        "provenance": vars(instance.provenance),
     }
     return canonical_json(record)
 
@@ -302,17 +293,7 @@ class BuildReport:
             "rollouts_total": self.rollouts_total,
             "kept": self.kept,
             "dropped": dict(sorted(self.dropped.items())),
-            "flip_events": [
-                {
-                    "problem_id": e.problem_id,
-                    "rollout_index": e.rollout_index,
-                    "step_index": e.step_index,
-                    "verification_label": e.verification_label,
-                    "hybrid_label": e.hybrid_label,
-                    "u_plus_v": e.u_plus_v,
-                }
-                for e in self.flip_events
-            ],
+            "flip_events": [vars(event) for event in self.flip_events],
             "problem_errors": self.problem_errors,
             "pipeline_version": PIPELINE_VERSION,
         }
@@ -470,11 +451,11 @@ def build_dataset(
     the instances labelled in `mode` to `output_path`. Provenance takes its
     seed from `search_cfg` and records `config_hash`.
 
-    Problems run on `workers` threads (`run_in_order`). A problem's
-    instances are written once it and every earlier problem are done, so the
-    file is always in the given problem order and no instance outlives its
-    write. A failing problem is recorded and skipped, never fatal; an
-    unknown mode fails before the file is opened or any problem runs.
+    Problems run on `workers` threads (`run_in_order`), each asking through
+    its own `ProblemMemo`s. A problem's instances are written once it and
+    every earlier problem are done, so the file is in the given problem order
+    and no instance outlives its write. A failing problem is recorded and
+    skipped, never fatal; an unknown mode fails before the file is opened.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
@@ -482,7 +463,8 @@ def build_dataset(
 
     def task(problem: Problem):
         try:
-            return _build_one(problem, generator, verifier, search_cfg, mode, config_hash)
+            return _build_one(problem, ProblemMemo(generator), ProblemMemo(verifier),
+                              search_cfg, mode, config_hash)
         except Exception as err:  # noqa: BLE001 - per-problem isolation is the contract
             return [], {}, [], [{"problem_id": problem.id, "error": str(err)}], 0
 

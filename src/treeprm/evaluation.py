@@ -187,15 +187,6 @@ def write_predictions(path: str | Path, predictions: Sequence[Prediction]) -> No
     ))
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "error_accuracy": report.error_accuracy,
-        "correct_accuracy": report.correct_accuracy,
-        "f1": report.f1,
-        "counts": report.counts,
-    }
-
-
 @dataclass(frozen=True)
 class ReferenceRow:
     """One published score-table row: per-class accuracies and printed F1."""

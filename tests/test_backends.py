@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from treeprm import cli
 from treeprm.backends import transport
-from treeprm.backends.base import BackendConfig, BackendError
+from treeprm.backends.base import BackendConfig, BackendError, ProblemMemo
 from treeprm.backends.remote import (
     ChatCompletionGenerator,
     ServedPrmScorer,
@@ -437,16 +437,18 @@ class TestCacheMemo:
         log.unlink()
         second = cache.get_or_fetch(key, lambda: pytest.fail("fetched"), bytes.decode)
         assert first == "warm"
-        assert second is first
+        assert second == first
         assert reads == [log.name]
 
-    def test_fetched_value_is_memoized_after_its_put(self, tmp_path, monkeypatch):
+    def test_a_fetched_value_is_read_back_from_the_own_log_after_its_put(
+            self, tmp_path, monkeypatch):
         cache = FileResponseCache(tmp_path)
         first = cache.get_or_fetch("k", lambda: b"2.5", float)
         reads = _count_file_reads(monkeypatch)
-        assert cache.get_or_fetch("k", lambda: pytest.fail("fetched"), float) is first
-        assert reads == []
+        assert cache.get_or_fetch("k", lambda: pytest.fail("fetched"), float) == first
+        assert cache.get_or_fetch("k", lambda: pytest.fail("fetched"), float) == first
         (log,) = tmp_path.iterdir()
+        assert reads == [log.name]
         assert log.read_bytes() == b"k 3\n2.5"
 
     def test_rejected_reply_is_neither_stored_nor_memoized(self, tmp_path):
@@ -623,13 +625,16 @@ class TestChatCompletionGenerator:
         assert fake_server.state.request_count == count_after_first
 
     def test_repeat_generate_is_answered_from_the_memo(self, fake_server, tmp_path):
+        """A problem's memo answers a repeated state, and a one-sample ask
+        gets sample 0 of the earlier three-sample one."""
         fake_server.state.chat_responder = lambda body: "Objective: a\nAction: 2 + 3 = 5"
-        generator = self._generator(fake_server, tmp_path)
+        generator = ProblemMemo(self._generator(fake_server, tmp_path))
         first = generator.generate(PROBLEM, (), 3)
         for entry in (tmp_path / "cache").iterdir():
             entry.unlink()
         fake_server.state.chat_responder = lambda body: pytest.fail("asked again")
         assert generator.generate(PROBLEM, (), 3) == first
+        assert generator.generate(PROBLEM, (), 1) == first[:1]
         assert fake_server.state.request_count == 3
 
     def test_auth_header_resolved_from_env(self, fake_server, tmp_path, monkeypatch):

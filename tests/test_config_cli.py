@@ -150,6 +150,49 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=re.escape(field) + " " + message):
             load_config(write_config(tmp_path, set_value))
 
+    @pytest.mark.parametrize(("field", "value", "message"), [
+        ("paths.cache_dir", 5, "must be a string or null, got 5"),
+        ("paths.cache_dir", "", "must be a non-empty string"),
+        ("paths.problems_file", ["a"], re.escape("must be a string or null, got ['a']")),
+        ("paths.problems_file", "", "must be a non-empty string"),
+        ("paths.output_dir", None, "must be a string, got None"),
+        ("paths.output_dir", "", "must be a non-empty string"),
+        ("backends.generator.auth_token_env_var", 5, "must be a string or null, got 5"),
+        ("backends.generator.model_name", None, "must be a string, got None"),
+        ("backends.generator.endpoint_url", 5, "must be a string, got 5"),
+        ("backends.verifier.tool.endpoint_url", True, "must be a string, got True"),
+        ("backends.verifier.judger.model_name", ["m"], re.escape("must be a string, got ['m']")),
+    ])
+    def test_string_fields_take_only_json_strings(self, tmp_path, field, value, message):
+        """A str field takes only a JSON string, an optional one also null,
+        and a path is never empty: an empty cache_dir or problems_file would
+        name the config's own directory."""
+        *sections, key = field.split(".")
+
+        def set_value(cfg):
+            cfg["backends"] = {
+                "generator": {"kind": "http", "endpoint_url": "http://g"},
+                "verifier": {"kind": "http", "tool": {"endpoint_url": "http://t"},
+                             "judger": {"endpoint_url": "http://j"}},
+            }
+            section = cfg
+            for name in sections:
+                section = section[name]
+            section[key] = value
+
+        with pytest.raises(ConfigError, match="^" + re.escape(field) + " " + message):
+            load_config(write_config(tmp_path, set_value))
+
+    def test_null_takes_an_optional_string_fields_default(self, tmp_path):
+        def nulls(cfg):
+            cfg["paths"].update(cache_dir=None, problems_file=None)
+            cfg["backends"] = {"generator": {"kind": "http", "endpoint_url": "http://g",
+                                             "auth_token_env_var": None}}
+
+        loaded = load_config(write_config(tmp_path, nulls))
+        assert (loaded.paths.cache_dir, loaded.paths.problems_file) == (None, None)
+        assert loaded.backends["generator"].endpoint.auth_token_env_var is None
+
     def test_integer_accepted_for_float_field(self, tmp_path):
         def integer_c(cfg):
             cfg["search"]["exploration_c"] = 1

@@ -1,16 +1,26 @@
 """Property tests: the fast labelling, answer-equality and selection paths,
-the early-stopped search and its replays, against their reference
-definitions, with exact equality and no tolerance."""
+the early-stopped search and its replays, and the per-problem memo, against
+their reference definitions, with exact equality and no tolerance."""
 
 import math
+import zlib
+from collections import Counter
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from treeprm import mcts
+from treeprm.backends.base import BackendError, ProblemMemo
 from treeprm.backends.synthetic import ExactVerifier, ScriptedGenerator
-from treeprm.domain import answers_equal, normalize_answer, parse_rational
+from treeprm.domain import (
+    Problem,
+    ReasoningStep,
+    VerificationResult,
+    answers_equal,
+    normalize_answer,
+    parse_rational,
+)
 from treeprm.mcts import SearchConfig, best_index, run_search, uct_score
 from treeprm.rewards import (
     UnlabeledStepError,
@@ -205,3 +215,129 @@ def test_visited_terminal_q_is_its_first_reward(all_rounds, search):
             first = next(rollout for rollout in result.rollouts if rollout.steps == node.state
                          and rollout.expansion_index == len(node.state))
             assert node.q_value == first.node_reward
+
+
+def _digest(question) -> int:
+    return zlib.crc32(repr(question).encode())
+
+
+def reference_answer(question):
+    """What the fake backend answers `question`, a function of it alone."""
+    call, *args = question
+    if call == "sample":
+        state, index = args
+        if _digest(question) % 4 == 0:
+            return None  # a completion that does not parse
+        return ReasoningStep(len(state) + 1, f"sample {index}", f"{_digest(question) % 9}")
+    if call == "generate":
+        state, count = args
+        return [ReasoningStep(len(state) + 1, f"of {count}", f"{_digest((question, i)) % 9}")
+                for i in range(count)]
+    if call == "tool":
+        return f"tool says {_digest(question) % 5}"
+    if call in ("verify", "judge"):
+        step, context = args[:2]
+        return VerificationResult(label=1 if _digest(question) % 2 else -1,
+                                  rationale=repr(question), tool_query=step.action)
+    return float(_digest(question) % 7)  # score
+
+
+class CountingBackend:
+    """A fake backend of every role that counts each question it is asked and,
+    with `flaky`, raises at the first ask of some questions. With
+    `per_sample` it generates through `samples`, with `split` it verifies
+    through `tool` and `judge`, as the remote backends do."""
+
+    def __init__(self, per_sample: bool, split: bool, flaky: bool):
+        self.asked = Counter()
+        self.raised = set()
+        self.flaky = flaky
+        if per_sample:
+            self.samples = lambda problem, state, indices: (
+                self._answer(("sample", state, index)) for index in indices)
+        if split:
+            self.tool = lambda query: self._answer(("tool", query))
+
+    def _answer(self, question):
+        self.asked[question] += 1
+        if self.flaky and _digest(question) % 3 == 0 and question not in self.raised:
+            self.raised.add(question)
+            raise BackendError(f"first ask of {question!r} failed")
+        return reference_answer(question)
+
+    def generate(self, problem, state, count):
+        return self._answer(("generate", state, count))
+
+    def verify(self, problem, step, context):
+        return self._answer(("verify", step, context))
+
+    def judge(self, problem, step, context, tool_text):
+        assert tool_text == reference_answer(("tool", step.action))
+        return self._answer(("judge", step, context))
+
+    def score(self, problem, state, candidate):
+        return self._answer(("score", state, candidate))
+
+
+def expected_answer(backend, ask):
+    """The answer of one ask, built from the reference answers of its questions."""
+    call, *args = ask
+    if call == "generate" and hasattr(backend, "samples"):
+        state, count = args
+        samples = (reference_answer(("sample", state, index)) for index in range(count))
+        return [step for step in samples if step is not None]
+    if call == "verify" and hasattr(backend, "tool"):
+        return reference_answer(("judge", *args))
+    return reference_answer(ask)
+
+
+def questions(backend, ask) -> set:
+    """The questions that one ask needs the backend to answer."""
+    call, *args = ask
+    if call == "generate" and hasattr(backend, "samples"):
+        state, count = args
+        return {("sample", state, index) for index in range(count)}
+    if call == "verify" and hasattr(backend, "tool"):
+        step, context = args
+        return {("tool", step.action), ("judge", step, context)}
+    return {tuple(ask)}
+
+
+memo_steps = st.builds(ReasoningStep, index=st.integers(1, 2), objective=st.just("o"),
+                       action=st.sampled_from("abc"))
+memo_states = st.lists(memo_steps, max_size=2).map(tuple)
+asks = st.one_of(st.tuples(st.just("generate"), memo_states, st.integers(1, 4)),
+                 st.tuples(st.just("verify"), memo_steps, memo_states),
+                 st.tuples(st.just("score"), memo_states, memo_steps))
+
+
+@deterministic
+@given(st.booleans(), st.booleans(), st.booleans(), st.lists(asks, max_size=30))
+def test_a_problem_memo_asks_each_distinct_question_once(per_sample, split, flaky, sequence):
+    """Over any sequence of asks, asked again until no ask raises: the memo
+    answers what the backend answers, each distinct question reaches the
+    backend once, and a question whose ask raised is asked again, once."""
+    backend = CountingBackend(per_sample, split, flaky)
+    memo = ProblemMemo(backend)
+    problem = Problem(id="memo", statement="", gold_answer="0")
+    failed = True
+    while failed:  # each failure uses up one question's failing ask
+        failed = False
+        for ask in sequence:
+            call, *args = ask
+            try:
+                answer = getattr(memo, call)(problem, *args)
+            except BackendError:
+                assert flaky
+                failed = True
+                continue
+            assert answer == expected_answer(backend, ask)
+    assert set(backend.asked) == set().union(*(questions(backend, ask) for ask in sequence))
+    assert backend.asked == Counter({question: 1 + (question in backend.raised)
+                                     for question in backend.asked})
+    if per_sample:  # sample 0 of a K-way ask is the one-sample ask's
+        asked = backend.asked.copy()
+        for call, state, count in (ask for ask in sequence if ask[0] == "generate"):
+            assert memo.generate(problem, state, 1) == expected_answer(
+                backend, ("generate", state, 1))
+        assert backend.asked == asked

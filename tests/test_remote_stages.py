@@ -136,7 +136,7 @@ class RunningSums:
 
 
 def _config(tmp_path: Path, url: str, judger_retries: int = 0,
-            generator_retries: int = 0, problems: dict = ADDENDS) -> Path:
+            generator_retries: int = 0, problems: dict = ADDENDS, cache: bool = True) -> Path:
     problems_file = tmp_path / "problems.jsonl"
     problems_file.write_text("".join(
         json.dumps({"id": problem_id, "statement": _statement(addends),
@@ -159,6 +159,8 @@ def _config(tmp_path: Path, url: str, judger_retries: int = 0,
         },
         "workers": 2,
     }
+    if not cache:
+        del config["paths"]["cache_dir"]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
@@ -172,6 +174,23 @@ def _files(root: Path) -> dict:
 def _role_counts(state) -> dict:
     counts = Counter(_role(request["body"]) for request in state.chat_requests)
     return dict(counts, tool=len(state.tool_requests))
+
+
+def _bodies(state, *roles: str) -> Counter:
+    """How many times each user message of `roles` went out."""
+    return Counter((_role(request["body"]), request["body"]["messages"][1]["content"])
+                   for request in state.chat_requests if _role(request["body"]) in roles)
+
+
+def _tool_queries_per_problem(state) -> Counter:
+    """Each tool query once per problem whose judger requests review a step
+    with that action: what a run that asks each question once per problem
+    sends to the tool."""
+    asked = set()
+    for _, user in _bodies(state, "judger"):
+        candidate = _section(user, "Step under review")
+        asked.add((_section(user, "Problem"), candidate.split(" -- ", 1)[1]))
+    return Counter(query for _, query in asked)
 
 
 @pytest.mark.parametrize("command", ["generate", "decode"])
@@ -413,3 +432,71 @@ def test_a_cold_decode_writes_the_sequential_reference_under_fast_switching(
     finally:
         sys.setswitchinterval(interval)
     assert runs == [reference, reference]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_cacheless_generate_writes_and_asks_what_a_cold_cached_one_does(
+        tmp_path, fake_server, workers):
+    """Each problem's task asks each distinct question once, with or without a
+    cache. So with distinct statements a generate without `paths.cache_dir`
+    writes the dataset and summary of a cold cached one and sends the same
+    generator and judger requests. Its tool sends each query once per problem
+    that asks it, where the cache answers a query that another problem sent
+    before."""
+    state = fake_server.state
+    runs = {}
+    for name, cache in (("cached", True), ("cacheless", False)):
+        state.chat_requests.clear()
+        state.tool_requests.clear()
+        RunningSums(state, branching=True)
+        root = tmp_path / name
+        root.mkdir()
+        config = _config(root, fake_server.url, problems=FOUR_PROBLEMS, cache=cache)
+        assert main(["generate", "--config", str(config), "--workers", workers,
+                     "--output", str(root / "out")]) == 0
+        assert (root / "cache").exists() == cache
+        files = {name: (root / "out" / name).read_bytes()
+                 for name in ("dataset.jsonl", "summary.json")}
+        runs[name] = files, _bodies(state, "generator", "judger"), Counter(state.tool_requests)
+        if not cache:
+            assert Counter(state.tool_requests) == _tool_queries_per_problem(state)
+    (cached_files, cached_bodies, cached_tool), (files, bodies, tool) = runs.values()
+    assert files == cached_files
+    assert bodies == cached_bodies
+    assert cached_tool == Counter(set(tool))
+
+
+@pytest.mark.parametrize("command", ["generate", "decode"])
+def test_a_repeat_within_a_problem_renders_no_prompt_and_computes_no_cache_key(
+        tmp_path, fake_server, monkeypatch, command):
+    """In a cold cached run no prompt is rendered more often than it goes out
+    (a generator prompt goes out once per sample index, and is rendered once
+    for the samples asked together), every chat cache key that is computed
+    goes out as a request, and a tool key is computed once per problem that
+    asks its query: a question repeated within a problem reaches neither
+    `PromptTemplate.render` nor `cache_key`."""
+    rendered, keys = [], []
+    render, cache_key = remote.PromptTemplate.render, remote.cache_key
+
+    def recording_render(template, **values):
+        rendered.append(render(template, **values))
+        return rendered[-1]
+
+    def recording_cache_key(fields):
+        keys.append(fields)
+        return cache_key(fields)
+
+    monkeypatch.setattr(remote.PromptTemplate, "render", recording_render)
+    monkeypatch.setattr(remote, "cache_key", recording_cache_key)
+    state = fake_server.state
+    RunningSums(state, branching=True)
+    config = _config(tmp_path, fake_server.url, problems=FOUR_PROBLEMS)
+    assert main([command, "--config", str(config), "--output", str(tmp_path / "out")]) == 0
+    sent = Counter(user for _, user in _bodies(state, *ROLE_PREAMBLES).elements())
+    assert sent and set(rendered) == set(sent) and not Counter(rendered) - sent
+    chat_keys = Counter(repr(fields) for fields in keys if fields[0] != "tool")
+    assert set(chat_keys.values()) == {1} and len(chat_keys) == sent.total()
+    assert len(rendered) < sent.total()
+    tool_keys = Counter(fields[-1] for fields in keys if fields[0] == "tool")
+    assert tool_keys == _tool_queries_per_problem(state)
+    assert Counter(state.tool_requests) == Counter(set(tool_keys))
