@@ -2,7 +2,7 @@ from .base import BackendConfig, BackendError, StepGenerator, StepScorer, StepVe
 from .remote import ChatCompletionGenerator, ServedPrmScorer, ToolVerifier
 from .synthetic import ExactVerifier, OracleScorer, ScriptedGenerator
 from .templates import PromptTemplate, builtin_template
-from .transport import FileResponseCache, RateLimiter, cache_key, host_limiters
+from .transport import FileResponseCache, RateLimiter, cache_key, host_origins
 
 __all__ = [
     "BackendConfig",
@@ -21,5 +21,5 @@ __all__ = [
     "FileResponseCache",
     "RateLimiter",
     "cache_key",
-    "host_limiters",
+    "host_origins",
 ]

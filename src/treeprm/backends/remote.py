@@ -7,13 +7,15 @@ Wire format is the widespread chat-completion schema: POST a JSON body with
 endpoint taking the query as a ``query`` parameter. Exact shapes are pinned
 in the README.
 
-Requests go over a minimal HTTP/1.1 client of this module, one keep-alive
-connection per endpoint and thread: a request's line, head and body go out in
-one write, and its reply is read through the connection's one buffered reader,
-framed by `Content-Length`, by chunked transfer coding or else by the
-connection closing. Every request goes through its host's rate
-limiter, retries transient failures (connection errors, 429, 5xx) with
-exponential backoff, and is served from the content-addressed cache when warm.
+Requests go over a minimal HTTP/1.1 client of this module, on keep-alive
+connections that each origin (scheme, host and port) pools for every endpoint
+and thread that sends to it, and opens no faster than the server shows that
+it accepts them (`transport.Origin`): a request's line, head and body go out
+in one write, and its reply is read through the connection's one buffered
+reader, framed by `Content-Length`, by chunked transfer coding or else by the
+connection closing. Every request goes through its origin's rate limiter,
+retries transient failures (connection errors, 429, 5xx) with exponential
+backoff, and is served from the content-addressed cache when warm.
 Each request names the reader that turns its reply into what the role uses; a
 reply is cached only once that reader accepts it. `_Endpoint.request` derives
 the cache key from what the request sends, led by the `kind` of its reader
@@ -28,9 +30,7 @@ import json
 import math
 import re
 import socket
-import threading
 import time
-import weakref
 from typing import Callable, TypeVar
 from urllib.parse import urlencode, urlsplit
 
@@ -38,7 +38,7 @@ from ..domain import Problem, ReasoningStep, StepSequence, VerificationResult, p
 from ..jsonio import canonical_json, request_body
 from .base import SCORE_MODES, BackendConfig, BackendError
 from .templates import PromptTemplate
-from .transport import FileResponseCache, RateLimiter, cache_key, origin
+from .transport import FileResponseCache, Origin, cache_key, origin
 
 _T = TypeVar("_T")
 
@@ -95,13 +95,19 @@ def _tls_context():
 
 
 class _Connection:
-    """One keep-alive HTTP/1.1 connection, opened on first use and again after
-    `close`: a socket and one buffered reader over it."""
+    """One keep-alive HTTP/1.1 connection, opened at construction: a socket
+    and one buffered reader over it. It is `open` until `close`."""
 
     def __init__(self, host: str, port: int, tls: bool, timeout_s: float):
-        self._address, self._tls, self._timeout_s = (host, port), tls, timeout_s
-        self.sock: socket.socket | None = None
-        self._reader = None
+        sock = socket.create_connection((host, port), timeout_s)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if tls:
+            sock = _tls_context().wrap_socket(sock, server_hostname=host)
+        self.sock, self._reader, self._timeout_s = sock, sock.makefile("rb"), timeout_s
+
+    @property
+    def open(self) -> bool:
+        return self.sock is not None
 
     def close(self) -> None:
         if self.sock is not None:
@@ -109,16 +115,13 @@ class _Connection:
             self.sock.close()
             self.sock = self._reader = None
 
-    def send(self, request: bytes) -> bytes:
+    def send(self, request: bytes, timeout_s: float) -> bytes:
         """Writes `request` in one `sendall` and returns the reply's status
-        line. A connection that the server closed before it replied raises
-        ConnectionResetError."""
-        if self.sock is None:
-            sock = socket.create_connection(self._address, self._timeout_s)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if self._tls:
-                sock = _tls_context().wrap_socket(sock, server_hostname=self._address[0])
-            self.sock, self._reader = sock, sock.makefile("rb")
+        line, with `timeout_s` as the socket timeout. A connection that the
+        server closed before it replied raises ConnectionResetError."""
+        if timeout_s != self._timeout_s:  # endpoints of one origin may differ
+            self.sock.settimeout(timeout_s)
+            self._timeout_s = timeout_s
         self.sock.sendall(request)
         line = self._line()
         if not line:
@@ -209,17 +212,13 @@ def _number(text: bytes, base: int) -> int:
     raise _BadReply(f"bad length {text[:80]!r}")
 
 
-def _close_all(connections: weakref.WeakSet) -> None:
-    for connection in list(connections):
-        connection.close()
-
-
 class _Endpoint:
-    """One remote endpoint with its limiter, retry policy, and cache.
+    """One remote endpoint with its origin's limiter and connections, its
+    retry policy, and the cache.
 
-    Each thread that sends to the endpoint keeps one keep-alive connection to
-    it, reopened after any failed exchange and closed once the thread is
-    gone, so a stage's connections close when the stage ends.
+    Its exchanges run on the connections of its `Origin`, which the other
+    endpoints on that origin share; without `origins`, the endpoint has an
+    origin of its own.
     """
 
     def __init__(
@@ -227,7 +226,7 @@ class _Endpoint:
         cfg: BackendConfig,
         cache: FileResponseCache | None = None,
         sleep_fn: Callable[[float], None] = time.sleep,
-        limiters: dict[str, RateLimiter] | None = None,
+        origins: dict[str, Origin] | None = None,
     ):
         self.cfg = cfg
         self.cache = cache
@@ -246,26 +245,11 @@ class _Endpoint:
         if _UNSAFE_TARGET_RE.search(self._target):
             raise ValueError(f"endpoint URL holds a space or control character: "
                              f"{cfg.endpoint_url!r}")
-        self._local = threading.local()
-        # The connections of the threads still alive, closed when the
-        # endpoint goes away; a thread's own closes when it ends.
-        self._connections: weakref.WeakSet[_Connection] = weakref.WeakSet()
-        weakref.finalize(self, _close_all, self._connections)
-        self._limiter = (RateLimiter(cfg.rate_limit_rps, sleep_fn=sleep_fn) if limiters is None
-                         else limiters[origin(cfg.endpoint_url)])
+        self._origin = (Origin(cfg.rate_limit_rps, sleep_fn=sleep_fn) if origins is None
+                        else origins[origin(cfg.endpoint_url)])
+        self._connect = functools.partial(_Connection, self._host, self._port, self._tls,
+                                          cfg.timeout_s)
         self._sleep = sleep_fn
-
-    def _connection(self) -> _Connection:
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._local.connection = _Connection(
-                self._host, self._port, self._tls, self.cfg.timeout_s
-            )
-            self._connections.add(connection)
-            # A stage's threads end with the stage, so their idle sockets are
-            # closed then rather than when the endpoint goes away.
-            weakref.finalize(threading.current_thread(), connection.close)
-        return connection
 
     def _request(self, method: str, target: str, payload: dict | None) -> bytes:
         """The bytes of one request: its line, head and JSON body."""
@@ -283,28 +267,37 @@ class _Endpoint:
         return (head + "\r\n").encode("latin-1") + body
 
     def _send(self, method: str, payload: dict | None, params: dict | None) -> tuple[int, bytes]:
-        """One exchange on this thread's connection: the reply's status and body.
+        """One exchange on a connection of the origin's pool: the reply's
+        status and body.
 
         The request goes out in one write, and the reply is read through the
-        connection's buffered reader. A kept-alive connection that the server
-        has closed in the meantime fails with a reset, a broken pipe or no
-        status line at all; the request then goes once more, at once, on a new
-        connection. A reply that breaks its framing raises an OSError, as a
-        failed connection does."""
+        connection's buffered reader. The connection goes back to the pool
+        once the whole reply is read, and is closed on any error. A
+        kept-alive connection that the server has closed in the meantime
+        fails with a reset, a broken pipe or no status line at all; the
+        request then goes again at once, on the next connection the pool
+        gives. A new connection that fails so raises, and a reply that breaks
+        its framing raises an OSError, as a failed connection does."""
         target = self._target
         if params:
             target += ("&" if self._query else "?") + urlencode(params, doseq=True)
         request = self._request(method, target, payload)
-        connection = self._connection()
-        reused = connection.sock is not None
-        try:
-            line = connection.send(request)
-        except (ConnectionResetError, BrokenPipeError):
-            if not reused:
+        while True:
+            connection, new = self._origin.take(self._connect)
+            try:
+                try:
+                    line = connection.send(request, self.cfg.timeout_s)
+                except (ConnectionResetError, BrokenPipeError):
+                    if new:
+                        raise
+                    self._origin.drop(connection, new=False, stale=True)
+                    continue
+                reply = connection.reply(line)
+            except BaseException:
+                self._origin.drop(connection, new)
                 raise
-            connection.close()
-            line = connection.send(request)
-        return connection.reply(line)
+            self._origin.put(connection, new)
+            return reply
 
     def _fetch(self, method: str, payload: dict | None, params: dict | None) -> bytes:
         last_error: str = "no attempt made"
@@ -312,11 +305,10 @@ class _Endpoint:
         for attempt in range(self.cfg.max_retries + 1):
             if attempt:
                 self._sleep(_BACKOFF_BASE_S * (2 ** (attempt - 1)))
-            self._limiter.acquire()
+            self._origin.acquire()
             try:
                 status, content = self._send(method, payload, params)
             except OSError as err:
-                self._connection().close()
                 last_error = f"request failed: {err}"
                 continue
             if status in _RETRYABLE_STATUSES:
@@ -402,9 +394,9 @@ class ChatCompletionGenerator:
         template: PromptTemplate,
         cache: FileResponseCache | None = None,
         sleep_fn: Callable[[float], None] = time.sleep,
-        limiters: dict[str, RateLimiter] | None = None,
+        origins: dict[str, Origin] | None = None,
     ):
-        self._endpoint = _Endpoint(cfg, cache, sleep_fn, limiters)
+        self._endpoint = _Endpoint(cfg, cache, sleep_fn, origins)
         self._template = template
 
     def generate(self, problem: Problem, state: StepSequence, count: int) -> list[ReasoningStep]:
@@ -451,10 +443,10 @@ class ToolVerifier:
         template: PromptTemplate,
         cache: FileResponseCache | None = None,
         sleep_fn: Callable[[float], None] = time.sleep,
-        limiters: dict[str, RateLimiter] | None = None,
+        origins: dict[str, Origin] | None = None,
     ):
-        self._tool = _Endpoint(tool_cfg, cache, sleep_fn, limiters)
-        self._judger = _Endpoint(judger_cfg, cache, sleep_fn, limiters)
+        self._tool = _Endpoint(tool_cfg, cache, sleep_fn, origins)
+        self._judger = _Endpoint(judger_cfg, cache, sleep_fn, origins)
         self._template = template
 
     def verify(
@@ -501,11 +493,11 @@ class ServedPrmScorer:
         cache: FileResponseCache | None = None,
         mode: str = "label",
         sleep_fn: Callable[[float], None] = time.sleep,
-        limiters: dict[str, RateLimiter] | None = None,
+        origins: dict[str, Origin] | None = None,
     ):
         if mode not in SCORE_MODES:
             raise ValueError(f"unknown scorer mode: {mode!r}")
-        self._endpoint = _Endpoint(cfg, cache, sleep_fn, limiters)
+        self._endpoint = _Endpoint(cfg, cache, sleep_fn, origins)
         self._template = template
         self._mode = mode
 

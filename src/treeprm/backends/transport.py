@@ -1,4 +1,5 @@
-"""Transport plumbing shared by the HTTP backends: response cache, rate limit.
+"""Transport plumbing shared by the HTTP backends: response cache, and per
+origin a rate limit and a connection pool.
 
 The cache is content-addressed: each reply is stored under the `cache_key` of
 the fields its request sends, as raw response bytes. A response is stored
@@ -25,6 +26,7 @@ import itertools
 import os
 import threading
 import time
+import weakref
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 from urllib.parse import urlsplit
@@ -285,6 +287,106 @@ class RateLimiter:
             self._sleep(wait)
 
 
+# How many new connections an origin whose server ends its connections may
+# have waiting for their first reply at once: the listen backlog of 5 that
+# Python's `http.server` keeps holds 6 connects on Linux (README
+# **Connections**).
+_CLOSING_BURST = 6
+
+
+class Origin(RateLimiter):
+    """One origin (scheme, host and port): the limiter that spaces the
+    requests of every endpoint on it, and its pool of idle keep-alive
+    connections, which every endpoint and thread that sends to it shares.
+
+    An exchange `take`s the idle connection that came back last, and hands it
+    to `put` once the whole reply is read, or to `drop`, which closes it, on
+    an error. When no connection is idle, `take` opens a new one, but only
+    while few enough new connections wait for their first reply, which shows
+    that the server accepted them: a server with a short listen backlog drops
+    the connects beyond it, and each dropped one waits about 1 s for a SYN
+    retransmit.
+    While the server keeps connections alive, that is one: connections ramp up
+    one round trip at a time. While it ends them, as a server does that
+    closes each connection after its reply or after its keep-alive timeout,
+    each exchange needs a connect, and _CLOSING_BURST of them may wait at
+    once. Which of the two holds is what the last new connection's first
+    reply, or the last idle connection found closed (`stale`), showed.
+
+    A connection is any object with an `open` flag and a `close` method.
+    `close` closes the idle connections, as does collecting the origin.
+    """
+
+    def __init__(
+        self,
+        rate_per_sec: float,
+        time_fn: Callable[[], float] = time.monotonic,
+        sleep_fn: Callable[[float], None] = time.sleep,
+    ):
+        super().__init__(rate_per_sec, time_fn, sleep_fn)
+        self._ready = threading.Condition(threading.Lock())
+        self._idle: list = []
+        self._unanswered = 0  # new connections before their first reply
+        self._closes = False  # the server ends its connections
+        weakref.finalize(self, _close_all, self._idle)
+
+    def take(self, connect: Callable[[], _T]) -> tuple[_T, bool]:
+        """The idle connection that came back last, or else a new one from
+        `connect()` once the origin lets it in; and whether it is new. Waits
+        while neither holds."""
+        with self._ready:
+            while not self._idle and self._unanswered >= (
+                    _CLOSING_BURST if self._closes else 1):
+                self._ready.wait()
+            if self._idle:
+                return self._idle.pop(), False
+            self._unanswered += 1
+        try:
+            return connect(), True
+        except BaseException:
+            with self._ready:
+                self._answered(self._closes)
+            raise
+
+    def put(self, connection, new: bool) -> None:
+        """End an exchange on `connection` whose whole reply was read: keep
+        it idle while it is open."""
+        with self._ready:
+            if connection.open:
+                self._idle.append(connection)
+                self._ready.notify()
+            if new:
+                self._answered(not connection.open)
+
+    def drop(self, connection, new: bool, stale: bool = False) -> None:
+        """End a failed exchange on `connection`: close it. A `stale` one
+        is an idle connection that the server had closed."""
+        connection.close()
+        with self._ready:
+            if new:
+                self._answered(self._closes)
+            elif stale and not self._closes:
+                self._closes = True
+                self._ready.notify_all()
+
+    def _answered(self, closes: bool) -> None:
+        """A new connection's first exchange ended; `closes` says whether
+        the server ends its connections."""
+        self._unanswered -= 1
+        self._closes = closes
+        self._ready.notify_all()
+
+    def close(self) -> None:
+        """Close the idle connections; one in an exchange now stays open."""
+        with self._ready:
+            _close_all(self._idle)
+
+
+def _close_all(connections: list) -> None:
+    while connections:
+        connections.pop().close()
+
+
 def origin(url: str) -> str:
     """scheme://host:port of `url`, with the scheme's default port filled in."""
     parts = urlsplit(url)
@@ -292,16 +394,16 @@ def origin(url: str) -> str:
     return f"{parts.scheme}://{parts.hostname}:{port}"
 
 
-def host_limiters(
+def host_origins(
     endpoints: Iterable[BackendConfig],
     time_fn: Callable[[], float] = time.monotonic,
     sleep_fn: Callable[[float], None] = time.sleep,
-) -> dict[str, RateLimiter]:
-    """One limiter per origin of `endpoints`, at the lowest `rate_limit_rps`
-    that any endpoint on that origin sets."""
+) -> dict[str, Origin]:
+    """One `Origin` per origin of `endpoints`, limited to the lowest
+    `rate_limit_rps` that any endpoint on that origin sets."""
     rates: dict[str, float] = {}
     for cfg in endpoints:
         key = origin(cfg.endpoint_url)
         rates[key] = min(rates.get(key, cfg.rate_limit_rps), cfg.rate_limit_rps)
-    return {key: RateLimiter(rate, time_fn=time_fn, sleep_fn=sleep_fn)
+    return {key: Origin(rate, time_fn=time_fn, sleep_fn=sleep_fn)
             for key, rate in rates.items()}

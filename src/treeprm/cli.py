@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from .backends import (
@@ -28,7 +29,7 @@ from .backends import (
     ServedPrmScorer,
     ToolVerifier,
     builtin_template,
-    host_limiters,
+    host_origins,
 )
 from .backends.base import ProblemMemo
 from .config import ConfigError, RunConfig, load_config
@@ -60,20 +61,28 @@ from .jsonio import canonical_json, jsonl_writer, write_json
 from .mcts import export_tree, run_search
 from .synthetic import SyntheticTrace, build_corpus, oracle_labels
 
+# A remote stage runs this many times `workers` problems at once (README
+# `--workers`, where the measurements behind it are).
+_REMOTE_FACTOR = 8
+
 
 def _build_backends(cfg: RunConfig, traces: list[SyntheticTrace] | None,
-                    roles: tuple[str, ...]) -> dict:
+                    roles: tuple[str, ...], closing: ExitStack | None = None) -> dict:
     """One backend per role: the http client of its parsed spec, or the
     synthetic oracle over `traces`. Every http role shares one response cache
-    under `paths.cache_dir`, when that is set, and the endpoints on one host
-    share one rate limiter."""
+    under `paths.cache_dir`, when that is set, and the endpoints on one origin
+    share one `Origin`: its rate limiter and its idle connections, which
+    `closing` closes (`main` closes them when the command ends)."""
     scorer_template = "scorer_label_only" if cfg.mode == "no_rationale" else "scorer"
     specs = [cfg.backends[role] for role in roles if cfg.backends[role] is not None]
     cache = None
     if cfg.paths.cache_dir is not None and specs:
         cache = FileResponseCache(cfg.paths.cache_dir)
-    limiters = host_limiters(endpoint for spec in specs
-                             for endpoint in (spec.endpoint, spec.judger) if endpoint is not None)
+    origins = host_origins(endpoint for spec in specs
+                           for endpoint in (spec.endpoint, spec.judger) if endpoint is not None)
+    if closing is not None:
+        for pool in origins.values():
+            closing.callback(pool.close)
     built = {}
     for role in roles:
         spec = cfg.backends[role]
@@ -86,18 +95,18 @@ def _build_backends(cfg: RunConfig, traces: list[SyntheticTrace] | None,
             )
         elif role == "generator":
             built[role] = ChatCompletionGenerator(spec.endpoint, builtin_template("generator"),
-                                                  cache=cache, limiters=limiters)
+                                                  cache=cache, origins=origins)
         elif role == "verifier" and spec is None:
             built[role] = ExactVerifier(traces)
         elif role == "verifier":
             built[role] = ToolVerifier(spec.endpoint, spec.judger, builtin_template("judger"),
-                                       cache=cache, limiters=limiters)
+                                       cache=cache, origins=origins)
         elif spec is None:
             built[role] = OracleScorer(traces)
         else:
             built[role] = ServedPrmScorer(
                 spec.endpoint, builtin_template(scorer_template), cache=cache,
-                mode=spec.score_mode, limiters=limiters,
+                mode=spec.score_mode, origins=origins,
             )
     return built
 
@@ -138,18 +147,19 @@ def _stage_inputs(args, roles: tuple[str, ...]):
         raise ConfigError("paths.problems_file is required when all backends are remote")
     else:
         problems = load_problems(cfg.paths.problems_file)
-    return cfg, problems, traces, _build_backends(cfg, traces, roles)
+    return cfg, problems, traces, _build_backends(cfg, traces, roles, args.closing)
 
 
-def _stage_threads(cfg: RunConfig, roles: tuple[str, ...]) -> int:
-    """How many problems a stage of `roles` runs at once: `cfg.workers`, or
-    three times that when one of its backends is remote, since a problem then
-    spends most of its time waiting for replies. Not more, because each
-    thread opens its own connection and a server with a short listen
-    backlog stalls a larger burst of connects (README **Connections**). A
-    problem's own calls run in order on its thread."""
+def _stage_threads(cfg: RunConfig, roles: tuple[str, ...], problems: int) -> int:
+    """How many of its `problems` a stage of `roles` runs at once:
+    `cfg.workers`, or _REMOTE_FACTOR times that when one of its backends is
+    remote, since a problem then spends most of its time waiting for
+    replies; never more than there are problems. The threads share each
+    origin's connections, which open no faster than the server shows that it
+    accepts them (README **Connections**). A problem's own calls run in
+    order on its thread."""
     remote = any(cfg.backends.get(role) is not None for role in roles)
-    return 3 * cfg.workers if remote else cfg.workers
+    return min(_REMOTE_FACTOR * cfg.workers if remote else cfg.workers, problems)
 
 
 def _generate(cfg: RunConfig, problems, generator, verifier, out: Path) -> BuildReport:
@@ -157,7 +167,7 @@ def _generate(cfg: RunConfig, problems, generator, verifier, out: Path) -> Build
     return build_dataset(
         problems, generator, verifier, cfg.search, out / "dataset.jsonl",
         mode=cfg.mode, config_hash=cfg.config_hash,
-        workers=_stage_threads(cfg, ("generator", "verifier")),
+        workers=_stage_threads(cfg, ("generator", "verifier"), len(problems)),
     )
 
 
@@ -202,7 +212,8 @@ def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
 
     with jsonl_writer(out / "decode_results.jsonl") as write_result, \
             jsonl_writer(out / "decode_log.jsonl") as write_log:
-        run_in_order(task, problems, emit, _stage_threads(cfg, ("generator", "scorer")))
+        run_in_order(task, problems, emit,
+                     _stage_threads(cfg, ("generator", "scorer"), len(problems)))
     return {
         "guided_accuracy": sum(correct) / len(correct) if correct else 0.0,
         "pass_at_1": pass_at_n(matrix, 1) if matrix else 0.0,
@@ -331,7 +342,7 @@ def cmd_synth(args) -> int:
     out = _outdir(cfg, args.output)
     traces = build_corpus(cfg.synthetic)
     problems = [trace.problem for trace in traces]
-    backends = _build_backends(cfg, traces, ("generator", "verifier", "scorer"))
+    backends = _build_backends(cfg, traces, ("generator", "verifier", "scorer"), args.closing)
 
     write_problems(out / "problems.jsonl", problems)
 
@@ -455,7 +466,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with ExitStack() as args.closing:
+            return args.func(args)
     except Exception as err:  # noqa: BLE001 - CLI boundary emits a machine-readable record
         record = {"error": type(err).__name__, "message": str(err)}
         print(canonical_json(record), file=sys.stderr)

@@ -57,6 +57,7 @@ class _FakeState:
         self.fail_next = 0
         self.fail_when = lambda body: False  # a POST body answered with HTTP 500
         self.close_after_reply = False  # drop each connection without `Connection: close`
+        self.protocol_version = "HTTP/1.1"  # "HTTP/1.0" ends each connection after its reply
         self.chat_responder = lambda body: "Objective: do nothing\nAction: nothing"
         self.tool_responder = lambda query: f"evaluated({query})"
         self.raw_tool_responder = None  # overrides tool_responder with the whole reply text
@@ -67,8 +68,11 @@ class _FakeState:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"  # keep-alive unless a reply says otherwise
     disable_nagle_algorithm = True  # headers and body go in two sends
+
+    @property
+    def protocol_version(self) -> str:  # HTTP/1.1 keeps alive unless a reply says otherwise
+        return self.server.state.protocol_version
 
     def log_message(self, *args):  # keep test output quiet
         pass
@@ -134,9 +138,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(json.dumps({"result": state.tool_responder(query)}).encode("utf-8"))
 
 
+class _ShortBacklogServer(ThreadingHTTPServer):
+    """Listens with a backlog of 1, so a burst of connects overflows it and
+    the dropped ones wait about 1 s for a SYN retransmit."""
+
+    request_queue_size = 1
+
+
 class FakeServer:
-    def __init__(self):
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    def __init__(self, server_class=ThreadingHTTPServer):
+        self.httpd = server_class(("127.0.0.1", 0), _Handler)
         self.httpd.state = _FakeState()
         self.thread = threading.Thread(
             target=lambda: self.httpd.serve_forever(poll_interval=0.02), daemon=True
@@ -168,5 +179,13 @@ def fake_server():
 def other_fake_server():
     """A second server on its own port, for runs that differ only in URL."""
     server = FakeServer()
+    yield server
+    server.shutdown()
+
+
+@pytest.fixture
+def short_backlog_server():
+    """The fake endpoint behind a listen backlog of 1."""
+    server = FakeServer(_ShortBacklogServer)
     yield server
     server.shutdown()

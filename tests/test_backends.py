@@ -26,7 +26,7 @@ from treeprm.backends.remote import (
 )
 from treeprm.backends.synthetic import ExactVerifier, OracleScorer, ScriptedGenerator
 from treeprm.backends.templates import PromptTemplate, builtin_template, parse_template
-from treeprm.backends.transport import FileResponseCache, RateLimiter, host_limiters
+from treeprm.backends.transport import FileResponseCache, RateLimiter, host_origins
 from treeprm.config import load_config
 from treeprm.domain import Problem, ReasoningStep
 from treeprm.synthetic import trace_from_values
@@ -533,7 +533,7 @@ class TestHostLimiters:
     def test_one_limiter_per_scheme_host_and_port_at_the_lowest_rate(self):
         clock = [0.0]
         sleeps = []
-        limiters = host_limiters(
+        limiters = host_origins(
             [backend_cfg("http://a/x", rate_limit_rps=5.0),
              backend_cfg("http://a:80/y", rate_limit_rps=4.0),
              backend_cfg("http://a:8080/z"), backend_cfg("https://a/z")],
@@ -561,8 +561,8 @@ class TestHostLimiters:
             sleeps.append(duration)
             clock[0] += duration
 
-        monkeypatch.setattr(cli, "host_limiters", functools.partial(
-            host_limiters, time_fn=lambda: clock[0], sleep_fn=sleep_fn))
+        monkeypatch.setattr(cli, "host_origins", functools.partial(
+            host_origins, time_fn=lambda: clock[0], sleep_fn=sleep_fn))
         fake_server.state.chat_responder = lambda body: "Objective: add\nAction: 5 \\boxed{+}"
         built = cli._build_backends(load_config(path), None, ("generator", "verifier", "scorer"))
         (step,) = built["generator"].generate(PROBLEM, (), 1)

@@ -421,8 +421,8 @@ class TestConfigHash:
 
 
 class TestStageThreads:
-    """A stage runs `workers` problems at once, or three times that when one
-    of its own roles is remote."""
+    """A stage runs `workers` problems at once, or eight times that when one
+    of its own roles is remote, and never more than it has."""
 
     REMOTE = {
         "generator": {"kind": "http", "endpoint_url": "http://g"},
@@ -431,18 +431,22 @@ class TestStageThreads:
         "scorer": {"kind": "http", "endpoint_url": "http://s"},
     }
 
-    @pytest.mark.parametrize("remote, roles, threads", [
-        ((), ("generator", "verifier"), 3),
-        (("verifier",), ("generator", "verifier"), 9),
-        (("generator", "scorer"), ("generator", "scorer"), 9),
-        (("scorer",), ("generator", "verifier"), 3),
-    ], ids=["synthetic", "one-role-remote", "all-roles-remote", "another-stages-role-remote"])
-    def test_stage_threads(self, tmp_path, remote, roles, threads):
+    @pytest.mark.parametrize("remote, roles, problems, threads", [
+        ((), ("generator", "verifier"), 100, 3),
+        (("verifier",), ("generator", "verifier"), 100, 24),
+        (("generator", "scorer"), ("generator", "scorer"), 100, 24),
+        (("scorer",), ("generator", "verifier"), 100, 3),
+        (("verifier",), ("generator", "verifier"), 4, 4),
+        ((), ("generator", "verifier"), 2, 2),
+    ], ids=["synthetic", "one-role-remote", "all-roles-remote", "another-stages-role-remote",
+            "fewer-problems-than-remote-threads", "fewer-problems-than-workers"])
+    def test_stage_threads(self, tmp_path, remote, roles, problems, threads):
         def backends(cfg):
             cfg["backends"] = {role: self.REMOTE[role] for role in remote}
             cfg["workers"] = 3
 
-        assert cli._stage_threads(load_config(write_config(tmp_path, backends)), roles) == threads
+        cfg = load_config(write_config(tmp_path, backends))
+        assert cli._stage_threads(cfg, roles, problems) == threads
 
 
 class TestCliSurface:

@@ -1,13 +1,17 @@
-"""A stage with a remote backend runs three times `--workers` problems at once.
+"""A stage with a remote backend runs eight times `--workers` problems at once.
 
 Each problem's calls run in order on its own stage thread, and the fake
 endpoints below vary a reply only by how many times its body has arrived, so
 the files, the per-role request counts and the error records of a stage do
 not depend on how many problems run at once. One test holds each problem's
-first request until three problems have asked at `--workers 1`, which a stage
-that runs fewer problems at once runs into the hold's time bound. A stage
-joins its threads and sends nothing after it returns, and the sockets of its
-threads are closed by the time the next stage starts.
+first generator call until eight problems have made theirs at `--workers 1`,
+which a stage that runs fewer problems at once runs into the hold's time
+bound. A stage joins its threads and sends nothing after it returns. Its
+threads share the connections of each origin, which a later stage of the
+command reuses and which are all closed when the command returns. They
+connect one at a time, so a server with a listen backlog of 1 stalls none
+of them, and a server that closes every connection after its reply still
+serves many of them at once.
 """
 
 import json
@@ -27,9 +31,10 @@ from treeprm.cli import main
 from treeprm.dataset import STAGE_THREAD_NAME
 
 SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "synth.json"
-HOLD_S = 10.0  # how long a held request waits at most for the other problems
+HOLD_S = 10.0  # how long a held call waits at most for the other problems
 ADDENDS = {"r1": (4, 7, 9, 5), "r2": (12, 3, 8)}
 FOUR_PROBLEMS = {**ADDENDS, "r3": (6, 2), "r4": (3, 5, 1)}
+NINE_PROBLEMS = {**FOUR_PROBLEMS, **{f"r{n}": (n, 2, n + 1) for n in range(5, 10)}}
 ROLE_PREAMBLES = {"generator": "You are a careful", "judger": "You are a strict",
                   "scorer": "You are a process reward model"}
 
@@ -72,22 +77,13 @@ class RunningSums:
     decode with N=2 has two distinct candidates; without it every ask gets
     the right step. The judger and the scorer check the stated total, and
     `unreadable(candidate)` makes the scorer reply with no verdict.
-
-    With `hold`, the first generator request of each problem waits, at most
-    HOLD_S, until `hold` distinct problems have asked. A wait that runs out
-    is recorded in `timeouts`, and nothing is held after it, so a stage that
-    runs fewer problems at once still ends.
     """
 
-    def __init__(self, state, hold=0, branching=False, unreadable=lambda candidate: False):
-        self.hold = hold
+    def __init__(self, state, branching=False, unreadable=lambda candidate: False):
         self.branching = branching
         self.unreadable = unreadable
-        self.condition = threading.Condition()
+        self.lock = threading.Lock()
         self.asked = Counter()  # (statement, prior steps) -> generator asks
-        self.problems = set()  # statements the generator has been asked about
-        self.held = 0
-        self.timeouts = []
         state.chat_responder = self.respond
 
     def respond(self, body: dict) -> str:
@@ -95,8 +91,6 @@ class RunningSums:
         statement = _section(user, "Problem")
         role = _role(body)
         if role == "generator":
-            if self.hold:
-                self._hold(statement)
             return self._next_step(statement, _section(user, "Steps taken so far"))
         if role == "judger":
             prior, candidate = (_section(user, "Steps accepted so far"),
@@ -113,7 +107,7 @@ class RunningSums:
         addends = _addends(statement)
         steps = _STEP_RE.findall(prior)
         position = len(steps) + 1
-        with self.condition:
+        with self.lock:
             wrong = self.branching and self.asked[(statement, prior)] % 2
             self.asked[(statement, prior)] += 1
         total = (int(steps[-1][1]) if steps else 0) + addends[position - 1] + wrong
@@ -121,6 +115,34 @@ class RunningSums:
         if position == len(addends):
             action += f"\nFinal Answer: {total}"
         return f"Objective: {objective}\nAction: {action}"
+
+
+class ProblemHold:
+    """Holds the first generator call of each problem in the client, before
+    any connection is taken, for at most HOLD_S, until `count` distinct
+    problems have made theirs. A wait that runs out is recorded in
+    `timeouts`, and nothing is held after it, so a stage that runs fewer
+    problems at once still ends.
+
+    The hold sits in the client because an origin of a server that keeps
+    connections alive lets in a new connection only after the last one's
+    first reply: a server that held first replies until `count` problems
+    asked would never see them.
+    """
+
+    def __init__(self, monkeypatch, count: int):
+        self.count = count
+        self.condition = threading.Condition()
+        self.problems = set()  # statements the generator has been asked about
+        self.held = 0
+        self.timeouts = []
+        samples = remote.ChatCompletionGenerator.samples
+
+        def held_samples(generator, problem, state, indices):
+            self._hold(problem.statement)
+            yield from samples(generator, problem, state, indices)
+
+        monkeypatch.setattr(remote.ChatCompletionGenerator, "samples", held_samples)
 
     def _hold(self, statement: str) -> None:
         with self.condition:
@@ -130,7 +152,7 @@ class RunningSums:
             self.condition.notify_all()
             self.held += 1
             if not self.condition.wait_for(
-                    lambda: len(self.problems) >= self.hold or self.timeouts, timeout=HOLD_S):
+                    lambda: len(self.problems) >= self.count or self.timeouts, timeout=HOLD_S):
                 self.timeouts.append(statement)
                 self.condition.notify_all()
 
@@ -194,10 +216,10 @@ def _tool_queries_per_problem(state) -> Counter:
 
 
 @pytest.mark.parametrize("command", ["generate", "decode"])
-def test_a_remote_stage_runs_three_times_workers_problems_at_once(
+def test_a_remote_stage_runs_eight_times_workers_problems_at_once(
         tmp_path, fake_server, monkeypatch, command):
-    """At `--workers 1` a cold remote stage has three problems in flight: the
-    first generator request of each is held until three have asked. It
+    """At `--workers 1` a cold remote stage has eight problems in flight: the
+    first generator call of each is held until eight have made theirs. It
     sends the requests and writes the files of a stage that runs one problem
     at a time, and a warm rerun writes the same files with no request."""
     state = fake_server.state
@@ -205,20 +227,21 @@ def test_a_remote_stage_runs_three_times_workers_problems_at_once(
     one = tmp_path / "one"
     one.mkdir()
     with monkeypatch.context() as sequential:
-        sequential.setattr(cli, "_stage_threads", lambda cfg, roles: 1)
+        sequential.setattr(cli, "_stage_threads", lambda cfg, roles, problems: 1)
         assert main([command, "--config",
-                     str(_config(one, fake_server.url, problems=FOUR_PROBLEMS)),
+                     str(_config(one, fake_server.url, problems=NINE_PROBLEMS)),
                      "--output", str(one / "out")]) == 0
     sent = _role_counts(state)
     state.chat_requests.clear()
     state.tool_requests.clear()
 
-    endpoints = RunningSums(state, hold=3, branching=True)
-    config = _config(tmp_path, fake_server.url, problems=FOUR_PROBLEMS)
+    RunningSums(state, branching=True)
+    hold = ProblemHold(monkeypatch, 8)
+    config = _config(tmp_path, fake_server.url, problems=NINE_PROBLEMS)
     assert main([command, "--config", str(config), "--workers", "1",
                  "--output", str(tmp_path / "cold")]) == 0
-    assert endpoints.timeouts == []
-    assert endpoints.held == len(FOUR_PROBLEMS)
+    assert hold.timeouts == []
+    assert hold.held == len(NINE_PROBLEMS)
     assert _role_counts(state) == sent
     assert _files(tmp_path / "cold") == _files(one / "out")
 
@@ -249,10 +272,15 @@ def test_a_synth_stage_runs_workers_problems_at_once(tmp_path, monkeypatch):
     assert started == stage_threads * 2  # generate's, then decode's
 
 
-def test_a_remote_stage_starts_three_times_workers_threads_cold_and_warm(
-        tmp_path, fake_server, monkeypatch):
-    """Every role of these stages is remote, so each starts `3 * --workers`
-    threads, also when a warm cache answers all of its calls."""
+@pytest.mark.parametrize("problems, workers, threads", [
+    (NINE_PROBLEMS, "1", 8),
+    (FOUR_PROBLEMS, "2", 4),
+], ids=["eight-times-workers", "one-per-problem"])
+def test_a_remote_stage_starts_eight_times_workers_threads_cold_and_warm(
+        tmp_path, fake_server, monkeypatch, problems, workers, threads):
+    """Every role of these stages is remote, so each starts `8 * --workers`
+    threads, but no more than it has problems, also when a warm cache
+    answers all of its calls."""
     started = []
     start = threading.Thread.start
 
@@ -263,12 +291,12 @@ def test_a_remote_stage_starts_three_times_workers_threads_cold_and_warm(
 
     monkeypatch.setattr(threading.Thread, "start", recording_start)
     RunningSums(fake_server.state, branching=True)
-    config = _config(tmp_path, fake_server.url, problems=FOUR_PROBLEMS)
-    stage_threads = [f"{STAGE_THREAD_NAME}-{number}" for number in range(6)]
+    config = _config(tmp_path, fake_server.url, problems=problems)
+    stage_threads = [f"{STAGE_THREAD_NAME}-{number}" for number in range(threads)]
 
     def run(output: str) -> int:
         for command in ("generate", "decode"):
-            assert main([command, "--config", str(config), "--workers", "2",
+            assert main([command, "--config", str(config), "--workers", workers,
                          "--output", str(tmp_path / output)]) == 0
             assert started == stage_threads
             started.clear()
@@ -280,13 +308,8 @@ def test_a_remote_stage_starts_three_times_workers_threads_cold_and_warm(
     assert _files(tmp_path / "warm") == _files(tmp_path / "cold")
 
 
-def test_the_generate_stages_sockets_are_closed_before_decode_opens_its_own(
-        tmp_path, fake_server, monkeypatch):
-    """`synth` with a remote generator and scorer runs both stages on one
-    generator endpoint; the sockets that generate's threads opened close
-    when those threads are gone, not when the endpoint goes."""
-    fake_server.state.chat_responder = lambda body: (
-        "Objective: guess\nAction: Final Answer: 0\n\\boxed{+}")
+def _record_connects(monkeypatch) -> list:
+    """Every socket that `socket.create_connection` opens from now on."""
     opened = []
     connect = socket.create_connection
 
@@ -295,11 +318,24 @@ def test_the_generate_stages_sockets_are_closed_before_decode_opens_its_own(
         return opened[-1]
 
     monkeypatch.setattr(socket, "create_connection", recording_connect)
+    return opened
+
+
+def test_decode_reuses_generates_idle_connections_and_all_close_when_the_command_returns(
+        tmp_path, fake_server, monkeypatch):
+    """`synth` with a remote generator and scorer runs both stages over one
+    origin; the connections that generate opened are still open when decode
+    starts, decode sends on them, and every socket is closed once `main`
+    returns."""
+    fake_server.state.chat_responder = lambda body: (
+        "Objective: guess\nAction: Final Answer: 0\n\\boxed{+}")
+    opened = _record_connects(monkeypatch)
     at_decode = []
     decode = cli._decode
 
     def recording_decode(*args):
-        at_decode.append([sock.fileno() for sock in opened])
+        at_decode.append(([sock.fileno() for sock in opened],
+                          len(fake_server.state.chat_requests)))
         return decode(*args)
 
     monkeypatch.setattr(cli, "_decode", recording_decode)
@@ -311,10 +347,92 @@ def test_the_generate_stages_sockets_are_closed_before_decode_opens_its_own(
     (tmp_path / "synth.json").write_text(json.dumps(synth), encoding="utf-8")
     assert main(["synth", "--config", str(tmp_path / "synth.json"), "--workers", "1",
                  "--output", str(tmp_path / "synth")]) == 0
-    (generate_sockets,) = at_decode
-    assert generate_sockets and set(generate_sockets) == {-1}
-    assert len(opened) > len(generate_sockets)  # decode opened its own
+    ((generate_sockets, generate_requests),) = at_decode
+    assert generate_sockets and -1 not in generate_sockets
+    requests = fake_server.state.chat_requests
+    clients = [{request["client"] for request in part}
+               for part in (requests[:generate_requests], requests[generate_requests:])]
+    assert clients[1] and clients[0] & clients[1]
     assert {sock.fileno() for sock in opened} == {-1}
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_every_socket_is_closed_when_main_returns(tmp_path, fake_server, monkeypatch, fails):
+    """Also when the command raises: here a decode whose scorer cannot read
+    a reply."""
+    RunningSums(fake_server.state, branching=True, unreadable=lambda candidate: fails)
+    opened = _record_connects(monkeypatch)
+    config = _config(tmp_path, fake_server.url, problems=FOUR_PROBLEMS)
+    for command, code in (("generate", 0), ("decode", int(fails))):
+        assert main([command, "--config", str(config), "--workers", "2",
+                     "--output", str(tmp_path / "out")]) == code
+        assert opened and {sock.fileno() for sock in opened} == {-1}
+
+
+def test_a_short_listen_backlog_stalls_no_request(tmp_path, short_backlog_server, monkeypatch):
+    """Nine problems at `--workers 2` run on nine threads that all start at
+    once, against a server whose listen backlog holds 2 connects: no
+    exchange takes anywhere near the 1 s of a SYN retransmit, and generate
+    and decode write the files of `--workers 1`."""
+    durations = []
+    send = remote._Endpoint._send
+
+    def timed_send(endpoint, *args):
+        started = time.perf_counter()
+        try:
+            return send(endpoint, *args)
+        finally:
+            durations.append(time.perf_counter() - started)
+
+    monkeypatch.setattr(remote._Endpoint, "_send", timed_send)
+    runs = []
+    for workers in ("1", "2"):
+        RunningSums(short_backlog_server.state, branching=True)
+        root = tmp_path / workers
+        root.mkdir()
+        config = _config(root, short_backlog_server.url, problems=NINE_PROBLEMS)
+        for command in ("generate", "decode"):
+            assert main([command, "--config", str(config), "--workers", workers,
+                         "--output", str(root / "out")]) == 0
+        runs.append(_files(root / "out"))
+    assert durations and max(durations) < 0.5
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("closing", ["http-1.0", "without-notice"])
+def test_a_server_that_closes_each_connection_serves_many_exchanges_at_once(
+        tmp_path, fake_server, closing):
+    """Every exchange needs a connect of its own when the server closes each
+    connection after its reply, as an HTTP/1.0 server does, or as one does
+    that drops it without notice. The connects still come one at a time, but
+    the exchanges overlap: at `--workers 2` the server has more than one
+    chat request in hand at some moment."""
+    state = fake_server.state
+    if closing == "http-1.0":
+        state.protocol_version = "HTTP/1.0"
+    else:
+        state.close_after_reply = True
+    respond = RunningSums(state, branching=True).respond
+    lock = threading.Lock()
+    in_hand, peak = [0], [0]
+
+    def counted_respond(body):
+        with lock:
+            in_hand[0] += 1
+            peak[0] = max(peak[0], in_hand[0])
+        try:
+            time.sleep(0.01)
+            return respond(body)
+        finally:
+            with lock:
+                in_hand[0] -= 1
+
+    state.chat_responder = counted_respond
+    config = _config(tmp_path, fake_server.url, problems=NINE_PROBLEMS)
+    for command in ("generate", "decode"):
+        assert main([command, "--config", str(config), "--workers", "2",
+                     "--output", str(tmp_path / "out")]) == 0
+    assert peak[0] > 1
 
 
 def _no_stage_thread_and_no_late_request(state) -> None:

@@ -10,8 +10,9 @@ that again leaves out part of the prompt: two prompts that differ only in a
 step objective, a statement or a system preamble each get their own entry.
 
 The client's connection handling is pinned here too: the raw body bytes, a
-tool URL that carries a query, one connection per thread, a kept-alive
-connection the server dropped, and TLS failures. So is its HTTP/1.1: the
+tool URL that carries a query, one pool of connections per origin that runs
+one connect at a time, a kept-alive connection the server dropped, and
+TLS failures. So is its HTTP/1.1: the
 exact head lines of a GET and a POST (recorded from the standard library's
 `http.client`, which the client replaced), one write per request, each way
 a reply is framed and when it ends the connection, and broken replies.
@@ -23,6 +24,7 @@ import socket
 import sys
 import tempfile
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -34,10 +36,11 @@ from treeprm.backends.remote import (
     ChatCompletionGenerator,
     ServedPrmScorer,
     ToolVerifier,
+    _Connection,
     _Endpoint,
 )
 from treeprm.backends.templates import PromptTemplate
-from treeprm.backends.transport import FileResponseCache, cache_key
+from treeprm.backends.transport import FileResponseCache, cache_key, host_origins
 from treeprm.domain import Problem, ReasoningStep, parse_verdict_marker
 
 PROBLEM = Problem(id="q1", statement="Add 2 and 3.", gold_answer="5")
@@ -309,20 +312,25 @@ def test_https_to_a_plain_http_server_is_a_retryable_request_failure(fake_server
     assert fake_server.state.request_count == 0
 
 
-def test_each_thread_keeps_one_connection_per_endpoint(fake_server):
-    fake_server.state.raw_chat_responder = _reply
-    generator = ChatCompletionGenerator(
-        _cfg(f"{fake_server.url}/v1/chat/completions", rate_limit_rps=1e6), GENERATOR_T
-    )
-    answers = []
+def _record_connects(monkeypatch) -> list:
+    """The address of every `socket.create_connection` from now on."""
+    connects = []
+    connect = socket.create_connection
 
-    def work():
-        answers.append(len(generator.generate(PROBLEM, STATE, 5)))
+    def recording_connect(address, *args, **kwargs):
+        connects.append(address)
+        return connect(address, *args, **kwargs)
 
+    monkeypatch.setattr(socket, "create_connection", recording_connect)
+    return connects
+
+
+def _under_fast_switching(threads: list[threading.Thread]) -> None:
+    """Start and join `threads` with the interpreter switching threads every
+    few microseconds, and check that each ended."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=work) for _ in range(6)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -330,9 +338,177 @@ def test_each_thread_keeps_one_connection_per_endpoint(fake_server):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert answers == [5] * 6
-    assert fake_server.state.request_count == 30
-    assert len({request["client"] for request in fake_server.state.chat_requests}) == 6
+
+
+def test_the_connections_to_an_origin_never_outnumber_the_exchanges_in_flight(
+        fake_server, monkeypatch):
+    """Six threads generate and verify, through one generator and one verifier
+    whose three endpoints share an origin. No more connections open than the
+    most exchanges that were ever in flight at once, which a connection per
+    endpoint and thread would exceed."""
+    fake_server.state.raw_chat_responder = _reply
+    chat = _cfg(f"{fake_server.url}/v1/chat/completions", rate_limit_rps=1e6)
+    tool = _cfg(f"{fake_server.url}/tool", rate_limit_rps=1e6)
+    origins = host_origins([chat, tool])
+    generator = ChatCompletionGenerator(chat, GENERATOR_T, origins=origins)
+    verifier = ToolVerifier(tool, chat, JUDGER_T, origins=origins)
+    connects = _record_connects(monkeypatch)
+    lock = threading.Lock()
+    in_flight, peak = [0], [0]
+    send = _Endpoint._send
+
+    def counted_send(endpoint, *args):
+        with lock:
+            in_flight[0] += 1
+            peak[0] = max(peak[0], in_flight[0])
+        try:
+            return send(endpoint, *args)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(_Endpoint, "_send", counted_send)
+    answers = []
+
+    def work():
+        steps = generator.generate(PROBLEM, STATE, 5)
+        answers.append((len(steps), verifier.verify(PROBLEM, CANDIDATE, STATE).label))
+
+    _under_fast_switching([threading.Thread(target=work) for _ in range(6)])
+    assert answers == [(5, 1)] * 6
+    assert fake_server.state.request_count == 6 * (5 + 2)
+    assert 1 <= len(connects) <= peak[0] <= 6
+
+
+def _peak_unanswered(monkeypatch) -> list:
+    """[the most connections that were ever open at once and had not yet
+    read a reply], counted from now on."""
+    lock = threading.Lock()
+    unanswered, peak = set(), [0]
+    connect, reply = socket.create_connection, _Connection.reply
+
+    def counted_connect(*args, **kwargs):
+        sock = connect(*args, **kwargs)
+        with lock:
+            unanswered.add(sock.getsockname())
+            peak[0] = max(peak[0], len(unanswered))
+        return sock
+
+    def counted_reply(connection, line):
+        name = connection.sock.getsockname()
+        try:
+            return reply(connection, line)
+        finally:
+            with lock:
+                unanswered.discard(name)
+
+    monkeypatch.setattr(socket, "create_connection", counted_connect)
+    monkeypatch.setattr(_Connection, "reply", counted_reply)
+    return peak
+
+
+def test_one_new_connection_at_a_time_waits_for_its_first_reply(fake_server, monkeypatch):
+    """Eight threads send to one origin at once, whose server keeps
+    connections alive; at no moment are two connections open that have not
+    yet read a reply."""
+    fake_server.state.raw_chat_responder = _reply
+    generator = ChatCompletionGenerator(
+        _cfg(f"{fake_server.url}/v1/chat/completions", rate_limit_rps=1e6), GENERATOR_T)
+    peak = _peak_unanswered(monkeypatch)
+    answers = []
+    _under_fast_switching([
+        threading.Thread(target=lambda: answers.append(len(generator.generate(PROBLEM, STATE, 3))))
+        for _ in range(8)])
+    assert answers == [3] * 8
+    assert fake_server.state.request_count == 24
+    assert peak[0] == 1
+
+
+def test_a_server_that_ends_each_connection_gets_at_most_six_unanswered(
+        fake_server, monkeypatch):
+    """Eight threads send to one origin at once, whose HTTP/1.0 server ends
+    each connection after its reply, so every exchange connects: more than
+    one connection waits for its reply at some moment, never more than six."""
+    fake_server.state.protocol_version = "HTTP/1.0"
+    fake_server.state.raw_chat_responder = lambda body: time.sleep(0.01) or _reply(body)
+    generator = ChatCompletionGenerator(
+        _cfg(f"{fake_server.url}/v1/chat/completions", rate_limit_rps=1e6), GENERATOR_T)
+    peak = _peak_unanswered(monkeypatch)
+    answers = []
+    _under_fast_switching([
+        threading.Thread(target=lambda: answers.append(len(generator.generate(PROBLEM, STATE, 3))))
+        for _ in range(8)])
+    assert answers == [3] * 8
+    assert fake_server.state.request_count == 24
+    assert 1 < peak[0] <= 6
+
+
+@pytest.mark.parametrize("failure", ["refused", "dropped"])
+def test_a_new_connection_that_fails_lets_the_next_request_connect(
+        fake_server, monkeypatch, failure):
+    """The first connect is refused, or the server closes the first
+    connection without a reply. Either failure ends that connect's turn, so
+    the retry opens another connection rather than waiting for ever."""
+    fake_server.state.raw_chat_responder = _reply
+    fake_server.state.close_after_reply = True
+    dropped = []
+    if failure == "refused":
+        connect = socket.create_connection
+
+        def refuse_the_first(*args, **kwargs):
+            if not dropped:
+                dropped.append(args)
+                raise ConnectionRefusedError("refused")
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", refuse_the_first)
+    else:
+        def drop_the_first(payload):
+            if not dropped:
+                dropped.append(payload)
+                return []
+            return _sized(b"HTTP/1.1 200 OK")(payload)
+
+        fake_server.state.raw_reply = drop_the_first
+    sleeps, answers = [], []
+    generator = ChatCompletionGenerator(
+        _cfg(f"{fake_server.url}/v1/chat/completions", max_retries=1, rate_limit_rps=1e6),
+        GENERATOR_T, sleep_fn=sleeps.append)
+    thread = threading.Thread(target=lambda: answers.append(generator.generate(PROBLEM, STATE, 1)),
+                              daemon=True)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [[step.action for step in steps] for steps in answers] == [["2 + 3 = 5 \\boxed{+}"]]
+    assert sleeps == [0.5] and dropped
+    assert fake_server.state.request_count == {"refused": 1, "dropped": 2}[failure]
+
+
+def test_a_verifier_whose_tool_and_judger_share_an_origin_uses_one_connection(
+        fake_server, monkeypatch):
+    fake_server.state.raw_chat_responder = _reply
+    connects = _record_connects(monkeypatch)
+    tool = _cfg(f"{fake_server.url}/tool")
+    judger = _cfg(f"{fake_server.url}/v1/chat/completions")
+    verifier = ToolVerifier(tool, judger, JUDGER_T, origins=host_origins([tool, judger]))
+    for _ in range(2):
+        assert verifier.verify(PROBLEM, CANDIDATE, STATE).label == 1
+    assert fake_server.state.request_count == 4
+    assert len(connects) == 1
+
+
+def test_each_endpoint_keeps_its_timeout_on_a_shared_connection(fake_server, monkeypatch):
+    """The tool (5 s) opens the origin's one connection; the judger's request
+    on it still times out after the judger's 0.1 s."""
+    fake_server.state.raw_chat_responder = lambda body: time.sleep(0.3) or _reply(body)
+    connects = _record_connects(monkeypatch)
+    tool = _cfg(f"{fake_server.url}/tool", timeout_s=5.0)
+    judger = _cfg(f"{fake_server.url}/v1/chat/completions", timeout_s=0.1)
+    verifier = ToolVerifier(tool, judger, JUDGER_T, origins=host_origins([tool, judger]))
+    with pytest.raises(BackendError, match="last error: request failed: timed out"):
+        verifier.verify(PROBLEM, CANDIDATE, STATE)
+    assert fake_server.state.tool_requests == ["Final Answer: 5"]
+    assert len(connects) == 1
 
 
 class _RawServer:
