@@ -41,6 +41,9 @@ class BackendConfig:
 
     def __post_init__(self):
         url = urlsplit(self.endpoint_url if isinstance(self.endpoint_url, str) else "")
+        if url.username is not None or url.password is not None:  # every error names the URL
+            raise ValueError("endpoint_url must not hold credentials; name them with "
+                             "auth_token_env_var")
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint_url must be an http:// or https:// URL with a host, "
                              f"got {self.endpoint_url!r}")
@@ -89,18 +92,20 @@ class StepScorer(Protocol):
 
 
 class ProblemMemo:
-    """One problem's view of a backend: each distinct question reaches
-    `backend` once, and a repeat gets the first answer with no prompt
-    rendered and no cache key computed. A stage task wraps each backend it
-    uses and drops the memo with the task, so the memo holds one problem's
-    answers and leaves the problem out of its keys. A key is what the reply
-    depends on: (state, sample index) for a generator with a per-sample
-    `samples` call, whose samples of a state are kept in index order, so
-    sample 0 of a K-way expansion is a one-sample simulation's; (state,
-    count) for any other, whose count may seed its randomness; (step,
-    context) for a verifier, and the query for one with a `tool(query)`
-    call; (state, candidate) for a scorer. An ask that raised is asked
-    again. Only the task's thread asks, so no lock is taken."""
+    """One problem's view of a generator or verifier: each distinct question
+    reaches `backend` once, and a repeat gets the first answer with no prompt
+    rendered and no cache key computed. A stage task wraps each such backend
+    it uses and drops the memo with the task, so the memo holds one
+    problem's answers and leaves the problem out of its keys. A key is what
+    the reply depends on: (state, sample index) for a generator with a
+    per-sample `samples` call, whose samples of a state are kept in index
+    order, so sample 0 of a K-way expansion is a one-sample simulation's;
+    (state, count) for any other, whose count may seed its randomness;
+    (step, context) for a verifier, and the query for one with a
+    `tool(query)` call. A scorer is asked directly: the guided decode visits
+    each state once and scores each distinct candidate of it once, so none
+    of its questions repeat. An ask that raised is asked again. Only the
+    task's thread asks, so no lock is taken."""
 
     def __init__(self, backend):
         self._backend = backend
@@ -131,6 +136,3 @@ class ProblemMemo:
                context: StepSequence) -> VerificationResult:
         tool_text = self._ask(step.action, self._tool, step.action)
         return self._backend.judge(problem, step, context, tool_text)
-
-    def score(self, problem: Problem, state: StepSequence, candidate: ReasoningStep) -> float:
-        return self._ask((state, candidate), self._backend.score, problem, state, candidate)

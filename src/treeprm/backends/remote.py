@@ -54,7 +54,7 @@ _UNSAFE_TARGET_RE = re.compile(r"[\x00-\x20\x7f]")  # would break the request li
 def render_prior_steps(state: StepSequence) -> str:
     if not state:
         return "(none yet)"
-    return "\n".join(f"Step {s.index}: {s.objective} -- {s.action}" for s in state)
+    return "\n".join(map(render_candidate, state))
 
 
 def render_candidate(step: ReasoningStep) -> str:

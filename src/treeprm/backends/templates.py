@@ -1,9 +1,10 @@
 """Prompt templates loaded from plain-text asset files.
 
-A template file has three ``=== name ===`` sections: role (the system
-preamble), body (the user message with ``{slot}`` placeholders), and output
-(a description of the expected response format). Each named slot must appear
-exactly once in the body.
+A template file has two ``=== name ===`` sections: role (the system
+preamble) and body (the user message with ``{slot}`` placeholders). The body
+ends with the reply format that the role's reader parses, so the model is
+told what its reply is read for. Each named slot must appear exactly once in
+the body.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-_SECTION_RE = re.compile(r"^===\s*(role|body|output)\s*===\s*$", re.MULTILINE)
+_SECTION_RE = re.compile(r"^===\s*(role|body)\s*===\s*$", re.MULTILINE)
 _SLOT_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 
 
@@ -20,7 +21,6 @@ _SLOT_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 class PromptTemplate:
     role_preamble: str
     body_template: str
-    output_grammar: str
 
     def __post_init__(self):
         counts: dict[str, int] = {}
@@ -50,21 +50,14 @@ class PromptTemplate:
 
 
 def parse_template(text: str) -> PromptTemplate:
-    sections: dict[str, str] = {}
-    matches = list(_SECTION_RE.finditer(text))
-    if not matches:
-        raise ValueError("template file has no === role/body/output === sections")
-    for i, match in enumerate(matches):
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(text)
-        sections[match.group(1)] = text[match.end():end].strip("\n")
-    for required in ("role", "body", "output"):
+    """The template of a file's text; text before its first section is ignored."""
+    parts = _SECTION_RE.split(text)  # [before, name, text, name, text, ...]
+    sections = dict(zip(parts[1::2], parts[2::2]))
+    for required in ("role", "body"):
         if required not in sections:
             raise ValueError(f"template file is missing the {required} section")
-    return PromptTemplate(
-        role_preamble=sections["role"].strip(),
-        body_template=sections["body"].strip(),
-        output_grammar=sections["output"].strip(),
-    )
+    return PromptTemplate(role_preamble=sections["role"].strip(),
+                          body_template=sections["body"].strip())
 
 
 def builtin_template(name: str) -> PromptTemplate:

@@ -174,11 +174,13 @@ def _generate(cfg: RunConfig, problems, generator, verifier, out: Path) -> Build
 def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
     """The decode stage: one task per problem on the stage's threads
     (`_stage_threads`), which decodes the problem reward-guided and then
-    draws its `pass_n` samples in order, through per-problem memos of the
-    generator and the scorer (`ProblemMemo`), so the samples and the guided
-    decode share candidate sets. Requests of one problem are never sent
-    concurrently, and a failing problem reports the first error its task
-    meets: the guided decode's, else the lowest-numbered failing sample's.
+    draws its `pass_n` samples in order, through a per-problem memo of the
+    generator (`ProblemMemo`), so the samples and the guided decode share
+    candidate sets. The scorer is asked directly: the guided decode scores
+    each distinct candidate of each state it visits once, and the samples
+    score nothing. Requests of one problem are never sent concurrently, and
+    a failing problem reports the first error its task meets: the guided
+    decode's, else the lowest-numbered failing sample's.
 
     Writes a problem's lines of `decode_results.jsonl` and `decode_log.jsonl`
     once it and every earlier problem are done, so both files are in problem
@@ -193,7 +195,7 @@ def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
 
     def task(problem):
         policy = ProblemMemo(generator)
-        result = decode(problem, policy, ProblemMemo(scorer), cfg.decode)
+        result = decode(problem, policy, scorer, cfg.decode)
         return result, [sample_rollout(problem, policy, cfg.decode, s)[1] for s in range(pass_n)]
 
     def emit(decoded) -> None:

@@ -202,9 +202,13 @@ def _reference_row(record: dict) -> ReferenceRow:
     for key in ("error", "correct", "f1"):
         if key in record and type(record[key]) not in (int, float):  # a JSON true is a bool
             raise ValueError(f"{key} must be a number, got {record[key]!r}")
+    model, benchmark = record["model"], record.get("benchmark", "-")
+    for key, value in (("model", model), ("benchmark", benchmark)):
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {value!r}")
     return ReferenceRow(
-        model=record["model"],
-        benchmark=record.get("benchmark", "-"),
+        model=model,
+        benchmark=benchmark,
         error_accuracy=record["error"],
         correct_accuracy=record["correct"],
         reported_f1=record.get("f1", f1_from_accuracies(record["error"], record["correct"])),

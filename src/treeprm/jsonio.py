@@ -2,8 +2,8 @@
 
 Sorted keys, ASCII escapes and compact separators make the text a function of
 the value alone, so identical runs write identical bytes, and the config hash
-names equal semantic configs with equal digests. HTTP request bodies use a
-second set of options (`request_body`).
+names equal semantic configs with equal digests. HTTP request bodies keep
+their keys in insertion order (`request_body`).
 """
 
 from __future__ import annotations
@@ -14,20 +14,18 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 
-_CANONICAL = {"sort_keys": True, "ensure_ascii": True, "separators": (",", ":")}
-# Keys in insertion order, default separators, ASCII escapes, NaN refused.
-_REQUEST = {"allow_nan": False}
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=True, separators=(",", ":"))
 
 
-def canonical_json(value: Any, options: dict = _CANONICAL) -> str:
+def canonical_json(value: Any) -> str:
     """One line of JSON: sorted keys, ASCII escapes, no whitespace."""
-    return json.dumps(value, **options)
+    return _CANONICAL.encode(value)
 
 
 def request_body(payload: Any) -> bytes:
     """The JSON body of an HTTP request: `json.dumps(payload, allow_nan=False)`
     as UTF-8 (ASCII, since non-ASCII text is escaped)."""
-    return canonical_json(payload, _REQUEST).encode("utf-8")
+    return json.dumps(payload, allow_nan=False).encode("utf-8")
 
 
 @contextmanager

@@ -245,7 +245,8 @@ def expand(
     verifier: StepVerifier,
     cfg: SearchConfig,
 ) -> list[TreeNode]:
-    """Attach up to K verified children (duplicate candidates collapse).
+    """Attach up to K verified children; equal candidates collapse to the
+    first, as in `decoding.greedy_step`.
 
     The node is marked fully expanded regardless of how many distinct
     candidates came back. On a backend error the node is left unchanged.
@@ -255,14 +256,8 @@ def expand(
     if node.fully_expanded:
         raise ValueError("node is already fully expanded")
     candidates = generator.generate(problem, node.state, cfg.branch_K)
-    distinct: list[ReasoningStep] = []
-    seen = set()
-    for candidate in candidates:
-        key = (candidate.objective, candidate.action, candidate.is_final)
-        if key not in seen:
-            seen.add(key)
-            distinct.append(candidate)
-    verified = [(step, verifier.verify(problem, step, node.state)) for step in distinct]
+    verified = [(step, verifier.verify(problem, step, node.state))
+                for step in dict.fromkeys(candidates)]
     children = [
         TreeNode(
             state=node.state + (step,),

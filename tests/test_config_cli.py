@@ -31,7 +31,7 @@ from treeprm.decoding import (
 )
 from treeprm.jsonio import read_jsonl
 from treeprm.mcts import SearchConfig
-from treeprm.synthetic import SyntheticCorpusConfig, trace_from_values
+from treeprm.synthetic import SyntheticCorpusConfig, build_corpus, trace_from_values
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -613,6 +613,28 @@ class TestCliDecode:
         repeated = {key: n for key, n in Counter(asked).items() if n > 1}
         assert repeated == {}
         assert len({problem_id for problem_id, _, _ in asked}) == 6
+        assert any(len(state) > 1 for _, state, _ in asked)
+
+    def test_decode_scores_each_distinct_candidate_of_a_state_once(self, tmp_path):
+        """The stage asks its scorer directly, with no memo: the guided
+        decode scores each distinct candidate of each state it visits once,
+        and the pass@n samples score nothing."""
+        cfg = load_config(write_config(tmp_path))
+        traces = build_corpus(cfg.synthetic)
+        oracle = OracleScorer(traces)
+        asked = []
+
+        class CountingScorer:
+            def score(self, problem, state, candidate):
+                asked.append((problem.id, state, candidate))
+                return oracle.score(problem, state, candidate)
+
+        generator = cli._build_backends(cfg, traces, ("generator",))["generator"]
+        assert cfg.decode.pass_n > 1
+        cli._decode(cfg, [trace.problem for trace in traces], generator, CountingScorer(),
+                    tmp_path / "dec")
+        assert max(Counter(asked).values()) == 1
+        assert len({problem_id for problem_id, _, _ in asked}) == len(traces)
         assert any(len(state) > 1 for _, state, _ in asked)
 
 

@@ -228,6 +228,9 @@ class TestFileFormats:
         ({"model": "m", "error": 40.0, "correct": 60.0, "f1": True},
          "f1 must be a number, got True"),
         ([40.0, 60.0], "list indices"),
+        ({"model": ["m"], "error": 40.0, "correct": 60.0}, "model must be a string, got \\['m'\\]"),
+        ({"model": "m", "benchmark": None, "error": 40.0, "correct": 60.0},
+         "benchmark must be a string, got None"),
     ])
     def test_bad_reference_row_names_file_and_row(self, tmp_path, row, message):
         path = tmp_path / "pairs.json"

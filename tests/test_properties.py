@@ -235,15 +235,13 @@ def reference_answer(question):
                 for i in range(count)]
     if call == "tool":
         return f"tool says {_digest(question) % 5}"
-    if call in ("verify", "judge"):
-        step, context = args[:2]
-        return VerificationResult(label=1 if _digest(question) % 2 else -1,
-                                  rationale=repr(question), tool_query=step.action)
-    return float(_digest(question) % 7)  # score
+    step, context = args[:2]  # verify or judge
+    return VerificationResult(label=1 if _digest(question) % 2 else -1,
+                              rationale=repr(question), tool_query=step.action)
 
 
 class CountingBackend:
-    """A fake backend of every role that counts each question it is asked and,
+    """A fake generator and verifier that counts each question it is asked and,
     with `flaky`, raises at the first ask of some questions. With
     `per_sample` it generates through `samples`, with `split` it verifies
     through `tool` and `judge`, as the remote backends do."""
@@ -275,9 +273,6 @@ class CountingBackend:
         assert tool_text == reference_answer(("tool", step.action))
         return self._answer(("judge", step, context))
 
-    def score(self, problem, state, candidate):
-        return self._answer(("score", state, candidate))
-
 
 def expected_answer(backend, ask):
     """The answer of one ask, built from the reference answers of its questions."""
@@ -307,8 +302,7 @@ memo_steps = st.builds(ReasoningStep, index=st.integers(1, 2), objective=st.just
                        action=st.sampled_from("abc"))
 memo_states = st.lists(memo_steps, max_size=2).map(tuple)
 asks = st.one_of(st.tuples(st.just("generate"), memo_states, st.integers(1, 4)),
-                 st.tuples(st.just("verify"), memo_steps, memo_states),
-                 st.tuples(st.just("score"), memo_states, memo_steps))
+                 st.tuples(st.just("verify"), memo_steps, memo_states))
 
 
 @deterministic

@@ -47,11 +47,11 @@ PROBLEM = Problem(id="q1", statement="Add 2 and 3.", gold_answer="5")
 STATE = (ReasoningStep(index=1, objective="add", action="2 + 3 = 5"),)
 CANDIDATE = ReasoningStep(index=2, objective="finish", action="Final Answer: 5", is_final=True)
 
-GENERATOR_T = PromptTemplate("gen-role", "P: {problem}\nS: {prior_steps}", "o")
+GENERATOR_T = PromptTemplate("gen-role", "P: {problem}\nS: {prior_steps}")
 JUDGER_T = PromptTemplate(
-    "judge-role", "P: {problem}\nS: {prior_steps}\nC: {candidate_step}\nT: {tool_response}", "o"
+    "judge-role", "P: {problem}\nS: {prior_steps}\nC: {candidate_step}\nT: {tool_response}"
 )
-SCORER_T = PromptTemplate("score-role", "P: {problem}\nS: {prior_steps}\nC: {candidate_step}", "o")
+SCORER_T = PromptTemplate("score-role", "P: {problem}\nS: {prior_steps}\nC: {candidate_step}")
 
 GENERATOR_USER = "P: Add 2 and 3.\nS: Step 1: add -- 2 + 3 = 5"
 JUDGER_USER = (
