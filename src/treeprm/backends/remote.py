@@ -472,7 +472,6 @@ class ToolVerifier:
         return VerificationResult(
             label=-1 if verdict is None else verdict,
             rationale=content,
-            tool_query=step.action,
             verifiable=verdict is not None,
         )
 

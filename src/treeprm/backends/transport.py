@@ -13,10 +13,9 @@ verifier's, and a decode never asks its scorer one twice.
 
 Replies live in append-only logs, one per cache instance, so storing one
 creates no file: `FileResponseCache` gives the record framing and the rules
-that make a log safe to read while its writer appends. A log's whole records
-are read into memory at its first hit, so a later warm entry is one slice of
-those bytes: it makes no system call and so never releases the interpreter
-lock. A miss is a dict lookup.
+that make a log safe to read while its writer appends. The cache holds the
+latest reply of every key of its directory in memory, so a hit is one dict
+lookup: it makes no system call and so never releases the interpreter lock.
 """
 
 from __future__ import annotations
@@ -45,12 +44,8 @@ def cache_key(fields: tuple) -> str:
 
 _MISSING = object()
 _APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
-# An index entry packs (log number, body offset, body length) into one int,
-# which takes about a third of the memory of a tuple of the three.
-_FIELD_BITS = 40
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
-# Indexing reads a log this many bytes at a time, and skips any body that
-# runs past a read without reading it.
+# Indexing reads a log this many bytes at a time; a body that runs past a
+# read gets a read of its own.
 _SCAN_CHUNK = 64 * 1024
 _log_serial = itertools.count()
 
@@ -64,17 +59,17 @@ class FileResponseCache:
     goes out in one `write` of an `O_APPEND` descriptor. Since only its
     instance writes a log, records never interleave. A write that fails or
     comes back short is cut back off the log, so nothing is ever written after
-    a torn record. At construction the instance indexes every complete record
+    a torn record. At construction the instance reads every complete record
     of every other log, in name order (the order their commands started), and
     a later record of a key replaces an earlier one. An incomplete last record
-    (one still being written, or one cut short by a crash) is skipped. A miss
-    inside the in-flight slot indexes what other logs gained since, which is
-    how a reply another process stored is found.
+    (one still being written, or one cut short by a crash) is skipped, and
+    read once it is whole. A miss inside the in-flight slot reads what other
+    logs gained since, which is how a reply another process stored is found.
 
-    A hit slices the entry out of the bytes of its log's whole records, read
-    (one `open`, `pread` and `close`, so no descriptor is kept) at the log's
-    first hit and read again when an entry lies past their end, because the
-    log grew since. A log shorter than an entry (or gone) gives a miss.
+    The index holds the latest reply of each key, so a hit is one dict lookup:
+    it makes no system call and keeps answering after its log is removed or
+    cut short. A reply enters the index only once its whole record is read,
+    since hits take no lock. No descriptor stays open.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -85,11 +80,8 @@ class FileResponseCache:
         self._inflight: dict[str, _Slot] = {}
         # Guards the own log's appends and the indexing of the others.
         self._log_lock = threading.Lock()
-        self._index: dict[str, int] = {}
-        self._logs: list[str] = []  # the path of each log number
-        self._complete: list[int] = []  # the bytes of whole records in each log
-        self._numbers: dict[str, int] = {}  # other log -> its number
-        self._read: dict[int, bytes] = {}  # log number -> its whole records at the latest read
+        self._index: dict[str, bytes] = {}
+        self._indexed: dict[str, int] = {}  # other log -> the bytes of its whole records read
         self._open_log()
         self._refresh()
 
@@ -97,48 +89,15 @@ class FileResponseCache:
         """Name a new own log after the clock, so that it sorts after the logs
         of the instances made before it."""
         self._log = f"{self._prefix}{time.time_ns()}-{os.getpid()}-{next(_log_serial)}.log"
-        self._log_number = len(self._logs)
-        self._logs.append(self._log)
-        self._complete.append(0)
 
     def get(self, key: str) -> bytes | None:
-        """The indexed reply of `key`, sliced out of the bytes read from its
-        log; None when the key is not indexed or its log no longer holds it."""
-        entry = self._index.get(key)
-        if entry is None:
-            return None
-        number = entry >> 2 * _FIELD_BITS
-        start = entry >> _FIELD_BITS & _FIELD_MASK
-        end = start + (entry & _FIELD_MASK)
-        data = self._read.get(number)
-        if data is None or end > len(data):  # not read yet, or the log grew
-            data = self._read_log(number, end)
-            if end > len(data):
-                return None
-        return data[start:end]
-
-    def _read_log(self, number: int, end: int) -> bytes:
-        """The whole records of log `number` as indexed now, kept for later
-        hits; fewer bytes when the log was cut short, none when it is gone.
-        A torn last record is not read: its writer cuts it off before it
-        appends again, so those bytes do not last. Every byte before `end`,
-        the end of an indexed entry, belongs to a whole record, also while
-        `_refresh` has indexed the entry but not yet counted its record."""
-        try:
-            fd = os.open(self._logs[number], os.O_RDONLY)
-        except FileNotFoundError:  # the log was removed since it was indexed
-            return b""
-        try:
-            data = self._read[number] = os.pread(fd, max(end, self._complete[number]), 0)
-        finally:
-            os.close(fd)
-        return data
+        """The indexed reply of `key`, or None."""
+        return self._index.get(key)
 
     def put(self, key: str, data: bytes) -> None:
         """Append one record to this instance's log and index it. A failed or
         short write leaves the log as it was and raises."""
-        header = b"%s %d\n" % (key.encode(), len(data))
-        record = header + data
+        record = b"%s %d\n" % (key.encode(), len(data)) + data
         with self._log_lock:
             fd = os.open(self._log, _APPEND_FLAGS, 0o666)
             try:
@@ -156,12 +115,7 @@ class FileResponseCache:
                     raise
             finally:
                 os.close(fd)
-            self._index[key] = self._entry(self._log_number, start + len(header), len(data))
-            self._complete[self._log_number] = start + len(record)
-
-    @staticmethod
-    def _entry(number: int, offset: int, length: int) -> int:
-        return (number << _FIELD_BITS | offset) << _FIELD_BITS | length
+            self._index[key] = data
 
     def _refresh(self) -> None:
         """Index the records that other logs gained since the last call."""
@@ -174,17 +128,12 @@ class FileResponseCache:
                     size = os.stat(path).st_size
                 except FileNotFoundError:
                     continue
-                number = self._numbers.get(path)
-                if number is None:
-                    number = self._numbers[path] = len(self._logs)
-                    self._logs.append(path)
-                    self._complete.append(0)
-                if size > self._complete[number]:
-                    self._complete[number] = self._scan(
-                        number, path, self._complete[number], size)
+                pos = self._indexed.get(path, 0)
+                if size > pos:
+                    self._indexed[path] = self._scan(path, pos, size)
 
-    def _scan(self, number: int, path: str, pos: int, size: int) -> int:
-        """Index the complete records of log `number` from byte `pos` up to
+    def _scan(self, path: str, pos: int, size: int) -> int:
+        """Index the complete records of log `path` from byte `pos` up to
         `size`, and return where the first incomplete one starts."""
         try:
             fd = os.open(path, os.O_RDONLY)
@@ -195,16 +144,22 @@ class FileResponseCache:
                 data = os.pread(fd, min(_SCAN_CHUNK, size - pos), pos)
                 at = 0
                 while (newline := data.find(b"\n", at)) >= 0:
-                    key, _, length = data[at:newline].rpartition(b" ")
-                    if not length.isdigit():  # not a record of this format
+                    key, _, digits = data[at:newline].rpartition(b" ")
+                    if not digits.isdigit():  # not a record of this format
                         return pos + at
-                    body = pos + newline + 1
-                    end = body + int(length)
-                    if end > size:
+                    length = int(digits)
+                    body = newline + 1
+                    end = body + length
+                    if end <= len(data):
+                        reply = data[body:end]
+                    elif pos + end > size:
                         return pos + at
-                    self._index[key.decode(errors="replace")] = self._entry(
-                        number, body, int(length))
-                    at = end - pos
+                    else:
+                        reply = os.pread(fd, length, pos + body)
+                        if len(reply) < length:  # the log was cut since its stat
+                            return pos + at
+                    self._index[key.decode(errors="replace")] = reply
+                    at = end
                 if at == 0:  # a torn header
                     return pos
                 pos += at
@@ -222,9 +177,9 @@ class FileResponseCache:
         stored only after `read` returns; an error from `read` leaves the key
         uncached, and a waiter then tries again."""
         while True:
-            # An indexed entry is read before taking the in-flight slot, which
-            # saves an event and two lock round trips per key; a cold key
-            # looks at the other logs again inside the slot.
+            # An indexed reply is looked up before taking the in-flight slot,
+            # which saves an event and two lock round trips per key; a cold
+            # key looks at the other logs again inside the slot.
             data = self.get(key)
             if data is not None:
                 return read(data)

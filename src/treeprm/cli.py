@@ -119,7 +119,8 @@ def _outdir(cfg: RunConfig, override: str | None) -> Path:
 
 def _load_cfg(args) -> RunConfig:
     cfg = load_config(args.config)
-    return cfg.with_overrides(seed=args.seed, mode=args.mode, workers=args.workers)
+    return cfg.with_overrides(seed=args.seed, mode=getattr(args, "mode", None),
+                              workers=getattr(args, "workers", None))
 
 
 def _stage_inputs(args, roles: tuple[str, ...]):
@@ -416,28 +417,25 @@ def cmd_inspect(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--seed", type=int, default=None, help="override every stage seed")
+
+
+def _add_stage(sub, name: str, summary: str, func) -> None:
+    """A command that runs pipeline stages: it takes the common flags, a
+    worker count, a labeling mode and an output directory."""
+    parser = sub.add_parser(name, help=summary)
+    _add_common(parser)
     parser.add_argument("--workers", type=int, default=None, help="override the worker pool size")
-    parser.add_argument(
-        "--mode",
-        choices=MODES,
-        default=None,
-        help="override the labeling mode",
-    )
+    parser.add_argument("--mode", choices=MODES, default=None, help="override the labeling mode")
+    parser.add_argument("--output", default=None, help="output directory override")
+    parser.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="treeprm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_generate = sub.add_parser("generate", help="build a training dataset")
-    _add_common(p_generate)
-    p_generate.add_argument("--output", default=None, help="output directory override")
-    p_generate.set_defaults(func=cmd_generate)
-
-    p_decode = sub.add_parser("decode", help="reward-guided greedy decoding")
-    _add_common(p_decode)
-    p_decode.add_argument("--output", default=None, help="output directory override")
-    p_decode.set_defaults(func=cmd_decode)
+    _add_stage(sub, "generate", "build a training dataset", cmd_generate)
+    _add_stage(sub, "decode", "reward-guided greedy decoding", cmd_decode)
 
     p_eval = sub.add_parser("eval", help="first-error localization scoring")
     p_eval.add_argument("--annotations", default=None, help="annotated samples (JSONL)")
@@ -449,11 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--output", default=None, help="directory for report files")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_synth = sub.add_parser("synth", help="end-to-end synthetic demo")
-    _add_common(p_synth)
-    p_synth.add_argument("--output", default=None, help="output directory override")
-    p_synth.set_defaults(func=cmd_synth)
+    _add_stage(sub, "synth", "end-to-end synthetic demo", cmd_synth)
 
+    # inspect runs on one thread and writes no labels: no --workers or --mode.
     p_inspect = sub.add_parser("inspect", help="dump one problem's search tree")
     _add_common(p_inspect)
     p_inspect.add_argument("--problem-id", default=None, help="problem id to inspect")

@@ -100,7 +100,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Signed step verdict plus the rationale and tool query that produced it.
+    """Signed step verdict plus the rationale that produced it.
 
     verifiable=False marks a step the verifier could not process; any trace
     containing such a step must be filtered out downstream.
@@ -108,7 +108,6 @@ class VerificationResult:
 
     label: int
     rationale: str
-    tool_query: str = ""
     verifiable: bool = True
 
     def __post_init__(self):

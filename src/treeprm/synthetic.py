@@ -174,7 +174,6 @@ def exact_verify(
         return VerificationResult(
             label=-1,
             rationale=f"no reference addend for step {position}",
-            tool_query="",
             verifiable=False,
         )
     previous = prefix_value(context)
@@ -183,7 +182,6 @@ def exact_verify(
         return VerificationResult(
             label=-1,
             rationale="unparseable step text",
-            tool_query="",
             verifiable=False,
         )
     addend = trace.addends[position - 1]
@@ -197,11 +195,7 @@ def exact_verify(
         f"Recomputed the running total: {previous} + {addend} = {expected}; "
         f"{verdict_text}. The step is: {format_verdict_marker(label)}"
     )
-    return VerificationResult(
-        label=label,
-        rationale=rationale,
-        tool_query=f"{previous} + {addend}",
-    )
+    return VerificationResult(label=label, rationale=rationale)
 
 
 def oracle_score(state: StepSequence, candidate: ReasoningStep, trace: SyntheticTrace) -> float:

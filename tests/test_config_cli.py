@@ -571,7 +571,7 @@ class TestCliDecode:
         results = (out / "decode_results.jsonl").read_text(encoding="utf-8").strip()
         assert len(results.split("\n")) == 6
 
-    @pytest.mark.parametrize("command", ["generate", "decode", "synth", "inspect"])
+    @pytest.mark.parametrize("command", ["generate", "decode", "synth"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, command):
         config = write_config(tmp_path)
         assert main([command, "--config", str(config), "--workers", "0"]) == 1
@@ -823,6 +823,14 @@ class TestCliInspect:
         assert main(["inspect", "--config", str(config), "--problem-id", "ghost"]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert "ghost" in err["message"]
+
+    @pytest.mark.parametrize("flag", [["--workers", "1"], ["--mode", "step_only"]])
+    def test_flags_that_change_nothing_it_writes_are_rejected(self, tmp_path, capsys, flag):
+        config = write_config(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["inspect", "--config", str(config), *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCliRemoteBackends:

@@ -235,9 +235,8 @@ def reference_answer(question):
                 for i in range(count)]
     if call == "tool":
         return f"tool says {_digest(question) % 5}"
-    step, context = args[:2]  # verify or judge
-    return VerificationResult(label=1 if _digest(question) % 2 else -1,
-                              rationale=repr(question), tool_query=step.action)
+    # verify or judge
+    return VerificationResult(label=1 if _digest(question) % 2 else -1, rationale=repr(question))
 
 
 class CountingBackend:

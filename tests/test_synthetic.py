@@ -133,7 +133,6 @@ class TestExactVerify:
         assert result.label == 1
         assert result.verifiable
         assert "50 + 80 = 130" in result.rationale
-        assert result.tool_query == "50 + 80"
 
     def test_arithmetic_contradiction(self, clean_trace):
         bad = ReasoningStep(index=2, objective="Add 80 to the running total",
