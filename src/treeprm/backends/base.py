@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 from urllib.parse import urlsplit
 
 from ..domain import Problem, ReasoningStep, StepSequence, VerificationResult
@@ -62,7 +62,6 @@ class BackendConfig:
         return os.environ.get(self.auth_token_env_var)
 
 
-@runtime_checkable
 class StepGenerator(Protocol):
     def generate(
         self, problem: Problem, state: StepSequence, count: int
@@ -71,7 +70,6 @@ class StepGenerator(Protocol):
         ...
 
 
-@runtime_checkable
 class StepVerifier(Protocol):
     def verify(
         self, problem: Problem, step: ReasoningStep, context: StepSequence
@@ -82,7 +80,6 @@ class StepVerifier(Protocol):
         ...
 
 
-@runtime_checkable
 class StepScorer(Protocol):
     def score(
         self, problem: Problem, state: StepSequence, candidate: ReasoningStep

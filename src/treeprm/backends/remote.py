@@ -330,10 +330,12 @@ class _Endpoint:
         the query `params`. With a cache, the reply is stored only if `read`
         accepts it, under the key of `kind` (which names `read`), the sample
         index and what goes on the wire: the body's values for a POST, the
-        endpoint URL and the query's values for a GET. A POST's key leaves
-        out the URL, so its entries serve any host that takes the same body."""
+        URL's path and own query and the query's values for a GET. No key
+        holds the scheme, host or port, so an entry serves any server that
+        takes the same request. A cache whose tool entries were keyed on the
+        whole endpoint URL misses once on each of them."""
         if payload is None:
-            method, sent = "GET", (self.cfg.endpoint_url, *params.values())
+            method, sent = "GET", (self._target, *params.values())
         else:
             method, sent = "POST", payload.values()
         if self.cache is not None:

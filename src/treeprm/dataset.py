@@ -314,12 +314,9 @@ def _build_one(
     instances: list[TrainingInstance] = []
     drops: dict[str, int] = {}
     flips: list[FlipEvent] = []
-    errors: list[dict] = []
     result = run_search(problem, generator, verifier, search_cfg)
-    for record in result.rounds:
-        if record.error:
-            errors.append({"problem_id": problem.id, "round": record.round_index,
-                           "error": record.error})
+    errors = [{"problem_id": problem.id, "round": round_index, "error": message}
+              for round_index, message in result.errors]
     # A candidate depends on the rollout only through its steps and
     # verifications, so a rollout that repeats an earlier one's is judged once.
     # Replays add no rollout, but rollouts are simulated outside the tree: a

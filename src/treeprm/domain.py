@@ -90,10 +90,6 @@ class Trajectory:
             raise ValueError("final_answer present without a final step")
 
     @property
-    def length(self) -> int:
-        return len(self.steps)
-
-    @property
     def complete(self) -> bool:
         return bool(self.steps) and self.steps[-1].is_final
 

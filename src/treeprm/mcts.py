@@ -7,8 +7,12 @@ into a scalar reward, and propagate it up the selection path with temporal
 decay. Every backend call of a search runs in order on the calling thread.
 
 Simulation is tree-external: rollout continuations are recorded as
-RolloutOutcome values, not grafted onto the tree. The tree only ever holds
-expansion-created children, so a node has at most K of them.
+RolloutOutcome values, not grafted onto the tree. A rollout keeps what
+labelling reads: its steps, their verifications and the outcome flag. The
+tree only ever holds expansion-created children, so a node has at most K of
+them, and a node's incoming step is the last step of its state. Beyond the
+tree and the rollouts, a search keeps only how many rounds it ran and the
+error of each round a backend failure aborted.
 
 A simulated node that is terminal (a final step) takes one visit, like its
 ancestors, so UCT stops treating it as unvisited and moves on to its siblings.
@@ -75,24 +79,27 @@ class SearchConfig:
 class TreeNode:
     """One partial reasoning state. Mutable: search updates q and visits."""
 
-    __slots__ = ("state", "action_in", "q_value", "visit_count", "children",
+    __slots__ = ("state", "q_value", "visit_count", "children",
                  "step_verification", "dead_end", "_expanded")
 
     def __init__(
         self,
         state: StepSequence = (),
-        action_in: ReasoningStep | None = None,
         q_value: float = 0.0,
         step_verification: VerificationResult | None = None,
     ):
         self.state = state
-        self.action_in = action_in
         self.q_value = q_value
         self.visit_count = 0
         self.children: list[TreeNode] = []
         self.step_verification = step_verification
         self.dead_end = False
         self._expanded = False
+
+    @property
+    def action_in(self) -> ReasoningStep | None:
+        """The step that led here: the state's last, or None at the root."""
+        return self.state[-1] if self.state else None
 
     @property
     def depth(self) -> int:
@@ -121,14 +128,11 @@ class RolloutOutcome:
 
     problem_id: str
     round_index: int
-    expansion_index: int
     steps: StepSequence
     verifications: tuple[VerificationResult, ...]
     complete: bool
     final_answer: str | None
     final_flag: int
-    u_value: float
-    node_reward: float
 
     def __post_init__(self):
         for position, step in enumerate(self.steps, start=1):
@@ -152,27 +156,12 @@ class RolloutOutcome:
                 raise ValueError("incomplete rollout needs one verification per step")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """Where one search round put its reward, or why it was aborted.
-
-    reward_path_indices addresses the rewarded node as child indices from the
-    root; every proper prefix of it received one visit this round, and so did
-    the rewarded node itself when it is terminal. An aborted round has no
-    reward path and sets error. A round that simulated has its rollout, with
-    its reward, in `SearchResult.rollouts`; a replay of a visited terminal
-    node adds none, and its reward is that node's q.
-    """
-
-    round_index: int
-    reward_path_indices: tuple[int, ...] = ()
-    error: str | None = None
-
-
 @dataclass
 class SearchResult:
-    """The tree, one rollout per round that simulated, and one record per round
-    run. Aborted rounds and replays of a visited terminal node add no rollout.
+    """The tree, one rollout per round that simulated, the number of rounds
+    run, and the (round index, message) of each round a backend error
+    aborted, in round order. Aborted rounds and replays of a visited terminal
+    node add no rollout.
 
     open_nodes counts the non-terminal nodes not yet expanded plus the terminal
     nodes not yet visited; the empty root starts open.
@@ -180,7 +169,8 @@ class SearchResult:
 
     root: TreeNode
     rollouts: list[RolloutOutcome] = field(default_factory=list)
-    rounds: list[RoundRecord] = field(default_factory=list)
+    rounds: int = 0
+    errors: list[tuple[int, str]] = field(default_factory=list)
     open_nodes: int = 1
 
 
@@ -261,7 +251,6 @@ def expand(
     children = [
         TreeNode(
             state=node.state + (step,),
-            action_in=step,
             q_value=float(result.label),
             step_verification=result,
         )
@@ -344,7 +333,7 @@ def run_search(
     """Run at most R rounds of select / expand / simulate / aggregate /
     backpropagate, stopping early once no node is open.
 
-    A backend error aborts only its round (recorded in `rounds`); partial
+    A backend error aborts only its round (recorded in `errors`); partial
     trees are valid output. Deterministic given the config seed and
     deterministic backends.
     """
@@ -352,11 +341,11 @@ def run_search(
     for round_index in range(1, cfg.max_rounds_R + 1):
         if not result.open_nodes:
             break
+        result.rounds = round_index
         try:
-            record = _run_round(result, round_index, problem, generator, verifier, cfg)
+            _run_round(result, round_index, problem, generator, verifier, cfg)
         except BackendError as err:
-            record = RoundRecord(round_index, error=str(err))
-        result.rounds.append(record)
+            result.errors.append((round_index, str(err)))
     return result
 
 
@@ -369,10 +358,6 @@ def _close_dead_end(path: Sequence[TreeNode]) -> None:
         node.dead_end = True
 
 
-def _indices_along(path: Sequence[TreeNode]) -> list[int]:
-    return [parent.children.index(child) for parent, child in zip(path, path[1:])]
-
-
 def _run_round(
     result: SearchResult,
     round_index: int,
@@ -380,7 +365,7 @@ def _run_round(
     generator: StepGenerator,
     verifier: StepVerifier,
     cfg: SearchConfig,
-) -> RoundRecord:
+) -> None:
     path = select_leaf(result.root, cfg)
     leaf = path[-1]
     # A node's depth is its position on the path.
@@ -392,7 +377,7 @@ def _run_round(
             i = len(path) - 1
             backpropagate([(node, i - d) for d, node in enumerate(path[:-1])],
                           leaf.q_value, cfg.decay_gamma)
-            return RoundRecord(round_index, tuple(_indices_along(path)))
+            return
         # First visit of a fully explored line: simulate from the leaf itself
         # (no step is sampled) and credit its ancestors.
         sim_node, path = leaf, path[:-1]
@@ -434,17 +419,13 @@ def _run_round(
         RolloutOutcome(
             problem_id=problem.id,
             round_index=round_index,
-            expansion_index=i,
             steps=sim.steps,
             verifications=verifications,
             complete=sim.complete,
             final_answer=sim.final_answer,
             final_flag=sim.final_flag,
-            u_value=u,
-            node_reward=reward,
         )
     )
-    return RoundRecord(round_index, tuple(_indices_along(path + [sim_node])))
 
 
 def most_visited_path(root: TreeNode) -> list[TreeNode]:

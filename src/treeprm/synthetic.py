@@ -34,32 +34,6 @@ class TrajectoryExhausted(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
-    """Recipe for one synthetic problem: seed, size, value range, planted errors."""
-
-    seed: int
-    num_terms: int
-    value_range: tuple[int, int]
-    error_plan: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if self.num_terms < 2:
-            raise ValueError("num_terms must be >= 2")
-        low, high = self.value_range
-        if low > high:
-            raise ValueError("value_range low must not exceed high")
-        seen = set()
-        for index, delta in self.error_plan:
-            if not 1 <= index <= self.num_terms:
-                raise ValueError(f"error_plan index {index} outside [1, {self.num_terms}]")
-            if index in seen:
-                raise ValueError(f"error_plan indices must be distinct; {index} repeats")
-            if delta == 0:
-                raise ValueError("error_plan corruption_delta must be nonzero")
-            seen.add(index)
-
-
-@dataclass(frozen=True)
 class SyntheticTrace:
     """A reference solution with per-step ground-truth labels.
 
@@ -98,11 +72,20 @@ def trace_from_values(
     error_plan: tuple[tuple[int, int], ...] = (),
     problem_id: str = "synth-manual",
 ) -> SyntheticTrace:
-    """Build a trace from explicit addends; planted deltas corrupt the running total."""
+    """Build a trace from explicit addends; each planted (index, delta)
+    corrupts the running total from that 1-based step on."""
     addends = tuple(values)
     if not addends:
         raise ValueError("a trace needs at least one addend")
-    deltas = dict(error_plan)
+    deltas = {}
+    for index, delta in error_plan:
+        if not 1 <= index <= len(addends):
+            raise ValueError(f"error_plan index {index} outside [1, {len(addends)}]")
+        if index in deltas:
+            raise ValueError(f"error_plan indices must be distinct; {index} repeats")
+        if delta == 0:
+            raise ValueError("error_plan corruption_delta must be nonzero")
+        deltas[index] = delta
     steps = []
     labels = []
     true_total = 0
@@ -135,14 +118,6 @@ def trace_from_values(
         first_error_index=first_error,
         error_plan=tuple(error_plan),
     )
-
-
-def make_problem(spec: SyntheticSpec) -> SyntheticTrace:
-    """Deterministically sample a trace from a spec."""
-    rng = random.Random(spec.seed)
-    low, high = spec.value_range
-    values = [rng.randint(low, high) for _ in range(spec.num_terms)]
-    return trace_from_values(values, spec.error_plan, problem_id=f"synth-{spec.seed}")
 
 
 def stated_value(step: ReasoningStep) -> int | None:
@@ -284,6 +259,9 @@ class SyntheticCorpusConfig:
         low, high = self.num_terms
         if low < 2 or low > high:
             raise ValueError("num_terms range must satisfy 2 <= low <= high")
+        low, high = self.value_range
+        if low > high:
+            raise ValueError("value_range low must not exceed high")
         if not 0.0 <= self.error_rate <= 1.0:
             raise ValueError("error_rate must be a probability")
         if self.max_planted_errors < 1:
@@ -297,7 +275,9 @@ class SyntheticCorpusConfig:
 
 
 def build_corpus(cfg: SyntheticCorpusConfig) -> list[SyntheticTrace]:
-    """Deterministically generate `count` traces from the corpus seed."""
+    """Deterministically generate `count` traces from the corpus seed. Trace
+    `index` draws its addends from its own seed, seed * 1_000_003 + index,
+    which also names it."""
     rng = random.Random(cfg.seed)
     traces = []
     for index in range(cfg.count):
@@ -309,11 +289,8 @@ def build_corpus(cfg: SyntheticCorpusConfig) -> list[SyntheticTrace]:
             error_plan = tuple(
                 sorted((pos, rng.choice(cfg.planted_deltas)) for pos in positions)
             )
-        spec = SyntheticSpec(
-            seed=cfg.seed * 1_000_003 + index,
-            num_terms=terms,
-            value_range=cfg.value_range,
-            error_plan=error_plan,
-        )
-        traces.append(make_problem(spec))
+        seed = cfg.seed * 1_000_003 + index
+        values_rng = random.Random(seed)
+        values = [values_rng.randint(*cfg.value_range) for _ in range(terms)]
+        traces.append(trace_from_values(values, error_plan, problem_id=f"synth-{seed}"))
     return traces

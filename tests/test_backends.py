@@ -906,10 +906,10 @@ class TestRemoteSearchIntegration:
                            outcome_beta=0.5, max_rounds_R=4, max_depth=6, rng_seed=1)
         result = run_search(PROBLEM, generator, verifier, cfg)
 
-        assert all(record.error is None for record in result.rounds)
+        assert result.errors == []
         # Three rounds finish the tree (the root's expansion, then one per
         # first step), so the search stops before its fourth.
-        assert len(result.rounds) == len(result.rollouts) == 3
+        assert result.rounds == len(result.rollouts) == 3
         assert result.open_nodes == 0
         assert all(rollout.complete for rollout in result.rollouts)
         # The root saw both the correct and the wrong first step.

@@ -106,6 +106,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"decay_gamma out of \(0,1\]"):
             load_config(write_config(tmp_path, bad_gamma))
 
+    def test_reversed_value_range_fails_at_load(self, tmp_path):
+        def reversed_range(cfg):
+            cfg["synthetic"]["value_range"] = [99, 10]
+
+        with pytest.raises(ConfigError,
+                           match="synthetic: value_range low must not exceed high"):
+            load_config(write_config(tmp_path, reversed_range))
+
     @pytest.mark.parametrize("mode", MODES)
     def test_each_mode_string_loads(self, tmp_path, mode):
         assert load_config(write_config(tmp_path, lambda cfg: cfg.update(mode=mode))).mode == mode

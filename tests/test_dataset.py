@@ -90,10 +90,9 @@ class TestAssembleAndFilter:
     def test_incomplete_dropped(self, clean_trace):
         rollout = rollout_for(clean_trace)[0]
         truncated = RolloutOutcome(
-            problem_id=rollout.problem_id, round_index=1, expansion_index=1,
+            problem_id=rollout.problem_id, round_index=1,
             steps=rollout.steps[:2], verifications=rollout.verifications[:2],
-            complete=False, final_answer=None, final_flag=-1, u_value=0.0,
-            node_reward=0.0,
+            complete=False, final_answer=None, final_flag=-1,
         )
         candidate = assemble_candidate(clean_trace.problem, truncated, "hybrid", BETA, GAMMA)
         assert filter_trace(candidate) == "incomplete"
@@ -102,11 +101,10 @@ class TestAssembleAndFilter:
         rollout = rollout_for(clean_trace)[0]
         broken = VerificationResult(label=-1, rationale="unparseable", verifiable=False)
         tampered = RolloutOutcome(
-            problem_id=rollout.problem_id, round_index=1, expansion_index=1,
+            problem_id=rollout.problem_id, round_index=1,
             steps=rollout.steps,
             verifications=(rollout.verifications[0], broken),
             complete=True, final_answer=rollout.final_answer, final_flag=rollout.final_flag,
-            u_value=rollout.u_value, node_reward=rollout.node_reward,
         )
         candidate = assemble_candidate(clean_trace.problem, tampered, "hybrid", BETA, GAMMA)
         assert filter_trace(candidate) == "unverifiable"
@@ -115,9 +113,9 @@ class TestAssembleAndFilter:
         rollout = rollout_for(clean_trace)[0]
         broken = VerificationResult(label=-1, rationale="unparseable", verifiable=False)
         both = RolloutOutcome(
-            problem_id=rollout.problem_id, round_index=1, expansion_index=1,
+            problem_id=rollout.problem_id, round_index=1,
             steps=rollout.steps[:2], verifications=(rollout.verifications[0], broken),
-            complete=False, final_answer=None, final_flag=-1, u_value=0.0, node_reward=0.0,
+            complete=False, final_answer=None, final_flag=-1,
         )
         candidate = assemble_candidate(clean_trace.problem, both, "hybrid", BETA, GAMMA)
         assert filter_trace(candidate) == "incomplete"

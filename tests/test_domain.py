@@ -123,7 +123,6 @@ def _step(index, action="a", is_final=False):
 class TestTrajectory:
     def test_complete_trajectory(self):
         t = Trajectory("p", (_step(1), _step(2, is_final=True)), final_answer="5")
-        assert t.length == 2
         assert t.complete
 
     def test_contiguous_indices_enforced(self):

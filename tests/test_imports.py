@@ -210,6 +210,125 @@ def test_every_public_name_under_src_is_read():
     )
 
 
+# Record fields that nothing under `src/` reads but that stay, each with its reason.
+KEPT_UNREAD_FIELDS = {
+    "treeprm/mcts.py:SearchResult.rounds":
+        "the rounds a search ran, which the search tests hold the root's visits and the "
+        "early stop to",
+    "treeprm/synthetic.py:SyntheticTrace.ground_truth_labels":
+        "the labels that the synthetic-domain tests hold exact_verify to",
+}
+
+WHOLE_RECORD_CALLS = ("vars", "asdict", "fields")
+
+
+def record_fields(tree: ast.Module) -> dict[str, list[str]]:
+    """The fields of each dataclass and NamedTuple that `tree` defines."""
+    records = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if "dataclass" in names_read(decorators) or "NamedTuple" in names_read(node.bases):
+            records[node.name] = [statement.target.id for statement in node.body
+                                  if isinstance(statement, ast.AnnAssign)
+                                  and isinstance(statement.target, ast.Name)]
+    return records
+
+
+def _last_name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def whole_records(trees: list[ast.Module], records: set[str]) -> set[str]:
+    """Records some call of `vars`, `asdict` or `fields` may take whole. An
+    argument is known by its last name, as a record itself or as a name that
+    an annotation, a call of an annotated function or a loop over a known name
+    gives a record type to. Names are not scoped, so a name that has a record
+    type anywhere has it everywhere."""
+    def mentioned(annotation) -> set[str]:
+        if annotation is None:
+            return set()
+        return names_read([annotation], strings=True) & records
+
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    returns = {}
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            returns.setdefault(node.name, set()).update(mentioned(node.returns))
+    typed = {record: {record} for record in records}
+    for node in nodes:
+        if isinstance(node, ast.arg):
+            typed.setdefault(node.arg, set()).update(mentioned(node.annotation))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            typed.setdefault(node.target.id, set()).update(mentioned(node.annotation))
+    for node in nodes:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            called = typed.get(_last_name(node.value), set()) & records
+            called |= returns.get(_last_name(node.value), set())
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    typed.setdefault(target.id, set()).update(called)
+    for node in nodes:
+        if isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name):
+            typed.setdefault(node.target.id, set()).update(
+                typed.get(_last_name(node.iter), set()))
+    whole = set()
+    for node in nodes:
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in WHOLE_RECORD_CALLS and node.args):
+            whole |= typed.get(_last_name(node.args[0]), set())
+    return whole
+
+
+def unread_fields(modules: dict[str, str]) -> list[str]:
+    """`module:Record.field` for each field of a dataclass or NamedTuple in
+    `modules` (name to source) that no module reads as an attribute, unless
+    its record is taken whole by `vars`, `asdict` or `fields`."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    fields = {name: record_fields(tree) for name, tree in trees.items()}
+    records = {record for found in fields.values() for record in found}
+    whole = whole_records(list(trees.values()), records)
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}:{record}.{name}"
+                  for module, found in fields.items() for record, names in found.items()
+                  if record not in whole for name in names if name not in read)
+
+
+def test_field_checker_finds_unread_fields():
+    modules = {
+        "a": "from dataclasses import dataclass, asdict\nfrom typing import NamedTuple\n"
+             "@dataclass(frozen=True)\nclass Kept:\n    used: int\n    stale: int\n"
+             "class Pair(NamedTuple):\n    left: int\n    right: int\n"
+             "@dataclass\nclass Dumped:\n    only_dumped: int\n"
+             "@dataclass\nclass Listed:\n    listed: int\n"
+             "@dataclass\nclass Made:\n    made: int\n",
+        "b": "def dump(kept, pair: Pair, items: list[Listed]):\n"
+             "    kept.stale = kept.used + pair.left\n"
+             "    made = build()\n"
+             "    return asdict(Dumped(1)), [vars(item) for item in items], vars(made)\n"
+             "def build() -> Made:\n    return Made(1)\n",
+    }
+    assert unread_fields(modules) == ["a:Kept.stale", "a:Pair.right"]
+
+
+def test_every_record_field_under_src_is_read():
+    """A field that no code reads is work and memory spent on every instance;
+    a record dumped whole is read field by field."""
+    modules = {
+        str(module.relative_to(SRC)): module.read_text(encoding="utf-8")
+        for module in sorted(SRC.rglob("*.py"))
+    }
+    assert unread_fields(modules) == sorted(KEPT_UNREAD_FIELDS), (
+        "delete the fields nothing reads, or keep them in KEPT_UNREAD_FIELDS with a reason"
+    )
+
+
 def test_every_traced_treeprm_target_resolves():
     """`perfbench/tracing.py` rebinds treeprm functions and methods by name,
     so a rename under `src/` would break only traced bench runs."""

@@ -187,7 +187,7 @@ class TestExpand:
 
     def test_terminal_precondition(self):
         steps = self.trace.trajectory.steps
-        node = TreeNode(state=steps, action_in=steps[-1])
+        node = TreeNode(state=steps)
         generator = ScriptedGenerator([self.trace], seed=1)
         with pytest.raises(ValueError, match="terminal"):
             expand(node, self.trace.problem, generator, self.verifier, self.cfg)
@@ -245,7 +245,7 @@ class TestSimulate:
 
     def _node_at(self, depth):
         steps = self.trace.trajectory.steps[:depth]
-        node = TreeNode(state=steps, action_in=steps[-1] if steps else None)
+        node = TreeNode(state=steps)
         if steps:
             node.step_verification = VerificationResult(label=1, rationale="r")
         return node
@@ -269,8 +269,7 @@ class TestSimulate:
         trace = trace_from_values([50, 80, 80], error_plan=((2, -60),), problem_id="pe")
         generator = ScriptedGenerator([trace], branch_noise=0.0, seed=2)
         verifier = ExactVerifier([trace])
-        node = TreeNode(state=trace.trajectory.steps[:1],
-                        action_in=trace.trajectory.steps[0])
+        node = TreeNode(state=trace.trajectory.steps[:1])
         node.step_verification = VerificationResult(label=1, rationale="r")
         sim = simulate(node, trace.problem, generator, verifier, self.cfg)
         assert [r.label for r in sim.extension_results] == [-1]
@@ -335,7 +334,6 @@ class TestRunSearch:
         assert len(result.rollouts) == 1
         assert len(result.root.children) == 1
         rollout = result.rollouts[0]
-        assert rollout.expansion_index == 1
         assert len(rollout.steps) == 3
         assert len(rollout.verifications) == 2
         assert rollout.final_flag == 1
@@ -359,7 +357,7 @@ class TestRunSearch:
                                 make_config(max_rounds_R=12))
             dump = export_tree(result.root)
             rollout_digest = [
-                (r.round_index, r.expansion_index, r.final_flag, r.u_value, r.node_reward)
+                (r.round_index, r.steps, r.verifications, r.final_flag)
                 for r in result.rollouts
             ]
             if "first" not in dir(self):
@@ -383,11 +381,9 @@ class TestRunSearch:
 
         flaky = FlakyGenerator(generator)
         result = run_search(trace.problem, flaky, verifier, make_config(max_rounds_R=4))
-        errors = [r for r in result.rounds if r.error]
-        assert len(errors) == 1
-        assert "transient failure" in errors[0].error
+        assert result.errors == [(1, "transient failure")]
         # The two rounds after the failure build the whole 2-step chain.
-        assert len(result.rounds) == 3
+        assert result.rounds == 3
         assert len(result.rollouts) == 2
 
     def test_visit_bookkeeping(self):
@@ -405,37 +401,13 @@ class TestRunSearch:
 
         check(result.root)
 
-    def test_visit_counts_replay_from_recorded_reward_paths(self):
-        # Replaying the per-round reward paths must reconstruct every node's
-        # visit count exactly: each proper prefix of a path gets one visit,
-        # and so does the path itself when it addresses a terminal node.
-        trace, generator, verifier = self._bundle([3, 4, 5, 6], noise=0.7, seed=33)
-        result = run_search(trace.problem, generator, verifier, make_config(max_rounds_R=24))
-        expected: dict[tuple[int, ...], int] = {}
-        for record in result.rounds:
-            assert record.error is None
-            path = record.reward_path_indices
-            rewarded = result.root
-            for index in path:
-                rewarded = rewarded.children[index]
-            for cut in range(len(path) + rewarded.terminal):
-                expected[path[:cut]] = expected.get(path[:cut], 0) + 1
-
-        def walk(node, address):
-            assert node.visit_count == expected.get(address, 0), address
-            for i, child in enumerate(node.children):
-                walk(child, address + (i,))
-
-        walk(result.root, ())
-
     def test_gamma_one_single_rollout_increments_ancestors_by_reward(self):
         trace, generator, verifier = self._bundle([9, 9, 9])
         cfg = make_config(max_rounds_R=1, decay_gamma=1.0)
         result = run_search(trace.problem, generator, verifier, cfg)
-        reward = result.rollouts[0].node_reward
+        (simulated,) = result.root.children
         # Single round at depth 1: the root is the only ancestor.
-        assert result.root.q_value == reward
-        assert result.rollouts[0].node_reward == reward
+        assert result.root.q_value == simulated.q_value
 
     def test_terminal_revisit_rounds_keep_counting(self, all_rounds):
         # A 2-step noise-free chain is fully built in 2 rounds, and the search
@@ -444,7 +416,7 @@ class TestRunSearch:
         trace, generator, verifier = self._bundle([5, 6])
         cfg = make_config(max_rounds_R=10)
         stopped = run_search(trace.problem, generator, verifier, cfg)
-        assert (len(stopped.rounds), stopped.root.visit_count, stopped.open_nodes) == (2, 2, 0)
+        assert (stopped.rounds, stopped.root.visit_count, stopped.open_nodes) == (2, 2, 0)
         with all_rounds:
             result = run_search(trace.problem, generator, verifier, cfg)
         assert result.root.visit_count == 10
@@ -453,7 +425,7 @@ class TestRunSearch:
         leaf = result.root.children[0].children[0]
         assert leaf.visit_count == 9
         assert leaf.state == stopped.rollouts[-1].steps
-        assert leaf.q_value == stopped.rollouts[-1].node_reward == pytest.approx(1.5)
+        assert leaf.q_value == stopped.root.children[0].children[0].q_value == pytest.approx(1.5)
 
     def test_replay_rounds_call_no_backend(self, all_rounds):
         # Once the 2-step chain is built, every backend call raises. The
@@ -483,12 +455,11 @@ class TestRunSearch:
         cfg = make_config(max_rounds_R=10)
         counting_generator, counting_verifier = Budget(generator), Budget(verifier)
         stopped = run_search(trace.problem, counting_generator, counting_verifier, cfg)
-        assert len(stopped.rounds) == 2
+        assert stopped.rounds == 2
         with all_rounds:
             result = run_search(trace.problem, Budget(generator, counting_generator.made),
                                 Budget(verifier, counting_verifier.made), cfg)
-        assert [record.error for record in result.rounds] == [None] * 10
-        assert [record.reward_path_indices for record in result.rounds[2:]] == [(0, 0)] * 8
+        assert (result.rounds, result.errors) == (10, [])
         assert result.rollouts == stopped.rollouts
         assert result.root.visit_count == 10
         assert result.root.children[0].visit_count == 9
@@ -504,7 +475,7 @@ class TestRunSearch:
         assert len(finals) == 3 and all(child.terminal for child in result.root.children)
         assert {rollout.steps for rollout in result.rollouts} == finals
         assert [child.visit_count for child in result.root.children] == [1, 1, 1]
-        assert len(result.rounds) == 3
+        assert result.rounds == 3
 
     def test_one_empty_expansion_costs_one_round(self):
         # Problem 2 of the shipped corpus; its first expansion below the root
@@ -525,10 +496,9 @@ class TestRunSearch:
                 return inner.generate(problem, state, count)
 
         result = run_search(corpus[2].problem, EmptyOnce(), ExactVerifier(corpus), cfg.search)
-        errors = [r.error for r in result.rounds if r.error]
-        assert errors == ["expansion produced no children"]
+        assert [message for _, message in result.errors] == ["expansion produced no children"]
         assert len(emptied) == 1
-        assert len(result.rollouts) == len(result.rounds) - 1
+        assert len(result.rollouts) == result.rounds - 1
         assert result.open_nodes == 0
 
     def test_empty_root_expansion_ends_the_search(self):
@@ -539,7 +509,7 @@ class TestRunSearch:
                 return []
 
         result = run_search(trace.problem, Empty(), verifier, make_config(max_rounds_R=8))
-        assert [r.error for r in result.rounds] == ["expansion produced no children"]
+        assert (result.rounds, result.errors) == (1, [(1, "expansion produced no children")])
         assert result.rollouts == []
         assert result.root.dead_end
 
@@ -556,7 +526,7 @@ class TestRunSearch:
 
         result = run_search(trace.problem, EmptyBelowRoot(), verifier,
                             make_config(max_rounds_R=8))
-        assert len(result.rounds) == 2
+        assert result.rounds == 2
         assert result.root.children[0].dead_end and result.root.dead_end
         assert result.open_nodes == 0
 

@@ -18,6 +18,7 @@ from treeprm.domain import (
     ReasoningStep,
     VerificationResult,
     answers_equal,
+    extract_final_answer,
     normalize_answer,
     parse_rational,
 )
@@ -154,8 +155,8 @@ def test_stopped_search_finds_the_rollouts_of_all_rounds(all_rounds, search):
     with all_rounds:
         reference = run_search(problem, generator, verifier, cfg)
     assert distinct_rollouts(stopped.rollouts) == distinct_rollouts(reference.rollouts)
-    assert stopped.root.visit_count == len(stopped.rounds) <= cfg.max_rounds_R
-    assert len(reference.rounds) == cfg.max_rounds_R
+    assert stopped.root.visit_count == stopped.rounds <= cfg.max_rounds_R
+    assert reference.rounds == cfg.max_rounds_R
 
 
 def reference_select_leaf(root, cfg):
@@ -191,30 +192,51 @@ def test_select_leaf_matches_the_reference_descent(all_rounds, search):
 
     with all_rounds, mock.patch.object(mcts, "select_leaf", checked):
         result = run_search(problem, generator, verifier, cfg)
-    assert len(descents) == len(result.rounds) == cfg.max_rounds_R
+    assert len(descents) == result.rounds == cfg.max_rounds_R
 
 
-def terminal_nodes(node):
-    if node.terminal:
-        yield node
+def tree_nodes(node):
+    yield node
     for child in node.children:
-        yield from terminal_nodes(child)
+        yield from tree_nodes(child)
 
 
 @settings(deterministic, max_examples=200,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(searches())
 def test_visited_terminal_q_is_its_first_reward(all_rounds, search):
+    """A terminal node's first visit simulates from the node itself: its
+    window is empty, so its reward is beta * F + v, and no later round
+    backpropagates into it."""
     problem, generator, verifier, cfg = search
     with all_rounds:
         result = run_search(problem, generator, verifier, cfg)
-    # A rollout simulated from a shallower node can end on the same line
-    # first, with that node's reward; the node's own rollout has its depth.
-    for node in terminal_nodes(result.root):
-        if node.visit_count:
-            first = next(rollout for rollout in result.rollouts if rollout.steps == node.state
-                         and rollout.expansion_index == len(node.state))
-            assert node.q_value == first.node_reward
+    for node in tree_nodes(result.root):
+        if node.terminal and node.visit_count:
+            answer = extract_final_answer(node.state[-1])
+            flag = 1 if answers_equal(answer, problem.gold_answer) else -1
+            assert node.q_value == cfg.outcome_beta * flag + node.step_verification.label
+
+
+@settings(deterministic, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(searches())
+def test_visits_are_the_rounds_that_passed_through(all_rounds, search):
+    """Each round visits the root and every node below it down to the rewarded
+    node's parent; a terminal rewarded node takes a visit too. So a node with
+    children has one visit per visit of a child, plus the round that expanded
+    it and rewarded its simulated child unless that child is terminal, and
+    the root's visits are the rounds run."""
+    problem, generator, verifier, cfg = search
+    with all_rounds:
+        result = run_search(problem, generator, verifier, cfg)
+    assert result.errors == []  # an aborted round visits nothing
+    assert result.root.visit_count == result.rounds
+    for node in tree_nodes(result.root):
+        if node.children:
+            simulated = mcts.choose_simulation_child(node.children)
+            assert node.visit_count == (sum(child.visit_count for child in node.children)
+                                        + (not simulated.terminal))
 
 
 def _digest(question) -> int:

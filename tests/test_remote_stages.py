@@ -308,6 +308,22 @@ def test_a_remote_stage_starts_eight_times_workers_threads_cold_and_warm(
     assert _files(tmp_path / "warm") == _files(tmp_path / "cold")
 
 
+def test_a_warm_cache_replays_generate_against_a_server_on_another_port(
+        tmp_path, fake_server, other_fake_server):
+    """No cache key holds a host or a port, so a cache filled against one
+    server answers every role of a run against another with no request."""
+    RunningSums(fake_server.state, branching=True)
+    config = _config(tmp_path, fake_server.url)
+    assert main(["generate", "--config", str(config), "--output", str(tmp_path / "cold")]) == 0
+    assert _role_counts(fake_server.state)["tool"] > 0
+    config.write_text(config.read_text(encoding="utf-8").replace(
+        fake_server.url, other_fake_server.url), encoding="utf-8")
+    assert main(["generate", "--config", str(config), "--output", str(tmp_path / "warm")]) == 0
+    assert _role_counts(other_fake_server.state) == {"tool": 0}
+    assert other_fake_server.state.request_count == 0
+    assert _files(tmp_path / "warm") == _files(tmp_path / "cold")
+
+
 def _record_connects(monkeypatch) -> list:
     """Every socket that `socket.create_connection` opens from now on."""
     opened = []

@@ -148,7 +148,7 @@ def test_request_bodies_and_cache_names_are_pinned(fake_server, tmp_path):
         ["/v1/chat/completions"] * 5
     assert fake_server.state.tool_requests == ["Final Answer: 5"]
 
-    tool_key = cache_key(("tool", 0, f"{fake_server.url}/tool", "Final Answer: 5"))
+    tool_key = cache_key(("tool", 0, "/tool", "Final Answer: 5"))
     keys = GENERATOR_KEYS + [tool_key, JUDGER_KEY, SCORER_LABEL_KEY, SCORER_LIKELIHOOD_KEY]
     (log,) = cache_dir.iterdir()
     assert log.suffix == ".log"

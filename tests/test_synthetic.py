@@ -1,17 +1,16 @@
 """The synthetic running-sum domain and its oracles."""
 
 import random
+import re
 
 import pytest
 
 from treeprm.domain import ReasoningStep
 from treeprm.synthetic import (
     SyntheticCorpusConfig,
-    SyntheticSpec,
     TrajectoryExhausted,
     build_corpus,
     exact_verify,
-    make_problem,
     oracle_labels,
     oracle_score,
     scripted_generate,
@@ -20,26 +19,33 @@ from treeprm.synthetic import (
 )
 
 
-class TestSyntheticSpec:
-    def test_valid(self):
-        SyntheticSpec(seed=1, num_terms=3, value_range=(0, 9), error_plan=((2, -5),))
+def sampled_trace(seed, terms, error_plan=()):
+    """A trace of `terms` addends in [0, 99] drawn from `seed`."""
+    rng = random.Random(seed)
+    return trace_from_values([rng.randint(0, 99) for _ in range(terms)], error_plan)
 
-    def test_num_terms_floor(self):
-        with pytest.raises(ValueError, match="num_terms"):
-            SyntheticSpec(seed=1, num_terms=1, value_range=(0, 9))
+
+class TestErrorPlan:
+    def test_valid(self):
+        trace_from_values([1, 2, 3], error_plan=((2, -5),))
+
+    def test_needs_an_addend(self):
+        with pytest.raises(ValueError, match="at least one addend"):
+            trace_from_values([])
 
     def test_error_plan_bounds(self):
+        with pytest.raises(ValueError, match=re.escape("error_plan index 4 outside [1, 3]")):
+            trace_from_values([1, 2, 3], error_plan=((4, 1),))
         with pytest.raises(ValueError, match="outside"):
-            SyntheticSpec(seed=1, num_terms=3, value_range=(0, 9), error_plan=((4, 1),))
+            trace_from_values([1, 2, 3], error_plan=((0, 1),))
 
     def test_error_plan_distinct(self):
-        with pytest.raises(ValueError, match="distinct"):
-            SyntheticSpec(seed=1, num_terms=3, value_range=(0, 9),
-                          error_plan=((2, 1), (2, 3)))
+        with pytest.raises(ValueError, match="distinct; 2 repeats"):
+            trace_from_values([1, 2, 3], error_plan=((2, 1), (2, 3)))
 
     def test_error_plan_nonzero(self):
         with pytest.raises(ValueError, match="nonzero"):
-            SyntheticSpec(seed=1, num_terms=3, value_range=(0, 9), error_plan=((2, 0),))
+            trace_from_values([1, 2, 3], error_plan=((2, 0),))
 
 
 class TestTraceConstruction:
@@ -72,12 +78,15 @@ class TestTraceConstruction:
         assert trace.ground_truth_labels == (1, -1, 1, 1)
         assert trace.first_error_index == 2
 
-    def test_make_problem_deterministic(self):
-        spec = SyntheticSpec(seed=7, num_terms=3, value_range=(10, 99))
-        first = make_problem(spec)
-        second = make_problem(spec)
-        assert first == second
-        assert first.problem.id == "synth-7"
+    def test_corpus_trace_draws_its_addends_from_its_own_seed(self):
+        cfg = SyntheticCorpusConfig(count=3, num_terms=(2, 5), value_range=(10, 99), seed=7,
+                                    error_rate=1.0)
+        for index, trace in enumerate(build_corpus(cfg)):
+            seed = 7 * 1_000_003 + index
+            rng = random.Random(seed)
+            values = [rng.randint(10, 99) for _ in trace.addends]
+            assert trace == trace_from_values(values, trace.error_plan,
+                                              problem_id=f"synth-{seed}")
 
 
 class TestScriptedGenerate:
@@ -190,10 +199,7 @@ class TestOracleProperties:
             plan = ()
             if seed % 3 == 0:
                 plan = ((rng.randint(1, terms), rng.choice((-30, 10, 60))),)
-            trace = make_problem(
-                SyntheticSpec(seed=seed, num_terms=terms, value_range=(0, 99),
-                              error_plan=plan)
-            )
+            trace = sampled_trace(seed, terms, plan)
             steps = trace.trajectory.steps
             boundary = trace.first_error_index or len(steps)
             for position in range(boundary):
@@ -205,10 +211,7 @@ class TestOracleProperties:
             rng = random.Random(1_000_000 + seed)
             terms = rng.randint(2, 7)
             position = rng.randint(1, terms)
-            trace = make_problem(
-                SyntheticSpec(seed=seed, num_terms=terms, value_range=(0, 99),
-                              error_plan=((position, rng.choice((-25, 15, 40))),))
-            )
+            trace = sampled_trace(seed, terms, ((position, rng.choice((-25, 15, 40))),))
             labels = oracle_labels(trace.trajectory.steps, trace)
             first = next(i for i, lab in enumerate(labels, start=1) if lab == -1)
             assert first == position
@@ -238,3 +241,5 @@ class TestCorpusBuilder:
     def test_validation(self):
         with pytest.raises(ValueError, match="num_terms"):
             SyntheticCorpusConfig(count=5, num_terms=(1, 4), value_range=(0, 9), seed=0)
+        with pytest.raises(ValueError, match="value_range low must not exceed high"):
+            SyntheticCorpusConfig(count=5, num_terms=(2, 4), value_range=(9, 0), seed=0)
