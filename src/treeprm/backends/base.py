@@ -91,18 +91,18 @@ class StepScorer(Protocol):
 class ProblemMemo:
     """One problem's view of a generator or verifier: each distinct question
     reaches `backend` once, and a repeat gets the first answer with no prompt
-    rendered and no cache key computed. A stage task wraps each such backend
-    it uses and drops the memo with the task, so the memo holds one
-    problem's answers and leaves the problem out of its keys. A key is what
-    the reply depends on: (state, sample index) for a generator with a
-    per-sample `samples` call, whose samples of a state are kept in index
-    order, so sample 0 of a K-way expansion is a one-sample simulation's;
-    (state, count) for any other, whose count may seed its randomness;
-    (step, context) for a verifier, and the query for one with a
-    `tool(query)` call. A scorer is asked directly: the guided decode visits
-    each state once and scores each distinct candidate of it once, so none
-    of its questions repeat. An ask that raised is asked again. Only the
-    task's thread asks, so no lock is taken."""
+    rendered and no cache key computed. `mcts.run_search` wraps its generator
+    and verifier, and `decoding.decode_problem` its generator; each drops the
+    memo when it returns, so the memo holds one problem's answers and leaves
+    the problem out of its keys. A key is what the reply depends on:
+    (state, sample index) for a generator with a per-sample `samples` call,
+    whose samples of a state are kept in index order, so sample 0 of a K-way
+    expansion is a one-sample simulation's; (state, count) for any other,
+    whose count may seed its randomness; (step, context) for a verifier, and
+    the query for one with a `tool(query)` call. A scorer is asked directly:
+    the guided decode visits each state once and scores each distinct
+    candidate of it once, so none of its questions repeat. An ask that
+    raised is asked again. Only one thread asks, so no lock is taken."""
 
     def __init__(self, backend):
         self._backend = backend

@@ -8,8 +8,8 @@ asked for again rather than replayed. With a warm cache a pipeline run issues
 zero network requests and reproduces the run that populated it byte for byte.
 Identical concurrent requests are deduplicated in-flight so only one of them
 hits the network. A question repeated within one problem never gets here: the
-stage's per-problem memo (`base.ProblemMemo`) answers a generator's or a
-verifier's, and a decode never asks its scorer one twice.
+memo (`base.ProblemMemo`) of a search or of a problem's decode answers a
+generator's or a verifier's, and a decode never asks its scorer one twice.
 
 Replies live in append-only logs, one per cache instance, so storing one
 creates no file: `FileResponseCache` gives the record framing and the rules

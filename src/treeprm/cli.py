@@ -31,7 +31,6 @@ from .backends import (
     builtin_template,
     host_origins,
 )
-from .backends.base import ProblemMemo
 from .config import ConfigError, RunConfig, load_config
 from .dataset import (
     MODES,
@@ -41,7 +40,7 @@ from .dataset import (
     run_in_order,
     write_problems,
 )
-from .decoding import decode, decode_log_records, pass_at_n, sample_rollout
+from .decoding import decode_log_records, decode_problem, pass_at_n
 from .evaluation import (
     AnnotatedSample,
     EvalReport,
@@ -173,15 +172,9 @@ def _generate(cfg: RunConfig, problems, generator, verifier, out: Path) -> Build
 
 
 def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
-    """The decode stage: one task per problem on the stage's threads
-    (`_stage_threads`), which decodes the problem reward-guided and then
-    draws its `pass_n` samples in order, through a per-problem memo of the
-    generator (`ProblemMemo`), so the samples and the guided decode share
-    candidate sets. The scorer is asked directly: the guided decode scores
-    each distinct candidate of each state it visits once, and the samples
-    score nothing. Requests of one problem are never sent concurrently, and
-    a failing problem reports the first error its task meets: the guided
-    decode's, else the lowest-numbered failing sample's.
+    """The decode stage: one `decode_problem` task per problem on the
+    stage's threads (`_stage_threads`), so requests of one problem are never
+    sent concurrently.
 
     Writes a problem's lines of `decode_results.jsonl` and `decode_log.jsonl`
     once it and every earlier problem are done, so both files are in problem
@@ -194,17 +187,12 @@ def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
     correct: list[bool] = []
     matrix: list[list[bool]] = []
 
-    def task(problem):
-        policy = ProblemMemo(generator)
-        result = decode(problem, policy, scorer, cfg.decode)
-        return result, [sample_rollout(problem, policy, cfg.decode, s)[1] for s in range(pass_n)]
-
     def emit(decoded) -> None:
         result, row = decoded
         write_result({
             "id": result.problem_id,
             "correct": result.correct,
-            "complete": result.complete,
+            "complete": result.trajectory.complete,
             "final_answer": result.trajectory.final_answer,
             "steps": [s.action for s in result.trajectory.steps],
         })
@@ -215,8 +203,8 @@ def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
 
     with jsonl_writer(out / "decode_results.jsonl") as write_result, \
             jsonl_writer(out / "decode_log.jsonl") as write_log:
-        run_in_order(task, problems, emit,
-                     _stage_threads(cfg, ("generator", "scorer"), len(problems)))
+        run_in_order(lambda problem: decode_problem(problem, generator, scorer, cfg.decode),
+                     problems, emit, _stage_threads(cfg, ("generator", "scorer"), len(problems)))
     return {
         "guided_accuracy": sum(correct) / len(correct) if correct else 0.0,
         "pass_at_1": pass_at_n(matrix, 1) if matrix else 0.0,
@@ -340,6 +328,8 @@ def _synth_eval(traces: list[SyntheticTrace], out: Path) -> EvalReport:
 
 def cmd_synth(args) -> int:
     cfg = _load_cfg(args)
+    if cfg.paths.problems_file is not None:
+        raise ConfigError("synth generates its own problems; remove paths.problems_file")
     if cfg.synthetic is None:
         raise ConfigError("synth requires a [synthetic] corpus section")
     out = _outdir(cfg, args.output)
@@ -401,8 +391,7 @@ def cmd_inspect(args) -> int:
             f"--problem-index {args.problem_index} is out of range for "
             f"{len(problems)} problems"
         )
-    result = run_search(problem, ProblemMemo(backends["generator"]),
-                        ProblemMemo(backends["verifier"]), cfg.search)
+    result = run_search(problem, backends["generator"], backends["verifier"], cfg.search)
     dump = export_tree(result.root)
     if args.output:
         path = Path(args.output)

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__ as PIPELINE_VERSION
-from .backends.base import ProblemMemo, StepGenerator, StepVerifier
+from .backends.base import StepGenerator, StepVerifier
 from .domain import (
     NORMALIZATION_VERSION,
     Problem,
@@ -122,7 +122,6 @@ class CandidateTrace:
     steps_text: tuple[str, ...]
     labels: tuple[int, ...] | None
     rationales: tuple[str, ...]
-    complete: bool
     all_verifiable: bool
     flips: tuple[FlipEvent, ...]
 
@@ -158,7 +157,7 @@ def assemble_candidate(
     if not rollout.complete:
         rationales = tuple(res.rationale for res in rollout.verifications)
         return CandidateTrace(
-            problem, rollout, steps_text, None, rationales, False, all_verifiable, ()
+            problem, rollout, steps_text, None, rationales, all_verifiable, ()
         )
 
     hybrid_steps = labelled_steps(verification_labels, rollout.final_flag, beta, gamma)
@@ -179,14 +178,13 @@ def assemble_candidate(
         final_answer_rationale(rollout.final_flag, rollout.final_answer, problem.gold_answer),
     )
     return CandidateTrace(
-        problem, rollout, steps_text, tuple(labels), rationales, True, all_verifiable,
-        tuple(flips),
+        problem, rollout, steps_text, tuple(labels), rationales, all_verifiable, tuple(flips),
     )
 
 
 def filter_trace(candidate: CandidateTrace) -> str | None:
     """Keep (None) or the single drop reason, checked in fixed order."""
-    if not candidate.complete:
+    if not candidate.rollout.complete:
         return "incomplete"
     if not candidate.all_verifiable:
         return "unverifiable"
@@ -448,11 +446,12 @@ def build_dataset(
     the instances labelled in `mode` to `output_path`. Provenance takes its
     seed from `search_cfg` and records `config_hash`.
 
-    Problems run on `workers` threads (`run_in_order`), each asking through
-    its own `ProblemMemo`s. A problem's instances are written once it and
-    every earlier problem are done, so the file is in the given problem order
-    and no instance outlives its write. A failing problem is recorded and
-    skipped, never fatal; an unknown mode fails before the file is opened.
+    Problems run on `workers` threads (`run_in_order`); each problem's
+    `run_search` wraps the backends in memos of its own. A problem's
+    instances are written once it and every earlier problem are done, so the
+    file is in the given problem order and no instance outlives its write. A
+    failing problem is recorded and skipped, never fatal; an unknown mode
+    fails before the file is opened.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
@@ -460,8 +459,7 @@ def build_dataset(
 
     def task(problem: Problem):
         try:
-            return _build_one(problem, ProblemMemo(generator), ProblemMemo(verifier),
-                              search_cfg, mode, config_hash)
+            return _build_one(problem, generator, verifier, search_cfg, mode, config_hash)
         except Exception as err:  # noqa: BLE001 - per-problem isolation is the contract
             return [], {}, [], [{"problem_id": problem.id, "error": str(err)}], 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .backends.base import StepGenerator, StepScorer
+from .backends.base import ProblemMemo, StepGenerator, StepScorer
 from .domain import Problem, ReasoningStep, Trajectory, answers_equal, extract_final_answer
 from .jsonio import read_jsonl, write_jsonl
 from .mcts import best_index
@@ -54,7 +54,6 @@ class StepDecision:
 class DecodeResult:
     problem_id: str
     trajectory: Trajectory
-    complete: bool
     correct: bool
     decisions: tuple[StepDecision, ...]
 
@@ -117,18 +116,15 @@ def decode(
         state = state + (step,)
         if step.is_final:
             final_answer = extract_final_answer(step)
-            trajectory = Trajectory(problem.id, state, final_answer)
             return DecodeResult(
                 problem_id=problem.id,
-                trajectory=trajectory,
-                complete=True,
+                trajectory=Trajectory(state, final_answer),
                 correct=answers_equal(final_answer, problem.gold_answer),
                 decisions=tuple(decisions),
             )
     return DecodeResult(
         problem_id=problem.id,
-        trajectory=Trajectory(problem.id, state, None),
-        complete=False,
+        trajectory=Trajectory(state, None),
         correct=False,
         decisions=tuple(decisions),
     )
@@ -153,8 +149,22 @@ def sample_rollout(
         if step.is_final:
             final_answer = extract_final_answer(step)
             correct = answers_equal(final_answer, problem.gold_answer)
-            return Trajectory(problem.id, state, final_answer), correct
-    return Trajectory(problem.id, state, None), False
+            return Trajectory(state, final_answer), correct
+    return Trajectory(state, None), False
+
+
+def decode_problem(problem: Problem, generator: StepGenerator, scorer: StepScorer,
+                   cfg: DecodeConfig) -> tuple[DecodeResult, list[bool]]:
+    """One problem's guided `decode`, then its `pass_n` `sample_rollout`s in
+    order, with whether each sample is correct. Both ask `generator` through
+    one `ProblemMemo`, so they share candidate sets. The scorer is asked
+    directly: the guided decode scores each distinct candidate of each state
+    it visits once, and the samples score nothing. A failing problem raises
+    the first error it meets: the guided decode's, else the lowest-numbered
+    failing sample's."""
+    policy = ProblemMemo(generator)
+    result = decode(problem, policy, scorer, cfg)
+    return result, [sample_rollout(problem, policy, cfg, s)[1] for s in range(cfg.pass_n)]
 
 
 def pass_at_n(per_sample_correctness: Sequence[Sequence[bool]], n: int) -> float:

@@ -70,7 +70,6 @@ StepSequence = tuple[ReasoningStep, ...]
 class Trajectory:
     """An ordered step sequence, optionally completed by a final-answer step."""
 
-    problem_id: str
     steps: StepSequence
     final_answer: str | None = None
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from math import inf, log, sqrt
 from typing import NamedTuple, Sequence
 
-from .backends.base import BackendError, StepGenerator, StepVerifier
+from .backends.base import BackendError, ProblemMemo, StepGenerator, StepVerifier
 from .domain import (
     Problem,
     ReasoningStep,
@@ -126,7 +126,6 @@ class RolloutOutcome:
     truncated without a final answer (complete=False, final_flag=-1).
     """
 
-    problem_id: str
     round_index: int
     steps: StepSequence
     verifications: tuple[VerificationResult, ...]
@@ -333,10 +332,13 @@ def run_search(
     """Run at most R rounds of select / expand / simulate / aggregate /
     backpropagate, stopping early once no node is open.
 
-    A backend error aborts only its round (recorded in `errors`); partial
-    trees are valid output. Deterministic given the config seed and
-    deterministic backends.
+    Asks `generator` and `verifier` through memos of its own (`ProblemMemo`),
+    so each distinct question of the search reaches a backend once. A backend
+    error aborts only its round (recorded in `errors`); partial trees are
+    valid output. Deterministic given the config seed and deterministic
+    backends.
     """
+    generator, verifier = ProblemMemo(generator), ProblemMemo(verifier)
     result = SearchResult(root=TreeNode())
     for round_index in range(1, cfg.max_rounds_R + 1):
         if not result.open_nodes:
@@ -417,7 +419,6 @@ def _run_round(
         verifications = tree_part + (sim_node.step_verification,) + sim.extension_results
     result.rollouts.append(
         RolloutOutcome(
-            problem_id=problem.id,
             round_index=round_index,
             steps=sim.steps,
             verifications=verifications,

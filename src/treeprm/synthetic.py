@@ -107,9 +107,7 @@ def trace_from_values(
         gold_answer=str(true_total),
         source="synthetic",
     )
-    trajectory = Trajectory(
-        problem_id=problem_id, steps=tuple(steps), final_answer=str(stated_total)
-    )
+    trajectory = Trajectory(steps=tuple(steps), final_answer=str(stated_total))
     return SyntheticTrace(
         problem=problem,
         addends=addends,

@@ -2,8 +2,11 @@
 
 import argparse
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import MISSING, asdict, fields, replace
@@ -33,7 +36,8 @@ from treeprm.jsonio import read_jsonl
 from treeprm.mcts import SearchConfig
 from treeprm.synthetic import SyntheticCorpusConfig, build_corpus, trace_from_values
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def base_config(out_dir: Path) -> dict:
@@ -508,6 +512,36 @@ class TestCliSynth:
                      "--seed", "99"]) == 0
         assert (out_a / "problems.jsonl").read_bytes() != (out_b / "problems.jsonl").read_bytes()
 
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """A set or dict of strings iterates in an order that the interpreter's
+        hash seed decides, so a run whose bytes followed one would differ."""
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for seed in ("0", "12345"):
+            subprocess.run(
+                [sys.executable, "-m", "treeprm.cli", "synth", "--config",
+                 str(ROOT / "configs" / "synth.json"), "--seed", "3",
+                 "--output", str(tmp_path / seed)],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                stdout=subprocess.DEVNULL, check=True, timeout=120)
+            outputs.append(tree_bytes(tmp_path / seed))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 11
+
+    @pytest.mark.parametrize("command", ["generate", "synth"])
+    def test_a_problems_file_is_rejected(self, tmp_path, capsys, command):
+        problems = tmp_path / "problems.jsonl"
+        problems.write_text('{"id": "p", "statement": "s", "gold_answer": "1"}\n',
+                            encoding="utf-8")
+        config = write_config(tmp_path, lambda cfg: cfg["paths"].update(
+            problems_file=str(problems)))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--output", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "remove paths.problems_file" in err["message"]
+        assert not out.exists()
+
 
 class TestCliGenerate:
     def test_outcome_only_labels_equal_outcome_sign(self, tmp_path):
@@ -710,7 +744,7 @@ def test_decode_stage_matches_decode_and_sample_rollout_called_directly(run):
                for s in range(cfg.decode.pass_n)] for problem in problems]
 
     assert written == [
-        {"id": r.problem_id, "correct": r.correct, "complete": r.complete,
+        {"id": r.problem_id, "correct": r.correct, "complete": r.trajectory.complete,
          "final_answer": r.trajectory.final_answer,
          "steps": [s.action for s in r.trajectory.steps]}
         for r in results

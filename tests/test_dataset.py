@@ -90,7 +90,7 @@ class TestAssembleAndFilter:
     def test_incomplete_dropped(self, clean_trace):
         rollout = rollout_for(clean_trace)[0]
         truncated = RolloutOutcome(
-            problem_id=rollout.problem_id, round_index=1,
+            round_index=1,
             steps=rollout.steps[:2], verifications=rollout.verifications[:2],
             complete=False, final_answer=None, final_flag=-1,
         )
@@ -101,7 +101,7 @@ class TestAssembleAndFilter:
         rollout = rollout_for(clean_trace)[0]
         broken = VerificationResult(label=-1, rationale="unparseable", verifiable=False)
         tampered = RolloutOutcome(
-            problem_id=rollout.problem_id, round_index=1,
+            round_index=1,
             steps=rollout.steps,
             verifications=(rollout.verifications[0], broken),
             complete=True, final_answer=rollout.final_answer, final_flag=rollout.final_flag,
@@ -113,7 +113,7 @@ class TestAssembleAndFilter:
         rollout = rollout_for(clean_trace)[0]
         broken = VerificationResult(label=-1, rationale="unparseable", verifiable=False)
         both = RolloutOutcome(
-            problem_id=rollout.problem_id, round_index=1,
+            round_index=1,
             steps=rollout.steps[:2], verifications=(rollout.verifications[0], broken),
             complete=False, final_answer=None, final_flag=-1,
         )

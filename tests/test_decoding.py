@@ -129,7 +129,7 @@ class TestDecode:
     def test_oracle_scorer_solves_noisy_problem(self):
         trace, policy, scorer = bundle([50, 80, 80], noise=1.0)
         result = decode(trace.problem, policy, scorer, decode_cfg())
-        assert result.complete and result.correct
+        assert result.trajectory.complete and result.correct
         assert result.trajectory.final_answer == "210"
 
     def test_negated_oracle_fails_when_wrong_branches_exist(self):
@@ -141,7 +141,7 @@ class TestDecode:
     def test_max_steps_truncation(self):
         trace, policy, scorer = bundle([1, 2, 3])
         result = decode(trace.problem, policy, scorer, decode_cfg(max_steps=1))
-        assert not result.complete
+        assert not result.trajectory.complete
         assert not result.correct
         assert result.trajectory.final_answer is None
 

@@ -122,22 +122,22 @@ def _step(index, action="a", is_final=False):
 
 class TestTrajectory:
     def test_complete_trajectory(self):
-        t = Trajectory("p", (_step(1), _step(2, is_final=True)), final_answer="5")
+        t = Trajectory((_step(1), _step(2, is_final=True)), final_answer="5")
         assert t.complete
 
     def test_contiguous_indices_enforced(self):
         with pytest.raises(ValueError, match="contiguous"):
-            Trajectory("p", (_step(1), _step(3)))
+            Trajectory((_step(1), _step(3)))
 
     def test_final_only_on_last(self):
         with pytest.raises(ValueError, match="last step"):
-            Trajectory("p", (_step(1, is_final=True), _step(2)))
+            Trajectory((_step(1, is_final=True), _step(2)))
 
     def test_final_answer_iff_final_step(self):
         with pytest.raises(ValueError, match="final answer"):
-            Trajectory("p", (_step(1), _step(2, is_final=True)))
+            Trajectory((_step(1), _step(2, is_final=True)))
         with pytest.raises(ValueError, match="without a final step"):
-            Trajectory("p", (_step(1),), final_answer="5")
+            Trajectory((_step(1),), final_answer="5")
 
 
 class TestVerificationResult:

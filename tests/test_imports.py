@@ -244,11 +244,12 @@ def _last_name(node: ast.expr) -> str | None:
     return node.attr if isinstance(node, ast.Attribute) else None
 
 
-def whole_records(trees: list[ast.Module], records: set[str]) -> set[str]:
-    """Records some call of `vars`, `asdict` or `fields` may take whole. An
-    argument is known by its last name, as a record itself or as a name that
-    an annotation, a call of an annotated function or a loop over a known name
-    gives a record type to. Names are not scoped, so a name that has a record
+def record_types(trees: list[ast.Module], records: set[str]):
+    """A function from an expression to the records it may hold. An
+    expression is known by its last name, as a record itself or as a name
+    that an annotation, a call of an annotated function or a loop over a
+    known name gives a record type to; a call is known by what it builds or
+    is annotated to return. Names are not scoped, so a name that has a record
     type anywhere has it everywhere."""
     def mentioned(annotation) -> set[str]:
         if annotation is None:
@@ -261,6 +262,13 @@ def whole_records(trees: list[ast.Module], records: set[str]) -> set[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             returns.setdefault(node.name, set()).update(mentioned(node.returns))
     typed = {record: {record} for record in records}
+
+    def types(node: ast.expr) -> set[str]:
+        found = typed.get(_last_name(node), set())
+        if isinstance(node, ast.Call):
+            found = found | returns.get(_last_name(node), set())
+        return found
+
     for node in nodes:
         if isinstance(node, ast.arg):
             typed.setdefault(node.arg, set()).update(mentioned(node.annotation))
@@ -268,36 +276,63 @@ def whole_records(trees: list[ast.Module], records: set[str]) -> set[str]:
             typed.setdefault(node.target.id, set()).update(mentioned(node.annotation))
     for node in nodes:
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            called = typed.get(_last_name(node.value), set()) & records
-            called |= returns.get(_last_name(node.value), set())
             for target in node.targets:
                 if isinstance(target, ast.Name):
-                    typed.setdefault(target.id, set()).update(called)
+                    typed.setdefault(target.id, set()).update(types(node.value))
     for node in nodes:
         if isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name):
-            typed.setdefault(node.target.id, set()).update(
-                typed.get(_last_name(node.iter), set()))
+            typed.setdefault(node.target.id, set()).update(types(node.iter))
+    return types
+
+
+def whole_records(trees: list[ast.Module], types) -> set[str]:
+    """Records some call of `vars`, `asdict` or `fields` may take whole."""
     whole = set()
-    for node in nodes:
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in WHOLE_RECORD_CALLS and node.args):
-            whole |= typed.get(_last_name(node.args[0]), set())
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in WHOLE_RECORD_CALLS and node.args):
+                whole |= types(node.args[0])
     return whole
+
+
+def fields_read(tree: ast.Module, types) -> set[tuple[str, str]]:
+    """(record, field) for each attribute that `tree` loads: `self.x` for the
+    class that encloses it, any other receiver for the records `types` gives
+    it, and a receiver of unknown type for no record."""
+    read = set()
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            receiver = node.value
+            if isinstance(receiver, ast.Name) and receiver.id == "self":
+                owners = {owner}
+            else:
+                owners = types(receiver)
+            read.update((record, node.attr) for record in owners)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return read
 
 
 def unread_fields(modules: dict[str, str]) -> list[str]:
     """`module:Record.field` for each field of a dataclass or NamedTuple in
-    `modules` (name to source) that no module reads as an attribute, unless
-    its record is taken whole by `vars`, `asdict` or `fields`."""
+    `modules` (name to source) that no module reads as an attribute of that
+    record, unless the record is taken whole by `vars`, `asdict` or
+    `fields`."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     fields = {name: record_fields(tree) for name, tree in trees.items()}
     records = {record for found in fields.values() for record in found}
-    whole = whole_records(list(trees.values()), records)
-    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    types = record_types(list(trees.values()), records)
+    whole = whole_records(list(trees.values()), types)
+    read = set().union(*(fields_read(tree, types) for tree in trees.values()))
     return sorted(f"{module}:{record}.{name}"
                   for module, found in fields.items() for record, names in found.items()
-                  if record not in whole for name in names if name not in read)
+                  if record not in whole for name in names if (record, name) not in read)
 
 
 def test_field_checker_finds_unread_fields():
@@ -308,13 +343,27 @@ def test_field_checker_finds_unread_fields():
              "@dataclass\nclass Dumped:\n    only_dumped: int\n"
              "@dataclass\nclass Listed:\n    listed: int\n"
              "@dataclass\nclass Made:\n    made: int\n",
-        "b": "def dump(kept, pair: Pair, items: list[Listed]):\n"
+        "b": "def dump(kept: Kept, pair: Pair, items: list[Listed]):\n"
              "    kept.stale = kept.used + pair.left\n"
              "    made = build()\n"
              "    return asdict(Dumped(1)), [vars(item) for item in items], vars(made)\n"
              "def build() -> Made:\n    return Made(1)\n",
     }
     assert unread_fields(modules) == ["a:Kept.stale", "a:Pair.right"]
+
+
+def test_field_checker_keys_reads_on_the_receivers_record():
+    """A read counts for the record its receiver holds: `self` for the
+    enclosing class, and a receiver of unknown type for no record."""
+    modules = {
+        "a": "from dataclasses import dataclass\n"
+             "@dataclass\nclass Left:\n    name: str\n"
+             "@dataclass\nclass Right:\n    name: str\n    size: int\n"
+             "    def grown(self):\n        return self.size + 1\n"
+             "@dataclass\nclass Loose:\n    tag: str\n",
+        "b": "def show(left: Left, thing):\n    return left.name, thing.tag\n",
+    }
+    assert unread_fields(modules) == ["a:Loose.tag", "a:Right.name"]
 
 
 def test_every_record_field_under_src_is_read():

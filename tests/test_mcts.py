@@ -386,6 +386,26 @@ class TestRunSearch:
         assert result.rounds == 3
         assert len(result.rollouts) == 2
 
+    def test_each_distinct_question_reaches_a_bare_backend_once(self):
+        # Simulations walk states and steps that earlier rounds asked about;
+        # the search answers those repeats itself.
+        trace, generator, verifier = self._bundle([10, 20, 30, 40], noise=0.5, seed=3)
+        asked = []
+
+        class Counting:
+            def generate(self, problem, state, count):
+                asked.append(("generate", state, count))
+                return generator.generate(problem, state, count)
+
+            def verify(self, problem, step, context):
+                asked.append(("verify", step, context))
+                return verifier.verify(problem, step, context)
+
+        result = run_search(trace.problem, Counting(), Counting(), make_config(max_rounds_R=16))
+        assert len(result.rollouts) > 1
+        assert {kind for kind, _, _ in asked} == {"generate", "verify"}
+        assert len(asked) == len(set(asked))
+
     def test_visit_bookkeeping(self):
         trace, generator, verifier = self._bundle([3, 4, 5], noise=0.8, seed=21)
         cfg = make_config(max_rounds_R=20)

@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from treeprm import cli, dataset
+from treeprm import cli, dataset, decoding
 from treeprm.backends.synthetic import OracleScorer
 from treeprm.cli import main
 from treeprm.config import load_config
@@ -73,7 +73,7 @@ def test_out_of_order_completion_writes_the_bytes_of_one_worker(tmp_path):
 
     cfg, problems, backends = shipped_inputs(workers=3)
     finisher = LastFinisher(problems)
-    build_one, decode_one, sample = dataset._build_one, cli.decode, cli.sample_rollout
+    build_one, decode_one, sample = dataset._build_one, decoding.decode, decoding.sample_rollout
 
     def held_build_one(problem, *args):
         finisher.hold(problem)
@@ -96,8 +96,8 @@ def test_out_of_order_completion_writes_the_bytes_of_one_worker(tmp_path):
         cli._generate(cfg, problems, backends["generator"], backends["verifier"], out)
     assert finisher.released.is_set()
     finisher = LastFinisher(problems)
-    with mock.patch.object(cli, "decode", held_decode), \
-            mock.patch.object(cli, "sample_rollout", counted_sample):
+    with mock.patch.object(decoding, "decode", held_decode), \
+            mock.patch.object(decoding, "sample_rollout", counted_sample):
         cli._decode(cfg, problems, backends["generator"], backends["scorer"], out)
     assert finisher.released.is_set()
     for name in STAGE_FILES:
