@@ -123,29 +123,29 @@ def _load_cfg(args) -> RunConfig:
 
 
 def _stage_inputs(args, roles: tuple[str, ...]):
-    """The set-up of `generate`, `decode` and `inspect`: the config with the
-    CLI overrides, the problems, their synthetic traces and the backends of
+    """The set-up of every command that runs stages: the config with the CLI
+    overrides, the problems, their synthetic traces and the backends of
     `roles`.
 
-    Only the roles the command uses decide where the problems come from: a
-    synthetic backend needs the corpus, remote ones a problems file (and the
-    traces are None).
+    The problems come from the synthetic corpus in `synth`, which always
+    builds it for its oracle eval, and in any command with a synthetic
+    backend among `roles`, which needs the traces. Otherwise every backend
+    is remote, the problems come from `paths.problems_file` and the traces
+    are None.
     """
     cfg = _load_cfg(args)
-    traces = None
-    if any(cfg.backends[role] is None for role in roles):
+    if args.command == "synth" or any(cfg.backends[role] is None for role in roles):
+        source = "problems come from the synthetic corpus in synth and with a synthetic backend"
         if cfg.paths.problems_file is not None:
-            raise ConfigError(
-                "synthetic backends generate their own problems; remove "
-                "paths.problems_file or switch every backend to http"
-            )
+            raise ConfigError(f"{source}; remove paths.problems_file")
         if cfg.synthetic is None:
-            raise ConfigError("synthetic backends require a [synthetic] corpus section")
+            raise ConfigError(f"{source}; add a [synthetic] section")
         traces = build_corpus(cfg.synthetic)
         problems = [trace.problem for trace in traces]
     elif cfg.paths.problems_file is None:
         raise ConfigError("paths.problems_file is required when all backends are remote")
     else:
+        traces = None
         problems = load_problems(cfg.paths.problems_file)
     return cfg, problems, traces, _build_backends(cfg, traces, roles, args.closing)
 
@@ -163,12 +163,17 @@ def _stage_threads(cfg: RunConfig, roles: tuple[str, ...], problems: int) -> int
 
 
 def _generate(cfg: RunConfig, problems, generator, verifier, out: Path) -> BuildReport:
-    """The generate stage: search every problem and emit `dataset.jsonl`."""
-    return build_dataset(
+    """The generate stage: search every problem and write `dataset.jsonl` and
+    `summary.json`."""
+    report = build_dataset(
         problems, generator, verifier, cfg.search, out / "dataset.jsonl",
         mode=cfg.mode, config_hash=cfg.config_hash,
         workers=_stage_threads(cfg, ("generator", "verifier"), len(problems)),
     )
+    write_json(out / "summary.json", {**report.summary_dict(), "mode": cfg.mode,
+                                      "rng_seed": cfg.search.rng_seed,
+                                      "config_hash": cfg.config_hash})
+    return report
 
 
 def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
@@ -180,8 +185,9 @@ def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
     once it and every earlier problem are done, so both files are in problem
     order, and keeps only each problem's `correct` flag and pass@n row. The
     first failing problem in problem order ends the stage with its error
-    (`run_in_order`); the files then hold the problems before it. Returns
-    the guided accuracy and pass@1 / pass@n.
+    (`run_in_order`); the files then hold the problems before it. Then writes
+    `decode_summary.json` and returns its guided accuracy and pass@1 /
+    pass@n.
     """
     pass_n = cfg.decode.pass_n
     correct: list[bool] = []
@@ -205,23 +211,23 @@ def _decode(cfg: RunConfig, problems, generator, scorer, out: Path) -> dict:
             jsonl_writer(out / "decode_log.jsonl") as write_log:
         run_in_order(lambda problem: decode_problem(problem, generator, scorer, cfg.decode),
                      problems, emit, _stage_threads(cfg, ("generator", "scorer"), len(problems)))
-    return {
+    decoded = {
         "guided_accuracy": sum(correct) / len(correct) if correct else 0.0,
         "pass_at_1": pass_at_n(matrix, 1) if matrix else 0.0,
         f"pass_at_{pass_n}": pass_at_n(matrix, pass_n) if matrix else 0.0,
     }
+    write_json(out / "decode_summary.json", {**decoded, "problems": len(problems),
+                                             "rng_seed": cfg.decode.rng_seed,
+                                             "config_hash": cfg.config_hash})
+    return decoded
 
 
 def cmd_generate(args) -> int:
     cfg, problems, traces, backends = _stage_inputs(args, ("generator", "verifier"))
     out = _outdir(cfg, args.output)
-    report = _generate(cfg, problems, backends["generator"], backends["verifier"], out)
     if traces is not None:
         write_problems(out / "problems.jsonl", problems)
-    summary = report.summary_dict()
-    summary.update({"mode": cfg.mode, "rng_seed": cfg.search.rng_seed,
-                    "config_hash": cfg.config_hash})
-    write_json(out / "summary.json", summary)
+    report = _generate(cfg, problems, backends["generator"], backends["verifier"], out)
     print(f"generate: kept {report.kept} of {report.rollouts_total} rollouts "
           f"({report.dropped_total} dropped) -> {out / 'dataset.jsonl'}")
     return 0
@@ -230,11 +236,8 @@ def cmd_generate(args) -> int:
 def cmd_decode(args) -> int:
     cfg, problems, _, backends = _stage_inputs(args, ("generator", "scorer"))
     out = _outdir(cfg, args.output)
-    summary = _decode(cfg, problems, backends["generator"], backends["scorer"], out)
-    summary.update({"problems": len(problems), "rng_seed": cfg.decode.rng_seed,
-                    "config_hash": cfg.config_hash})
-    write_json(out / "decode_summary.json", summary)
-    print(f"decode: guided accuracy {summary['guided_accuracy']:.3f} on "
+    decoded = _decode(cfg, problems, backends["generator"], backends["scorer"], out)
+    print(f"decode: guided accuracy {decoded['guided_accuracy']:.3f} on "
           f"{len(problems)} problems -> {out}")
     return 0
 
@@ -288,12 +291,14 @@ def _eval(predictions: list[Prediction], annotations: list[AnnotatedSample],
 
 def cmd_eval(args) -> int:
     out = Path(args.output) if args.output else None
-    if args.reference or args.pairs:
-        return _eval_reference(reference_rows(None if args.reference else args.pairs), out)
-    if not args.annotations or not args.predictions:
+    scored = args.annotations is not None or args.predictions is not None
+    if [args.reference, args.pairs is not None, scored].count(True) != 1 or (
+            scored and None in (args.annotations, args.predictions)):
         raise ConfigError(
-            "eval needs --annotations and --predictions, or --pairs, or --reference"
+            "eval takes one input: --annotations with --predictions, --pairs or --reference"
         )
+    if not scored:
+        return _eval_reference(reference_rows(args.pairs), out)
     annotations = load_annotated(args.annotations)
     _, text = _eval(load_predictions(args.predictions), annotations, out, "predictions", "-")
     print(text, end="")
@@ -327,22 +332,13 @@ def _synth_eval(traces: list[SyntheticTrace], out: Path) -> EvalReport:
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_cfg(args)
-    if cfg.paths.problems_file is not None:
-        raise ConfigError("synth generates its own problems; remove paths.problems_file")
-    if cfg.synthetic is None:
-        raise ConfigError("synth requires a [synthetic] corpus section")
+    """The generate stage, the decode stage and the oracle eval over one
+    set-up, then `report.json` and `report.txt` from their results."""
+    cfg, problems, traces, backends = _stage_inputs(args, ("generator", "verifier", "scorer"))
     out = _outdir(cfg, args.output)
-    traces = build_corpus(cfg.synthetic)
-    problems = [trace.problem for trace in traces]
-    backends = _build_backends(cfg, traces, ("generator", "verifier", "scorer"), args.closing)
-
     write_problems(out / "problems.jsonl", problems)
-
     eval_report = _synth_eval(traces, out)
-
     build_report = _generate(cfg, problems, backends["generator"], backends["verifier"], out)
-    write_json(out / "dataset_summary.json", build_report.summary_dict())
     decoded = _decode(cfg, problems, backends["generator"], backends["scorer"], out)
 
     dropped = dict(sorted(build_report.dropped.items()))
@@ -379,16 +375,17 @@ def cmd_synth(args) -> int:
 
 def cmd_inspect(args) -> int:
     cfg, problems, _, backends = _stage_inputs(args, ("generator", "verifier"))
-    if args.problem_id:
+    index = 0 if args.problem_index is None else args.problem_index
+    if args.problem_id is not None:
         matches = [p for p in problems if p.id == args.problem_id]
         if not matches:
             raise ConfigError(f"no problem with id {args.problem_id}")
         problem = matches[0]
-    elif 0 <= args.problem_index < len(problems):
-        problem = problems[args.problem_index]
+    elif 0 <= index < len(problems):
+        problem = problems[index]
     else:
         raise ConfigError(
-            f"--problem-index {args.problem_index} is out of range for "
+            f"--problem-index {index} is out of range for "
             f"{len(problems)} problems"
         )
     result = run_search(problem, backends["generator"], backends["verifier"], cfg.search)
@@ -441,9 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     # inspect runs on one thread and writes no labels: no --workers or --mode.
     p_inspect = sub.add_parser("inspect", help="dump one problem's search tree")
     _add_common(p_inspect)
-    p_inspect.add_argument("--problem-id", default=None, help="problem id to inspect")
-    p_inspect.add_argument("--problem-index", type=int, default=0,
-                           help="fallback positional index when no id is given")
+    target = p_inspect.add_mutually_exclusive_group()
+    target.add_argument("--problem-id", default=None, help="problem id to inspect")
+    target.add_argument("--problem-index", type=int, default=None,
+                        help="position of the problem to inspect (default 0)")
     p_inspect.add_argument("--output", default=None, help="file for the tree dump")
     p_inspect.set_defaults(func=cmd_inspect)
     return parser

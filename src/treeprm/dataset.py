@@ -313,6 +313,7 @@ def _build_one(
     drops: dict[str, int] = {}
     flips: list[FlipEvent] = []
     result = run_search(problem, generator, verifier, search_cfg)
+    tree_id = tree_id_for(problem.id, search_cfg.rng_seed)
     errors = [{"problem_id": problem.id, "round": round_index, "error": message}
               for round_index, message in result.errors]
     # A candidate depends on the rollout only through its steps and
@@ -337,7 +338,7 @@ def _build_one(
             continue
         provenance = Provenance(
             problem_id=problem.id,
-            tree_id=tree_id_for(problem.id, search_cfg.rng_seed),
+            tree_id=tree_id,
             rollout_index=rollout.round_index,
             rng_seed=search_cfg.rng_seed,
             config_hash=config_hash,

@@ -489,11 +489,45 @@ class TestCliSynth:
         assert tree_bytes(out_a) == tree_bytes(out_b)
         expected = {
             "problems.jsonl", "annotations.jsonl", "predictions.jsonl",
-            "dataset.jsonl", "dataset_summary.json", "decode_log.jsonl",
-            "decode_results.jsonl", "eval_report.json", "eval_report.txt",
-            "report.json", "report.txt",
+            "dataset.jsonl", "summary.json", "decode_log.jsonl",
+            "decode_results.jsonl", "decode_summary.json", "eval_report.json",
+            "eval_report.txt", "report.json", "report.txt",
         }
         assert expected <= set(tree_bytes(out_a))
+
+    def test_synth_writes_the_bytes_of_its_stages(self, tmp_path):
+        """`generate` and `decode` into one directory write a subset of the
+        files `synth` writes, each byte for byte, also on two workers."""
+        config = write_config(tmp_path)
+        synth, stages = tmp_path / "synth", tmp_path / "stages"
+        assert main(["synth", "--config", str(config), "--workers", "2",
+                     "--output", str(synth)]) == 0
+        for command in ("generate", "decode"):
+            assert main([command, "--config", str(config), "--workers", "2",
+                         "--output", str(stages)]) == 0
+        staged, synthesized = tree_bytes(stages), tree_bytes(synth)
+        assert set(staged) == {"problems.jsonl", "dataset.jsonl", "summary.json",
+                               "decode_results.jsonl", "decode_log.jsonl",
+                               "decode_summary.json"}
+        assert staged == {name: synthesized[name] for name in staged}
+
+    def test_eval_of_synth_inputs_writes_synth_eval_report(self, tmp_path):
+        synth, scored = tmp_path / "synth", tmp_path / "eval"
+        assert main(["synth", "--config", str(write_config(tmp_path)),
+                     "--output", str(synth)]) == 0
+        assert main(["eval", "--annotations", str(synth / "annotations.jsonl"),
+                     "--predictions", str(synth / "predictions.jsonl"),
+                     "--output", str(scored)]) == 0
+        assert ((scored / "eval_report.json").read_bytes()
+                == (synth / "eval_report.json").read_bytes())
+
+    def test_readme_synth_bullet_names_every_file_synth_writes(self, tmp_path):
+        readme = README.read_text(encoding="utf-8")
+        bullet = re.search(r"\n- `synth` (.*?)\n- `", readme, re.S).group(1)
+        out = tmp_path / "synth"
+        assert main(["synth", "--config", str(write_config(tmp_path)),
+                     "--output", str(out)]) == 0
+        assert set(re.findall(r"`([\w.]+\.(?:json|jsonl|txt))`", bullet)) == set(tree_bytes(out))
 
     def test_exact_verifier_localization_is_perfect(self, tmp_path):
         config = write_config(tmp_path)
@@ -526,7 +560,7 @@ class TestCliSynth:
                 stdout=subprocess.DEVNULL, check=True, timeout=120)
             outputs.append(tree_bytes(tmp_path / seed))
         assert outputs[0] == outputs[1]
-        assert len(outputs[0]) == 11
+        assert len(outputs[0]) == 12
 
     @pytest.mark.parametrize("command", ["generate", "synth"])
     def test_a_problems_file_is_rejected(self, tmp_path, capsys, command):
@@ -827,6 +861,31 @@ class TestCliEval:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("inputs", [
+        ["--reference", "--pairs", "PAIRS"],
+        ["--pairs", "PAIRS", "--annotations", "missing.jsonl", "--predictions", "missing.jsonl"],
+        ["--reference", "--annotations", "ANN", "--predictions", "PRED"],
+        ["--reference", "--predictions", "PRED"],
+        ["--annotations", "ANN"],
+    ], ids=["reference-and-pairs", "pairs-and-scoring", "reference-and-scoring",
+            "reference-and-predictions", "annotations-alone"])
+    def test_eval_takes_exactly_one_kind_of_input(self, tmp_path, capsys, inputs):
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps({"rows": [{"model": "m", "error": 40.0, "correct": 60.0}]}),
+                         encoding="utf-8")
+        (tmp_path / "ann.jsonl").write_text(
+            '{"id": "s1", "steps": ["a"], "first_error": 1}\n', encoding="utf-8")
+        (tmp_path / "pred.jsonl").write_text('{"id": "s1", "first_error": 1}\n',
+                                             encoding="utf-8")
+        paths = {"PAIRS": pairs, "ANN": tmp_path / "ann.jsonl", "PRED": tmp_path / "pred.jsonl"}
+        out = tmp_path / "eval"
+        argv = [str(paths.get(arg, arg)) for arg in inputs]
+        assert main(["eval", *argv, "--output", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "eval takes one input" in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", [["--config", "/nonexistent.json"], ["--seed", "5"],
                                       ["--workers", "9"], ["--mode", "step_only"]])
     def test_eval_rejects_run_config_flags(self, flag, capsys):
@@ -859,6 +918,24 @@ class TestCliInspect:
         config = write_config(tmp_path)
         assert main(["inspect", "--config", str(config), "--problem-index", "5"]) == 0
         assert capsys.readouterr().out.startswith("# tree dump v1\n")
+
+    def test_problem_index_defaults_to_zero(self, tmp_path):
+        config = write_config(tmp_path)
+        dumps = [tmp_path / "default.txt", tmp_path / "zero.txt"]
+        assert main(["inspect", "--config", str(config), "--output", str(dumps[0])]) == 0
+        assert main(["inspect", "--config", str(config), "--problem-index", "0",
+                     "--output", str(dumps[1])]) == 0
+        assert dumps[0].read_bytes() == dumps[1].read_bytes()
+
+    @pytest.mark.parametrize("index", ["0", "99"])
+    def test_problem_id_and_index_together_are_rejected(self, tmp_path, capsys, index):
+        config = write_config(tmp_path)
+        problem_id = build_corpus(load_config(config).synthetic)[0].problem.id
+        with pytest.raises(SystemExit) as excinfo:
+            main(["inspect", "--config", str(config), "--problem-id", problem_id,
+                  "--problem-index", index])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_unknown_problem_id(self, tmp_path, capsys):
         config = write_config(tmp_path)
